@@ -98,6 +98,8 @@ def _cmd_sweep(args) -> int:
     report = sweep(config, grid, args.out, force=args.force, workers=args.workers)
     for combo in report["combinations"]:
         _print_aggregate(combo["label"], combo["aggregate"])
+    for skip in report["skipped"]:
+        print(f"skipped {skip['combo']}: same run as {skip['label']}")
     for err in report["errors"]:
         print(f"FAILED {err['combo']}: {err['error']}", file=sys.stderr)
     return 0 if not report["errors"] else 2

@@ -58,11 +58,12 @@ class HonestEngine:
         block = self.store.get(cid)
         if block is not None and self.immediate_block_limit is not None \
                 and block.size <= self.immediate_block_limit:
-            self.send(frm, Message(MessageType.BLOCK, cid, payload=block))
+            reply = Message(MessageType.BLOCK, cid, payload=block)
         elif block is not None:
-            self.send(frm, Message(MessageType.HAVE, cid))
+            reply = Message(MessageType.HAVE, cid)
         else:
-            self.send(frm, Message(MessageType.DONT_HAVE, cid))
+            reply = Message(MessageType.DONT_HAVE, cid)
+        self.sim.send(self.node, frm, reply)
 
     def handle_storage_query(self, frm: PeerId, msg: Message) -> bool:
         """Shared handling for presence/retrieval/cancel messages; returns

@@ -9,6 +9,13 @@ Determinism contract: all randomness flows through the single
 ``random.Random`` stream handed to the run (Mersenne Twister, seeded with a
 64-bit integer), and every neighbor iteration happens in sorted order, so an
 identical ``(config, seed)`` pair replays an identical event trace.
+
+Hot-path contract: every message passes through `Simulator.send` exactly
+once, which makes the one reachability decision for it. `fan_out` sends one
+shared message to many peers and silently skips those already unreachable.
+`neighbors` hands out a cached sorted tuple that `add_edge` and departures
+invalidate; edges disappear only when a node departs, which `departures`
+counts so engines can key their own reachability caches on it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import Message, PeerId, peer_name, wire_size
 
@@ -155,9 +162,12 @@ class Simulator:
         self._heap: list[tuple] = []
         self._seq = 0
         self._adjacency: dict[PeerId, set[PeerId]] = {}
+        self._sorted_neighbors: dict[PeerId, tuple[PeerId, ...]] = {}
         self._alive: set[PeerId] = set()
         self._engines: dict[PeerId, object] = {}
         self._last_delivery: dict[tuple[PeerId, PeerId], float] = {}
+        # departures processed so far: the only events that remove edges
+        self.departures = 0
 
     # -- topology ---------------------------------------------------------
 
@@ -172,6 +182,8 @@ class Simulator:
             raise ValueError("self-loops not allowed")
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
+        self._sorted_neighbors.pop(a, None)
+        self._sorted_neighbors.pop(b, None)
 
     def attach(self, peer: PeerId, engine) -> None:
         self._engines[peer] = engine
@@ -182,8 +194,11 @@ class Simulator:
     def nodes(self) -> list[PeerId]:
         return sorted(self._adjacency)
 
-    def neighbors(self, peer: PeerId) -> list[PeerId]:
-        return sorted(self._adjacency[peer])
+    def neighbors(self, peer: PeerId) -> tuple[PeerId, ...]:
+        view = self._sorted_neighbors.get(peer)
+        if view is None:
+            view = self._sorted_neighbors[peer] = tuple(sorted(self._adjacency[peer]))
+        return view
 
     def connected(self, a: PeerId, b: PeerId) -> bool:
         return b in self._adjacency.get(a, ())
@@ -197,6 +212,7 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def _push(self, time: float, kind: int, payload) -> None:
+        assert time >= self.now, f"event at {time} scheduled before now={self.now}"
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
@@ -209,21 +225,37 @@ class Simulator:
     def send(self, frm: PeerId, to: PeerId, msg: Message, meta: dict | None = None) -> bool:
         """Schedule delivery over the live edge; returns False (with a logged
         diagnostic) when the edge is already gone."""
-        if not self.reachable(frm, to):
+        alive = self._alive
+        if not (to in self._adjacency.get(frm, ()) and frm in alive and to in alive):
             self.observer.record_drop(self.now, frm, to, msg, "send-no-link")
             return False
-        delay = link_delay(self.link, wire_size(msg), self.rng)
-        at = self.now + delay
+        now = self.now
+        at = now + link_delay(self.link, wire_size(msg), self.rng)
         # FIFO per directed link: never overtake an earlier message.
         key = (frm, to)
-        prev = self._last_delivery.get(key, 0.0)
+        last = self._last_delivery
+        prev = last.get(key, 0.0)
         if at < prev:
             at = prev
-        self._last_delivery[key] = at
-        self._seq += 1
-        self.observer.record_send(self.now, self._seq, frm, to, msg, meta)
-        heapq.heappush(self._heap, (at, self._seq, _DELIVER, (frm, to, msg, meta)))
+        last[key] = at
+        seq = self._seq = self._seq + 1
+        self.observer.record_send(now, seq, frm, to, msg, meta)
+        heapq.heappush(self._heap, (at, seq, _DELIVER, (frm, to, msg, meta)))
         return True
+
+    def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message,
+                meta: dict | None = None) -> None:
+        """Send the one (frozen) `msg` to each of `peers`, in order, that
+        `frm` can still reach; unreachable peers are skipped without a drop
+        record, as a caller checking `reachable` first would."""
+        alive = self._alive
+        if frm not in alive:
+            return
+        adjacent = self._adjacency[frm]
+        send = self.send
+        for to in peers:
+            if to in adjacent and to in alive:
+                send(frm, to, msg, meta)
 
     def dial(self, frm: PeerId, to: PeerId) -> None:
         """Connection establishment costing one round trip; repeated dials to
@@ -247,41 +279,49 @@ class Simulator:
     # -- event loop -------------------------------------------------------
 
     def run(self, until: float | None = None) -> int:
+        heap = self._heap
+        alive = self._alive
+        adjacency = self._adjacency
+        engines = self._engines
+        observer = self.observer
+        keep_trace = observer.keep_trace
+        cap = self.livelock_cap
+        pop = heapq.heappop
         executed = 0
-        while self._heap:
-            time, seq, kind, payload = self._heap[0]
+        while heap:
+            event = pop(heap)
+            time, seq, kind, payload = event
             if until is not None and time > until:
+                heapq.heappush(heap, event)
                 break
-            heapq.heappop(self._heap)
             self.now = time
             executed += 1
-            if executed > self.livelock_cap:
-                raise RuntimeError(f"livelock: more than {self.livelock_cap} events")
+            if executed > cap:
+                raise RuntimeError(f"livelock: more than {cap} events")
             if kind == _DELIVER:
-                self._dispatch_deliver(seq, payload)
+                frm, to, msg, meta = payload
+                if to not in alive or frm not in alive or to not in adjacency[frm]:
+                    observer.record_drop(time, frm, to, msg, "in-flight-loss")
+                    continue
+                engine = engines.get(to)
+                if engine is None:
+                    observer.record_drop(time, frm, to, msg, "no-engine")
+                    continue
+                if keep_trace:
+                    observer.record_deliver(time, seq, frm, to, msg)
+                engine.handle_message(frm, msg, meta)
             elif kind == _TIMER:
                 node, timer = payload
                 # timers of a departed node die with it (crash-stop)
-                if not timer.cancelled and (node < 0 or self.is_alive(node)):
-                    self.observer.record_timer(time, seq, node, timer.label)
+                if not timer.cancelled and (node < 0 or node in alive):
+                    if keep_trace:
+                        observer.record_timer(time, seq, node, timer.label)
                     timer.fn()
             elif kind == _DIAL:
                 self._dispatch_dial(payload)
             elif kind == _DEPART:
                 self._dispatch_departure(payload)
         return executed
-
-    def _dispatch_deliver(self, seq: int, payload) -> None:
-        frm, to, msg, meta = payload
-        if not self.is_alive(to) or not self.is_alive(frm) or not self.connected(frm, to):
-            self.observer.record_drop(self.now, frm, to, msg, "in-flight-loss")
-            return
-        engine = self._engines.get(to)
-        if engine is None:
-            self.observer.record_drop(self.now, frm, to, msg, "no-engine")
-            return
-        self.observer.record_deliver(self.now, seq, frm, to, msg)
-        engine.handle_message(frm, msg, meta)
 
     def _dispatch_dial(self, payload) -> None:
         frm, to = payload
@@ -298,6 +338,9 @@ class Simulator:
         if node not in self._alive:
             return
         self._alive.discard(node)
-        for other in list(self._adjacency[node]):
+        self.departures += 1
+        for other in self._adjacency[node]:
             self._adjacency[other].discard(node)
+            self._sorted_neighbors.pop(other, None)
         self._adjacency[node].clear()
+        self._sorted_neighbors.pop(node, None)

@@ -90,6 +90,53 @@ class RelayEntry:
     hop: int
 
 
+class RelayTable(dict):
+    """Relay entries keyed by ``(cid, predecessor)``, indexed by
+    ``(cid, successor)`` so a returning FORWARD-HAVE finds the predecessors
+    it goes back to without scanning every entry.
+
+    Write entries by item assignment (replacing one moves it to the end)
+    and remove them with ``del``; end a relay role with `collapse`. Other
+    dict mutators bypass the index.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._via: dict[tuple[Cid, PeerId], list[PeerId]] = {}
+
+    def __setitem__(self, key: tuple[Cid, PeerId], entry: RelayEntry) -> None:
+        if key in self:
+            # a replaced entry moves to the end, as a fresh one would
+            del self[key]
+        super().__setitem__(key, entry)
+        if entry.successor is not None:
+            self._via.setdefault((key[0], entry.successor), []).append(key[1])
+
+    def __delitem__(self, key: tuple[Cid, PeerId]) -> None:
+        self._unlink(key)
+        super().__delitem__(key)
+
+    def collapse(self, key: tuple[Cid, PeerId]) -> None:
+        """The recorded successor is gone: this entry now marks the proxy."""
+        self._unlink(key)
+        self[key].successor = None
+
+    def via(self, cid: Cid, successor: PeerId) -> list[tuple[PeerId, RelayEntry]]:
+        """(predecessor, entry) of every entry relaying `cid` to
+        `successor`, in the table's insertion order."""
+        preds = self._via.get((cid, successor), ())
+        return [(pred, self[(cid, pred)]) for pred in preds]
+
+    def _unlink(self, key: tuple[Cid, PeerId]) -> None:
+        successor = self[key].successor
+        if successor is None:
+            return
+        preds = self._via[(key[0], successor)]
+        preds.remove(key[1])
+        if not preds:
+            del self._via[(key[0], successor)]
+
+
 @dataclass
 class ProxySession:
     cid: Cid
@@ -140,7 +187,9 @@ class RawaEngine(HonestEngine):
         super().__init__(node, sim, dht, immediate_block_limit=None, **kwargs)
         self.config = config
         self.graph: ForwardGraph | None = None
-        self.entries: dict[tuple[Cid, PeerId], RelayEntry] = {}
+        # (graph, departures, its reachable successors at that count)
+        self._live: tuple = (None, -1, ())
+        self.entries = RelayTable()
         self.sent_for_cid: dict[Cid, set[PeerId]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
         self.sessions: dict[Cid, RequesterSession] = {}
@@ -159,11 +208,20 @@ class RawaEngine(HonestEngine):
         self.build_graph()
         return self.graph
 
-    def _live_successors(self, exclude: set[PeerId] = frozenset()) -> list[PeerId]:
+    def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
         if self.graph is None:
             self.build_graph()
-        return [s for s in self.graph.successors
-                if s not in exclude and self.sim.reachable(self.node, s)]
+        graph, departures = self.graph, self.sim.departures
+        cached, epoch, live = self._live
+        if cached is not graph or epoch != departures:
+            # successors are neighbors when the graph is built; only a
+            # departure can make one unreachable
+            live = tuple(s for s in graph.successors
+                         if self.sim.reachable(self.node, s))
+            self._live = (graph, departures, live)
+        if not exclude:
+            return live
+        return tuple(s for s in live if s not in exclude)
 
     # -- requester ----------------------------------------------------------
 
@@ -307,9 +365,8 @@ class RawaEngine(HonestEngine):
         session.state = DONE
         session.done_at = self.sim.now
         self._cancel_timers(session)
-        for peer in sorted(session.queried):
-            if self.sim.reachable(self.node, peer):
-                self.send(peer, Message(MessageType.CANCEL, session.cid))
+        self.sim.fan_out(self.node, sorted(session.queried),
+                         Message(MessageType.CANCEL, session.cid))
         self.sim.observer.request_done(self.node, session.cid,
                                        session.started_at, session.done_at)
 
@@ -346,7 +403,7 @@ class RawaEngine(HonestEngine):
                           {"walk": walk, "hop": hop + 1, "retx": retx})
             else:
                 # recorded successor is gone: collapse into the proxy role
-                entry.successor = None
+                self.entries.collapse((cid, frm))
                 self._become_proxy(cid, frm, walk, hop, retx)
             return
         if cid in self.proxies:
@@ -376,7 +433,7 @@ class RawaEngine(HonestEngine):
             return
         self._relay(frm, cid, candidates, walk, hop, retx)
 
-    def _relay(self, frm: PeerId, cid: Cid, candidates: list[PeerId],
+    def _relay(self, frm: PeerId, cid: Cid, candidates: tuple[PeerId, ...],
                walk: tuple, hop: int, retx: int) -> None:
         successor = candidates[self.sim.rng.randrange(len(candidates))]
         self.entries[(cid, frm)] = RelayEntry(successor, self.sim.now, walk, hop)
@@ -403,9 +460,10 @@ class RawaEngine(HonestEngine):
             session.found.append(ProviderRecord(self.node, peer_name(self.node)))
             self._answer(session)
             return
-        for peer in self.sim.neighbors(self.node):
-            session.queried.add(peer)
-            self.send(peer, Message(MessageType.WANT_HAVE, cid), {"role": "proxy"})
+        peers = self.sim.neighbors(self.node)
+        session.queried.update(peers)
+        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, cid),
+                         {"role": "proxy"})
         self._arm(session, self.config.t1_ms, f"proxy-t1:{cid.short()}",
                   lambda: self._proxy_t1(session))
 
@@ -480,32 +538,28 @@ class RawaEngine(HonestEngine):
         session.providers_sent = tuple(session.found)
         self._cancel_timers(session)
         self._send_forward_have(session)
-        for peer in sorted(session.queried):
-            if self.sim.reachable(self.node, peer):
-                self.send(peer, Message(MessageType.CANCEL, session.cid))
+        self.sim.fan_out(self.node, sorted(session.queried),
+                         Message(MessageType.CANCEL, session.cid))
 
     def _send_forward_have(self, session: ProxySession,
                            only_pred: PeerId | None = None) -> None:
         preds = [only_pred] if only_pred is not None else sorted(session.preds)
+        msg = Message(MessageType.FORWARD_HAVE, session.cid,
+                      providers=session.providers_sent)
         for pred in preds:
             if self.sim.reachable(self.node, pred):
-                self.send(pred,
-                          Message(MessageType.FORWARD_HAVE, session.cid,
-                                  providers=session.providers_sent),
-                          {"walk": session.preds[pred]})
+                self.send(pred, msg, {"walk": session.preds[pred]})
 
     # -- return phase -------------------------------------------------------
 
     def _route_back(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
         cid = msg.cid
         handled = False
-        for (c, pred), entry in list(self.entries.items()):
-            if c == cid and entry.successor == frm:
-                handled = True
-                if self.sim.reachable(self.node, pred):
-                    self.send(pred, Message(MessageType.FORWARD_HAVE, cid,
-                                            providers=msg.providers),
-                              {"walk": entry.walk})
+        for pred, entry in self.entries.via(cid, frm):
+            handled = True
+            if self.sim.reachable(self.node, pred):
+                # the relayed copy is the received message itself
+                self.send(pred, msg, {"walk": entry.walk})
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True

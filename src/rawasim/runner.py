@@ -77,6 +77,26 @@ class ExperimentConfig:
         if self.adversary in (ADVERSARY_WFE, ADVERSARY_SAWFE) and \
                 self.n_honest % 4 != 0:
             raise ValueError("wfe wiring needs honest count divisible by 4")
+        # anything that would schedule an event in the past fails here, not
+        # mid-run
+        if self.dht_base_delay_ms < 0:
+            raise ValueError("dht_base_delay_ms must be >= 0")
+        if not (0 <= self.dht_delay_spread < 1):
+            raise ValueError("dht_delay_spread must be in [0, 1)")
+        if self.stagger_ms < 0:
+            raise ValueError("stagger_ms must be >= 0")
+        if not self.give_up_ms > 0:
+            raise ValueError("give_up_ms must be > 0")
+        for entry in self.churn:
+            if len(entry) != 2:
+                raise ValueError(f"churn entry {list(entry)} is not "
+                                 "[honest index, departure ms]")
+            index, depart_ms = entry
+            if not (isinstance(index, int) and 0 <= index < self.n_honest):
+                raise ValueError(f"churn index {index!r} is not one of the "
+                                 f"{self.n_honest} honest nodes")
+            if not depart_ms >= 0:
+                raise ValueError(f"churn departure time {depart_ms!r} must be >= 0")
 
     @property
     def n_honest(self) -> int:
@@ -354,7 +374,10 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
     """Run the cross product of the grid axes over the base config.
 
     Recognized axes: p, eta, adversary, block_size, protocol. Failures are
-    isolated per combination; the sweep continues and reports them.
+    isolated per combination; the sweep continues and reports them. The
+    walk-only axes (p, eta) do not change a vanilla run, so a vanilla
+    combination that differs from an earlier one only there is listed under
+    ``skipped`` with the label it shares instead of being run again.
     """
     axes = sorted(grid)
     allowed = {"p", "eta", "adversary", "block_size", "protocol"}
@@ -369,7 +392,8 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
             raise ValueError(f"empty grid axis {axis!r}")
         combos = [dict(c, **{axis: v}) for c in combos for v in values]
 
-    report: dict = {"combinations": [], "errors": []}
+    report: dict = {"combinations": [], "errors": [], "skipped": []}
+    ran: list[ExperimentConfig] = []
     for combo in combos:
         try:
             overrides = dict(combo)
@@ -382,8 +406,14 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
             config = replace(base, **overrides)
             if rawa_over:
                 config = replace(config, rawa=replace(config.rawa, **rawa_over))
+            same_run = (replace(config, rawa=base.rawa)
+                        if config.protocol == PROTOCOL_VANILLA else config)
+            if same_run in ran:
+                report["skipped"].append({"combo": combo, "label": config.label()})
+                continue
             results = run_experiment(config, workers=workers)
             csv_path, json_path = write_results(config, results, out_dir, force)
+            ran.append(same_run)
             report["combinations"].append({
                 "combo": combo, "label": config.label(),
                 "csv": str(csv_path), "summary": str(json_path),

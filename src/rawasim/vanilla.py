@@ -70,9 +70,9 @@ class VanillaEngine(HonestEngine):
             session.done_at = now
             self.sim.observer.request_done(self.node, cid, now, now)
             return
-        for peer in self.sim.neighbors(self.node):
-            session.queried.add(peer)
-            self.send(peer, Message(MessageType.WANT_HAVE, cid))
+        peers = self.sim.neighbors(self.node)
+        session.queried.update(peers)
+        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, cid))
         self._arm(session, self.t1_ms, f"t1:{cid.short()}",
                   lambda: self._t1_tick(session))
         self._arm(session, self.give_up_ms, f"give-up:{cid.short()}",
@@ -183,9 +183,8 @@ class VanillaEngine(HonestEngine):
         session.state = DONE
         session.done_at = self.sim.now
         self._cancel_timers(session)
-        for peer in sorted(session.queried):
-            if self.sim.reachable(self.node, peer):
-                self.send(peer, Message(MessageType.CANCEL, session.cid))
+        self.sim.fan_out(self.node, sorted(session.queried),
+                         Message(MessageType.CANCEL, session.cid))
         self.sim.observer.request_done(self.node, session.cid,
                                        session.started_at, session.done_at)
 

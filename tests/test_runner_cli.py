@@ -46,6 +46,18 @@ def test_config_validation_errors():
         ExperimentConfig(adversary="wfe", n_peers=47)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"dht_delay_spread": 1.0}, {"dht_delay_spread": 2.0},
+    {"dht_delay_spread": -0.1}, {"dht_base_delay_ms": -1.0},
+    {"stagger_ms": -5.0}, {"give_up_ms": 0.0}, {"give_up_ms": -1.0},
+    {"churn": ((15, 100.0),)}, {"churn": ((-1, 100.0),)},
+    {"churn": ((2, -1.0),)}, {"churn": ((2,),)},
+])
+def test_config_rejects_values_that_would_fail_mid_run(overrides):
+    with pytest.raises(ValueError):
+        small_config(**overrides)  # fse at n=16: honest indices 0..14
+
+
 def test_wfe_split_is_four_to_one():
     config = ExperimentConfig(adversary="wfe", n_peers=50)
     assert config.n_honest == 40
@@ -185,6 +197,18 @@ def test_sweep_isolates_failures(tmp_path):
     assert len(report["errors"]) == 1
 
 
+def test_sweep_runs_vanilla_once_across_walk_only_axes(tmp_path):
+    config = small_config(runs=1)
+    report = sweep(config, {"protocol": ["vanilla", "rawa"], "p": [0.2, 0.5]},
+                   tmp_path)
+    assert report["errors"] == []
+    assert [c["label"] for c in report["combinations"]] == [
+        "vanilla_fse_b1025", "rawa_fse_p0.2_eta2_b1025", "rawa_fse_p0.5_eta2_b1025"]
+    assert report["skipped"] == [{"combo": {"p": 0.5, "protocol": "vanilla"},
+                                  "label": "vanilla_fse_b1025"}]
+    assert len(list(tmp_path.glob("*.csv"))) == 3
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ValueError):
         sweep(small_config(), {"latency": [1]}, tmp_path)
@@ -236,6 +260,17 @@ def test_cli_flag_overrides(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     config_path = write_config(tmp_path, protocol="smoke-signal")
     assert main(["run", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    {"dht_delay_spread": 2}, {"stagger_ms": -1}, {"give_up_ms": -1},
+    {"churn": [[99, 100.0]]},
+])
+def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
+    config_path = write_config(tmp_path, **extra)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_sweep(tmp_path, capsys):
