@@ -4,8 +4,13 @@ a small grid, recorded before any change to the event kernel.
 Kernel work (caches, fan-out, indexed walk return) must keep the RNG draw
 order and the scheduling sequence, so every file here must stay byte for
 byte the same. The churn config exercises the departure paths that
-invalidate the cached neighbor and successor views. A deliberate change of
-the draw order re-records the table and says why in CHANGES.md.
+invalidate the cached neighbor and successor views. The extra configs
+cover the requester and proxy paths the base grid misses: provider
+verification against active exploiters (with and without fake HAVEs), the
+proxy's provider-index aggregation, the FORWARD-HAVE aggregation window
+under churn and stagger, vanilla against exploiters, and a run bound that
+cuts requests off. A deliberate change of the draw order re-records the
+table and says why in CHANGES.md.
 
 Re-record with ``python tests/test_golden.py`` (prints the table).
 """
@@ -34,26 +39,54 @@ def _grid() -> dict[str, ExperimentConfig]:
             base_seed=23, stagger_ms=40.0,
             churn=((3, 150.0), (17, 900.0), (30, 2500.0)),
             rawa=RaWaConfig(p=0.2, eta=None))
+    wfe = dict(adversary="wfe", n_peers=50, runs=2, base_seed=11)
+    configs["vanilla_wfe"] = ExperimentConfig(protocol="vanilla", **wfe)
+    configs["vanilla_bound"] = ExperimentConfig(
+        protocol="vanilla", adversary="fse", n_peers=50, runs=2,
+        base_seed=11, run_bound_ms=1500.0)
+    for fake_have in (True, False):
+        configs[f"rawa_wfe_verify_fake{int(fake_have)}"] = ExperimentConfig(
+            protocol="rawa", wfe_fake_have=fake_have, **wfe,
+            rawa=RaWaConfig(p=0.2, eta=2, verify_provider=True))
+    configs["rawa_wfe_aggdht"] = ExperimentConfig(
+        protocol="rawa", **wfe,
+        rawa=RaWaConfig(p=0.2, eta=2, proxy_aggregate_dht=True))
+    configs["rawa_window_churn"] = ExperimentConfig(
+        protocol="rawa", adversary="fse", n_peers=50, runs=2, base_seed=23,
+        stagger_ms=40.0, churn=((3, 150.0), (17, 900.0), (30, 2500.0)),
+        rawa=RaWaConfig(p=0.2, eta=None, forward_have_aggregation_ms=300.0))
     return configs
 
 
 GOLDEN = {
     "rawa_churn": ("3df6874f64630cd81069963f55ac8ac4d6357ffd86cf7a464ed9de6cbf332756",
-                   "fbd986ccd3dd7732dcadf0fd21b456b8e1e3b5ba0fe8b1c7e4e368a6213e7945"),
+                  "fbd986ccd3dd7732dcadf0fd21b456b8e1e3b5ba0fe8b1c7e4e368a6213e7945"),
     "rawa_fse": ("079af41fef9577d3041743957871edd261dbbb971be8cb33e6de141617fc57a2",
-                 "690a395d1c9f4cca58e04c638fcb5522529ff63d0dc0c5f4f17b225dd8e44ec0"),
+                "690a395d1c9f4cca58e04c638fcb5522529ff63d0dc0c5f4f17b225dd8e44ec0"),
     "rawa_none": ("072e4f21ef3d355468c66f83b73b7729e1480ca0a9da1cb97da4caf238f381e9",
-                  "148ab9cb6dc4c20f4882716e97605e73470860836477051c25a605be4b6d0b04"),
+                 "148ab9cb6dc4c20f4882716e97605e73470860836477051c25a605be4b6d0b04"),
     "rawa_sawfe": ("88e3801d480daeb4209384d6687049f0850146de2ec766b30e920630aa257a57",
-                   "b23afa1b9c51b60bbb58c3b86d3d62b73c7d94ec0c5b42361d3b48e36b13357b"),
+                  "b23afa1b9c51b60bbb58c3b86d3d62b73c7d94ec0c5b42361d3b48e36b13357b"),
+    "rawa_wfe_aggdht": ("3dd9703d3bd878780e509d4a21c7a630bd0985a2c539477d6db6a607109de99c",
+                       "584d1b5604630dce26e77c0a764986e72dae7dcbec2549aec363cc7803b0e915"),
+    "rawa_wfe_verify_fake0": ("60894636606fdf809d1017295db4048f70a82fa11b73c1a0a09d706b9e75a033",
+                             "846caa14949bc850943681fe5750b86cc57480e212d58ce4d876c1add5a5df76"),
+    "rawa_wfe_verify_fake1": ("41d861c1dde2d43a68eb3108283497fcdd59916944bda0af1bb33b22441e3946",
+                             "ff1fc811c1d2af84cec29553306aea916945fc38ce02809b2f5a12e7edcec4fa"),
+    "rawa_window_churn": ("5c9de0b6a72cb41bf75bdb09d3cea7340d6730652eec5ad9625dcee7e37e8d8f",
+                         "ec0b8c9cf30f90de9ac9a7fcaf9f96690f867e7cc0fec37b8b3fa56ec07b6db4"),
+    "vanilla_bound": ("6909354e10405cd517466aeb56a2953173833eb1abe6fdc8e6e04c959539d401",
+                     "6ef326c4199fc4dc321059f0c3aa6ec4322ade4583aeece3da61bc84639a293d"),
     "vanilla_churn": ("0436608dfaaebcaba320b851a2dce3cf7bbedf092faaa761b8596bd3ff4660a6",
-                      "a797d1165f2877383228888b826e2d1a04dd6cd1d44b0a7ce98b53f799ff1caa"),
+                     "a797d1165f2877383228888b826e2d1a04dd6cd1d44b0a7ce98b53f799ff1caa"),
     "vanilla_fse": ("fb433454b392ef1365a7742f35cc9882f673a67e23520c3d5b87a27a12e1f71a",
-                    "f5f3af124010020d552bbc39d85426a01d96ec044ad84e3e3b08af6388e3b894"),
+                   "f5f3af124010020d552bbc39d85426a01d96ec044ad84e3e3b08af6388e3b894"),
     "vanilla_none": ("50d63078906d85f79bf75bc8b62a239a669d8fc92c9568b83baf9614d8c9cc31",
-                     "a6f71eefb9e107138b107e8c4131feeb668850f1d52c5dcf4b7cf0fd359eddcf"),
+                    "a6f71eefb9e107138b107e8c4131feeb668850f1d52c5dcf4b7cf0fd359eddcf"),
     "vanilla_sawfe": ("cdd9fe144afeb607d8d6243a3b0a62cd9b82feeac310d437967bcfebb99298ec",
-                      "eed514d45df8afcb08c8106e75c054fc97fd895034bc2b207c8c44178a022352"),
+                     "eed514d45df8afcb08c8106e75c054fc97fd895034bc2b207c8c44178a022352"),
+    "vanilla_wfe": ("22f97485b92bb03bc6ccb604296a01a2ff07f7eb95b3194f52f904dc973a648f",
+                   "9f68adadff1548569aac7db496ae47cbf65316b81fa8e3a16a6e4eee8f43f7ee"),
 }
 
 
