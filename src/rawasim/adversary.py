@@ -94,8 +94,7 @@ class ExploiterNode:
         variant = msg.variant
         if variant is MessageType.WANT_FORWARD:
             fake = Message(MessageType.FORWARD_HAVE, msg.cid,
-                           providers=(ProviderRecord(self.node,
-                                                     peer_name(self.node)),))
+                           providers=(ProviderRecord(self.node),))
             self.sim.send(self.node, frm, fake)
         elif variant is MessageType.WANT_HAVE:
             reply = MessageType.HAVE if self.fake_have else MessageType.DONT_HAVE

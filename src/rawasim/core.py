@@ -78,10 +78,9 @@ REQUEST_TYPES = frozenset(
 
 @dataclass(frozen=True)
 class ProviderRecord:
-    """A peer believed to store the block, with an optional contact token."""
+    """A peer believed to store the block."""
 
     peer: PeerId
-    address: str | None = None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Cid, PeerId, ProviderRecord, peer_name
+from .core import Cid, PeerId, ProviderRecord
 from .netsim import Simulator
 
 
@@ -37,8 +37,7 @@ class DummyDht:
 
         def resolve() -> None:
             peers = sorted(self.table.get(cid, ()))
-            records = [ProviderRecord(p, address=peer_name(p))
-                       for p in peers if self.sim.is_alive(p)]
+            records = [ProviderRecord(p) for p in peers if self.sim.is_alive(p)]
             callback(records)
 
         self.sim.schedule(delay, f"dht-lookup:{cid.short()}", resolve, node=node)

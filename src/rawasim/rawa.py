@@ -6,7 +6,9 @@ request to one of its own successors (probability ``1 - p``) or becomes the
 proxy (probability ``p``), runs the baseline neighbor discovery on behalf of
 the unknown origin, and returns the provider list along the reversed walk
 with FORWARD-HAVE. The requester then fetches directly from one provider,
-which is the only peer that ever learns its interest.
+which is the only peer that ever learns its interest; the fetch is the
+shared one in `rawasim.engine`, optionally preceded by a WANT-HAVE that
+verifies the provider.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -19,15 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (Cid, Message, MessageType, PeerId, ProviderRecord,
-                   peer_name)
-from .engine import HonestEngine
+from .core import Cid, Message, MessageType, PeerId, ProviderRecord
+from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
+                     HonestEngine)
 from .netsim import RngStream
-
-WALKING = "walking"
-EXCHANGING = "exchanging"
-DONE = "done"
-FAILED = "failed"
 
 RELAY_ENTRY_TTL_MS = 60_000.0
 
@@ -64,6 +61,10 @@ class RaWaConfig:
             raise ValueError("eta must be >= 1 (or None for all neighbors)")
         if not (self.u_ms > self.t1_ms and self.u_ms > self.t0_ms):
             raise ValueError("require u > t1 and u > t0")
+        if not all(t > 0 for t in (self.t0_ms, self.t1_ms, self.u_ms)):
+            raise ValueError("t0_ms, t1_ms and u_ms must be > 0")
+        if not self.forward_have_aggregation_ms >= 0:
+            raise ValueError("forward_have_aggregation_ms must be >= 0")
 
 
 @dataclass
@@ -154,37 +155,21 @@ class ProxySession:
 
 
 @dataclass
-class RequesterSession:
-    cid: Cid
-    started_at: float
-    state: str = WALKING
+class RequesterSession(FetchSession):
     first_hop: PeerId | None = None
     walk_serial: int = 0
-    providers: list[ProviderRecord] = field(default_factory=list)
-    tried: set[PeerId] = field(default_factory=set)
-    target: PeerId | None = None
-    verified: bool = False
-    queried: set[PeerId] = field(default_factory=set)  # verify-mode WANT-HAVEs
-    attempt_serial: int = 0
     retx_count: int = 0
-    done_at: float | None = None
-    timers: list = field(default_factory=list)
-
-    @property
-    def ttfb_ms(self) -> float | None:
-        return None if self.done_at is None else self.done_at - self.started_at
+    verified: bool = False  # the current target answered the verify WANT-HAVE
 
     def walk_id(self, node: PeerId) -> tuple:
         return (node, self.cid, self.walk_serial)
 
-    def untried(self, node: PeerId) -> list[ProviderRecord]:
-        return [r for r in self.providers
-                if r.peer not in self.tried and r.peer != node]
-
 
 class RawaEngine(HonestEngine):
+    session_type = RequesterSession
+
     def __init__(self, node, sim, dht, config: RaWaConfig, **kwargs):
-        super().__init__(node, sim, dht, immediate_block_limit=None, **kwargs)
+        super().__init__(node, sim, dht, **kwargs)
         self.config = config
         self.graph: ForwardGraph | None = None
         # (graph, departures, its reachable successors at that count)
@@ -192,8 +177,10 @@ class RawaEngine(HonestEngine):
         self.entries = RelayTable()
         self.sent_for_cid: dict[Cid, set[PeerId]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
-        self.sessions: dict[Cid, RequesterSession] = {}
-        self._pending_dials: dict[PeerId, Cid] = {}
+
+    @property
+    def attempt_timeout_ms(self) -> float:
+        return self.config.t1_ms
 
     # -- privacy subgraph ---------------------------------------------------
 
@@ -201,12 +188,6 @@ class RawaEngine(HonestEngine):
         self.graph = build_forward_graph(self.sim.neighbors(self.node),
                                          self.config.eta, self.sim.rng,
                                          now=self.sim.now)
-
-    def reconstruct_graph(self) -> ForwardGraph:
-        """Periodic rebuild with fresh randomness; recorded successors of
-        in-flight relay entries are untouched."""
-        self.build_graph()
-        return self.graph
 
     def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
         if self.graph is None:
@@ -225,25 +206,13 @@ class RawaEngine(HonestEngine):
 
     # -- requester ----------------------------------------------------------
 
-    def request_block(self, cid: Cid) -> None:
-        if cid in self.sessions:
-            return
-        now = self.sim.now
-        session = RequesterSession(cid=cid, started_at=now)
-        self.sessions[cid] = session
-        if cid in self.store:
-            session.state = DONE
-            session.done_at = now
-            self.sim.observer.request_done(self.node, cid, now, now)
-            return
+    def _discover(self, session: RequesterSession) -> None:
         self._start_walk(session, fresh=False)
         cfg = self.config
-        self._arm(session, cfg.t0_ms, f"t0:{cid.short()}",
+        self._arm(session, cfg.t0_ms, f"t0:{session.cid.short()}",
                   lambda: self._t0_tick(session))
-        self._arm(session, cfg.u_ms, f"u:{cid.short()}",
+        self._arm(session, cfg.u_ms, f"u:{session.cid.short()}",
                   lambda: self._u_tick(session))
-        self._arm(session, self.give_up_ms, f"give-up:{cid.short()}",
-                  lambda: self._give_up(session))
 
     def _start_walk(self, session: RequesterSession, fresh: bool) -> None:
         if fresh:
@@ -262,9 +231,8 @@ class RawaEngine(HonestEngine):
                   Message(MessageType.WANT_FORWARD, session.cid), meta)
 
     def _t0_tick(self, session: RequesterSession) -> None:
-        if session.state in (DONE, FAILED):
-            return
-        if session.state is WALKING:
+        # completion and give-up cancel this timer; it runs only while open
+        if session.state is SEARCHING:
             if session.first_hop is not None and \
                     self.sim.reachable(self.node, session.first_hop):
                 session.retx_count += 1
@@ -275,108 +243,32 @@ class RawaEngine(HonestEngine):
                   lambda: self._t0_tick(session))
 
     def _u_tick(self, session: RequesterSession) -> None:
-        if session.state in (DONE, FAILED):
-            return
-        if session.state is WALKING:
+        if session.state is SEARCHING:
             self.dht.lookup(session.cid, self.node,
-                            lambda providers: self._fallback_result(session, providers))
+                            lambda providers: self._offer(session, providers))
         self._arm(session, self.config.u_ms, f"u:{session.cid.short()}",
                   lambda: self._u_tick(session))
 
-    def _fallback_result(self, session: RequesterSession,
-                         providers: list[ProviderRecord]) -> None:
+    def _offer(self, session: RequesterSession, providers) -> None:
+        """Providers from the walk or the fallback lookup."""
         if session.state in (DONE, FAILED):
             return
-        self._merge_providers(session, providers)
-        if session.state is WALKING and session.untried(self.node):
-            self._try_next_provider(session)
+        self._merge(session, providers)
+        if session.state is SEARCHING and session.untried():
+            self._next_provider(session)
 
-    def _merge_providers(self, session: RequesterSession, providers) -> None:
-        known = {r.peer for r in session.providers}
-        for rec in providers:
-            if rec.peer not in known:
-                session.providers.append(rec)
-                known.add(rec.peer)
-
-    def _on_forward_have(self, session: RequesterSession,
-                         providers: tuple[ProviderRecord, ...],
-                         walk: tuple | None) -> None:
-        if session.state in (DONE, FAILED):
-            return
-        if walk is not None:
-            self.sim.observer.fh_consumed(self.node, walk)
-        self._merge_providers(session, providers)
-        if session.state is WALKING and session.untried(self.node):
-            self._try_next_provider(session)
-
-    def _try_next_provider(self, session: RequesterSession) -> None:
-        untried = session.untried(self.node)
-        if not untried:
-            session.state = WALKING
-            session.target = None
-            return
-        record = untried[self.sim.rng.randrange(len(untried))]
-        session.state = EXCHANGING
-        session.tried.add(record.peer)
-        session.target = record.peer
+    def _attempt(self, session: RequesterSession, peer: PeerId) -> None:
         session.verified = False
-        session.attempt_serial += 1
-        if self.sim.connected(self.node, record.peer):
-            self._exchange(session)
-        else:
-            self._pending_dials[record.peer] = session.cid
-            self.sim.dial(self.node, record.peer)
+        super()._attempt(session, peer)
 
     def _exchange(self, session: RequesterSession) -> None:
-        serial = session.attempt_serial
         if self.config.verify_provider and not session.verified:
             session.queried.add(session.target)
             self.send(session.target, Message(MessageType.WANT_HAVE, session.cid),
                       {"role": "verify"})
+            self._arm_attempt(session)
         else:
-            self.send(session.target, Message(MessageType.WANT_BLOCK, session.cid))
-        self._arm(session, self.config.t1_ms, f"attempt:{session.cid.short()}",
-                  lambda: self._attempt_timeout(session, serial))
-
-    def _attempt_timeout(self, session: RequesterSession, serial: int) -> None:
-        if session.state is EXCHANGING and session.attempt_serial == serial:
-            self._try_next_provider(session)
-
-    def handle_dial(self, peer: PeerId, ok: bool) -> None:
-        cid = self._pending_dials.pop(peer, None)
-        if cid is None:
-            return
-        session = self.sessions.get(cid)
-        if session is None or session.state is not EXCHANGING or session.target != peer:
-            return
-        if ok:
-            self._exchange(session)
-        else:
-            self._try_next_provider(session)
-
-    def _give_up(self, session: RequesterSession) -> None:
-        if session.state in (DONE, FAILED):
-            return
-        session.state = FAILED
-        self._cancel_timers(session)
-        self.sim.observer.request_failed(self.node, session.cid)
-
-    def _complete(self, session: RequesterSession) -> None:
-        session.state = DONE
-        session.done_at = self.sim.now
-        self._cancel_timers(session)
-        self.sim.fan_out(self.node, sorted(session.queried),
-                         Message(MessageType.CANCEL, session.cid))
-        self.sim.observer.request_done(self.node, session.cid,
-                                       session.started_at, session.done_at)
-
-    def _arm(self, session, delay: float, label: str, fn) -> None:
-        session.timers.append(self.sim.schedule(delay, label, fn, node=self.node))
-
-    def _cancel_timers(self, session) -> None:
-        for t in session.timers:
-            t.cancel()
-        session.timers.clear()
+            super()._exchange(session)
 
     # -- relay manager ------------------------------------------------------
 
@@ -457,7 +349,7 @@ class RawaEngine(HonestEngine):
         session.preds[pred] = walk
         self.proxies[cid] = session
         if cid in self.store:
-            session.found.append(ProviderRecord(self.node, peer_name(self.node)))
+            session.found.append(ProviderRecord(self.node))
             self._answer(session)
             return
         peers = self.sim.neighbors(self.node)
@@ -516,7 +408,7 @@ class RawaEngine(HonestEngine):
             return
         session.last_activity = self.sim.now
         if all(r.peer != frm for r in session.found):
-            session.found.append(ProviderRecord(frm, peer_name(frm)))
+            session.found.append(ProviderRecord(frm))
         if self.config.proxy_aggregate_dht:
             if not session.dht_pending:
                 session.dht_pending = True
@@ -563,8 +455,10 @@ class RawaEngine(HonestEngine):
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True
-            self._on_forward_have(session, msg.providers,
-                                  (meta or {}).get("walk"))
+            walk = (meta or {}).get("walk")
+            if walk is not None:
+                self.sim.observer.fh_consumed(self.node, walk)
+            self._offer(session, msg.providers)
         if not handled:
             self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
                                           "stray-forward-have")
@@ -583,8 +477,13 @@ class RawaEngine(HonestEngine):
             return
         # HAVE / DONT-HAVE / BLOCK: requester attempt first, then proxy
         session = self.sessions.get(msg.cid)
-        if session is not None and session.state is EXCHANGING and frm == session.target:
-            self._requester_answer(session, frm, msg)
+        if session is not None and session.state is FETCHING and frm == session.target:
+            if variant is not MessageType.HAVE:
+                self._on_answer(session, msg)
+            elif self.config.verify_provider and not session.verified:
+                session.verified = True
+                session.attempt_serial += 1
+                self._exchange(session)
             return
         proxy = self.proxies.get(msg.cid)
         if proxy is not None:
@@ -595,23 +494,7 @@ class RawaEngine(HonestEngine):
             return
         if session is not None and variant is MessageType.BLOCK and \
                 session.state not in (DONE, FAILED):
-            if self.accept_block(msg.cid, msg.payload):
-                self._complete(session)
+            self._on_block(session, msg)
             return
         self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
                                       "unmatched-response")
-
-    def _requester_answer(self, session: RequesterSession, frm: PeerId,
-                          msg: Message) -> None:
-        if msg.variant is MessageType.HAVE:
-            if self.config.verify_provider and not session.verified:
-                session.verified = True
-                session.attempt_serial += 1
-                self._exchange(session)
-        elif msg.variant is MessageType.DONT_HAVE:
-            self._try_next_provider(session)
-        elif msg.variant is MessageType.BLOCK:
-            if self.accept_block(msg.cid, msg.payload):
-                self._complete(session)
-            else:
-                self._try_next_provider(session)

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("stagger_ms must be >= 0")
         if not self.give_up_ms > 0:
             raise ValueError("give_up_ms must be > 0")
+        if self.run_bound_ms is not None and not self.run_bound_ms > 0:
+            raise ValueError("run_bound_ms must be > 0 (or null for no bound)")
         for entry in self.churn:
             if len(entry) != 2:
                 raise ValueError(f"churn entry {list(entry)} is not "
@@ -194,8 +196,7 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
         if config.protocol == PROTOCOL_RAWA:
             return RawaEngine(node, sim, dht, config.rawa,
                               give_up_ms=config.give_up_ms)
-        return VanillaEngine(node, sim, dht, t1_ms=1000.0,
-                             give_up_ms=config.give_up_ms)
+        return VanillaEngine(node, sim, dht, give_up_ms=config.give_up_ms)
 
     for node in topo.honest:
         engines[node] = honest_engine(node)

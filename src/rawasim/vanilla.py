@@ -5,99 +5,57 @@ HAVE wins and is answered with a WANT-BLOCK; later candidates are kept as
 backups. When discovery goes quiet for ``t1`` without a candidate, the node
 queries the provider index and retries every ``t1`` until a global give-up
 bound. Completion sends exactly one CANCEL to every peer that received the
-WANT-HAVE.
+WANT-HAVE. The fetch itself is the shared one in `rawasim.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import Cid, Message, MessageType, PeerId, ProviderRecord, peer_name
-from .engine import HonestEngine
-
-PROBING = "probing"
-AWAITING_BLOCK = "awaiting_block"
-DONE = "done"
-FAILED = "failed"
+from .core import Message, MessageType, PeerId, ProviderRecord
+from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
+                     HonestEngine)
 
 IMMEDIATE_BLOCK_LIMIT = 1024
-DEFAULT_T1_MS = 1000.0
+# quiet period before the provider-index fallback; also the attempt timeout
+T1_MS = 1000.0
 
 
 @dataclass
-class VanillaSession:
-    cid: Cid
-    started_at: float
-    t1_ms: float
-    state: str = PROBING
-    queried: set[PeerId] = field(default_factory=set)
-    candidates: list[ProviderRecord] = field(default_factory=list)
-    tried: set[PeerId] = field(default_factory=set)
-    target: PeerId | None = None
+class VanillaSession(FetchSession):
     last_activity: float = 0.0
     dht_pending: bool = False
-    done_at: float | None = None
-    attempt_serial: int = 0
-    timers: list = field(default_factory=list)
-
-    @property
-    def ttfb_ms(self) -> float | None:
-        return None if self.done_at is None else self.done_at - self.started_at
-
-    def untried(self) -> list[ProviderRecord]:
-        return [r for r in self.candidates if r.peer not in self.tried]
 
 
 class VanillaEngine(HonestEngine):
-    def __init__(self, node, sim, dht, t1_ms: float = DEFAULT_T1_MS, **kwargs):
-        super().__init__(node, sim, dht,
-                         immediate_block_limit=IMMEDIATE_BLOCK_LIMIT, **kwargs)
-        self.t1_ms = t1_ms
-        self.sessions: dict[Cid, VanillaSession] = {}
-        self._pending_dials: dict[PeerId, Cid] = {}
+    immediate_block_limit = IMMEDIATE_BLOCK_LIMIT
+    attempt_timeout_ms = T1_MS
+    session_type = VanillaSession
 
     # -- requester side -----------------------------------------------------
 
-    def request_block(self, cid: Cid) -> None:
-        if cid in self.sessions:
-            return
-        now = self.sim.now
-        session = VanillaSession(cid=cid, started_at=now, t1_ms=self.t1_ms,
-                                 last_activity=now)
-        self.sessions[cid] = session
-        if cid in self.store:
-            session.state = DONE
-            session.done_at = now
-            self.sim.observer.request_done(self.node, cid, now, now)
-            return
+    def _discover(self, session: VanillaSession) -> None:
+        session.last_activity = self.sim.now
         peers = self.sim.neighbors(self.node)
         session.queried.update(peers)
-        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, cid))
-        self._arm(session, self.t1_ms, f"t1:{cid.short()}",
+        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, session.cid))
+        self._arm_t1(session, T1_MS)
+
+    def _arm_t1(self, session: VanillaSession, delay: float, kind: str = "t1") -> None:
+        self._arm(session, delay, f"{kind}:{session.cid.short()}",
                   lambda: self._t1_tick(session))
-        self._arm(session, self.give_up_ms, f"give-up:{cid.short()}",
-                  lambda: self._give_up(session))
-
-    def _arm(self, session: VanillaSession, delay: float, label: str, fn) -> None:
-        session.timers.append(self.sim.schedule(delay, label, fn, node=self.node))
-
-    def _cancel_timers(self, session: VanillaSession) -> None:
-        for t in session.timers:
-            t.cancel()
-        session.timers.clear()
 
     def _t1_tick(self, session: VanillaSession) -> None:
         """Inactivity-based fallback: fire the provider-index lookup only
         after a full quiet period with nothing left to try."""
-        if session.state not in (PROBING,):
+        if session.state is not SEARCHING:
             return
         idle = self.sim.now - session.last_activity
-        if idle + 1e-9 < session.t1_ms:
-            self._arm(session, session.t1_ms - idle, f"t1:{session.cid.short()}",
-                      lambda: self._t1_tick(session))
+        if idle + 1e-9 < T1_MS:
+            self._arm_t1(session, T1_MS - idle)
             return
         if session.untried():
-            self._begin_attempt(session, self._pick_uniform(session.untried()))
+            self._next_provider(session)
             return
         if not session.dht_pending:
             session.dht_pending = True
@@ -108,85 +66,17 @@ class VanillaEngine(HonestEngine):
         session.dht_pending = False
         if session.state in (DONE, FAILED):
             return
-        self._merge_candidates(session, providers)
-        if session.state is not PROBING:
+        self._merge(session, providers)
+        if session.state is not SEARCHING:
             return
-        untried = session.untried()
-        if untried:
-            self._begin_attempt(session, self._pick_uniform(untried))
+        if session.untried():
+            self._next_provider(session)
         else:
-            self._arm(session, session.t1_ms, f"t1-retry:{session.cid.short()}",
-                      lambda: self._t1_tick(session))
+            self._arm_t1(session, T1_MS, "t1-retry")
 
-    def _merge_candidates(self, session: VanillaSession, providers) -> None:
-        known = {r.peer for r in session.candidates}
-        for rec in providers:
-            if rec.peer != self.node and rec.peer not in known:
-                session.candidates.append(rec)
-                known.add(rec.peer)
-
-    def _pick_uniform(self, records: list[ProviderRecord]) -> ProviderRecord:
-        return records[self.sim.rng.randrange(len(records))]
-
-    def _begin_attempt(self, session: VanillaSession, record: ProviderRecord) -> None:
-        session.state = AWAITING_BLOCK
-        session.tried.add(record.peer)
-        session.target = record.peer
-        session.attempt_serial += 1
-        serial = session.attempt_serial
-        if self.sim.connected(self.node, record.peer):
-            self._send_want_block(session, serial)
-        else:
-            self._pending_dials[record.peer] = session.cid
-            self.sim.dial(self.node, record.peer)
-
-    def _send_want_block(self, session: VanillaSession, serial: int) -> None:
-        self.send(session.target, Message(MessageType.WANT_BLOCK, session.cid))
-        self._arm(session, session.t1_ms, f"attempt:{session.cid.short()}",
-                  lambda: self._attempt_timeout(session, serial))
-
-    def _attempt_timeout(self, session: VanillaSession, serial: int) -> None:
-        if session.state is AWAITING_BLOCK and session.attempt_serial == serial:
-            self._attempt_failed(session)
-
-    def _attempt_failed(self, session: VanillaSession) -> None:
-        session.target = None
-        untried = session.untried()
-        if untried:
-            self._begin_attempt(session, self._pick_uniform(untried))
-        else:
-            session.state = PROBING
-            session.last_activity = self.sim.now
-            self._arm(session, session.t1_ms, f"t1:{session.cid.short()}",
-                      lambda: self._t1_tick(session))
-
-    def handle_dial(self, peer: PeerId, ok: bool) -> None:
-        cid = self._pending_dials.pop(peer, None)
-        if cid is None:
-            return
-        session = self.sessions.get(cid)
-        if session is None or session.state is not AWAITING_BLOCK or session.target != peer:
-            return
-        if ok:
-            self._send_want_block(session, session.attempt_serial)
-        else:
-            self._attempt_failed(session)
-
-    def _give_up(self, session: VanillaSession) -> None:
-        if session.state in (DONE, FAILED):
-            return
-        session.state = FAILED
-        self._cancel_timers(session)
-        self.sim.observer.request_failed(self.node, session.cid)
-
-    def _complete(self, session: VanillaSession) -> None:
-        session.state = DONE
-        session.done_at = self.sim.now
-        self._cancel_timers(session)
-        self.sim.fan_out(self.node, sorted(session.queried),
-                         Message(MessageType.CANCEL, session.cid))
-        self.sim.observer.request_done(self.node, session.cid,
-                                       session.started_at, session.done_at)
+    def _all_tried(self, session: VanillaSession) -> None:
+        session.last_activity = self.sim.now
+        self._arm_t1(session, T1_MS)
 
     # -- message handling ---------------------------------------------------
 
@@ -201,13 +91,12 @@ class VanillaEngine(HonestEngine):
             return
         session.last_activity = self.sim.now
         if msg.variant is MessageType.HAVE:
-            self._merge_candidates(session, [ProviderRecord(frm, peer_name(frm))])
-            if session.state is PROBING and frm not in session.tried:
-                self._begin_attempt(session, ProviderRecord(frm, peer_name(frm)))
-        elif msg.variant is MessageType.DONT_HAVE:
-            if session.state is AWAITING_BLOCK and frm == session.target:
-                self._attempt_failed(session)
+            self._merge(session, [ProviderRecord(frm)])
+            if session.state is SEARCHING and frm not in session.tried:
+                self._attempt(session, frm)
+        elif session.state is FETCHING and frm == session.target:
+            self._on_answer(session, msg)
         elif msg.variant is MessageType.BLOCK:
-            if self.accept_block(msg.cid, msg.payload):
-                self._complete(session)
-            # invalid payload: discard and keep waiting
+            # a small block sent for the WANT-HAVE, or a late answer to an
+            # earlier attempt
+            self._on_block(session, msg)

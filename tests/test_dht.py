@@ -29,7 +29,6 @@ def test_provide_then_lookup():
     dht.provide(cid, 1)
     providers, at = lookup_now(sim, dht, cid)
     assert [r.peer for r in providers] == [1]
-    assert providers[0].address == "P1"
 
 
 def test_provide_idempotent():

@@ -1,0 +1,56 @@
+"""The requester fetch state machine both engines share (`rawasim.engine`).
+
+Discovery differs per protocol; the fetch does not, so each test here runs
+under both.
+"""
+
+import pytest
+
+from rawasim.core import Message, MessageType
+from rawasim.rawa import RaWaConfig
+
+from conftest import Scenario, leg_ms, make_block
+
+PROTOCOLS = ("vanilla", "rawa")
+
+
+def tamper_first_want_block(engines):
+    """The first WANT-BLOCK any of `engines` receives is answered with a
+    block that does not hash to its CID; returns the (node, time) record of
+    that answer."""
+    tampered = []
+    for engine in engines:
+        def handle(frm, msg, meta, engine=engine, honest=engine.handle_message):
+            if msg.variant is MessageType.WANT_BLOCK and not tampered:
+                tampered.append((engine.node, engine.sim.now))
+                bad = make_block(1025, tag=99)
+                engine.send(frm, Message(MessageType.BLOCK, msg.cid, payload=bad))
+                return
+            honest(frm, msg, meta)
+        engine.handle_message = handle
+    return tampered
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_tampered_block_from_target_moves_to_next_provider(protocol):
+    # requester 0 learns of providers 1 and 2 through node 3: the proxy
+    # under rawa (collecting both HAVEs), the index fallback under vanilla
+    scn = Scenario(4, [(0, 3), (3, 1), (3, 2)], protocol=protocol,
+                   rawa=RaWaConfig(p=1.0, forward_have_aggregation_ms=300.0))
+    block = make_block(1025)
+    cid = scn.place_block(1, block)
+    scn.place_block(2, block)
+    tampered = tamper_first_want_block([scn.engines[1], scn.engines[2]])
+    scn.build_graphs()
+    scn.request(0, cid)
+    scn.sim.run()
+    [(bad, _)] = tampered
+    good = 3 - bad
+    bad_at = next(rec[0] for rec in scn.observer.trace
+                  if rec[2] == "deliver" and rec[5] == "BLOCK" and rec[3] == bad)
+    # the next provider is dialled when the tampered block arrives, not
+    # after the attempt timeout
+    oracle = bad_at + 200.0 + leg_ms(44) + leg_ms(44 + 1025)
+    assert scn.observer.completions[0][3] == pytest.approx(oracle, abs=1e-6)
+    assert [rec[4] for rec in scn.sends("WANT-BLOCK")] == [bad, good]
+    assert scn.engines[0].store[cid] == block

@@ -126,7 +126,7 @@ def test_shared_successor_returns_to_predecessors_in_insertion_order():
     engine = scn.engines[2]
     engine.entries[(CID, 1)] = RelayEntry(3, 0.0, (1, CID, 0), 1)
     engine.entries[(CID, 0)] = RelayEntry(3, 0.0, (0, CID, 0), 1)
-    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(ProviderRecord(3, "P3"),))
+    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(ProviderRecord(3),))
     engine.handle_message(3, fh, {"walk": (1, CID, 0)})
     assert [rec[4] for rec in scn.sends("FORWARD-HAVE")] == [1, 0]
     assert [rec[0] for rec in scn.observer.fh_sends] == [(1, CID, 0), (0, CID, 0)]

@@ -5,6 +5,7 @@ import pytest
 
 from rawasim.adversary import ExploiterNode, ObservationLog
 from rawasim.core import Message, MessageType, ProviderRecord, derive_cid
+from rawasim.netsim import LinkSpec
 from rawasim.rawa import (RaWaConfig, RawaEngine, RelayEntry,
                           build_forward_graph, path_length_probability)
 from rawasim.topology import build_honest_topology
@@ -42,6 +43,12 @@ def test_config_validation():
         RaWaConfig(eta=0)
     with pytest.raises(ValueError):
         RaWaConfig(u_ms=500.0)  # must exceed t0 and t1
+    # timers that would schedule into the past
+    for overrides in ({"t0_ms": -1.0}, {"t0_ms": 0.0}, {"t1_ms": -5.0},
+                      {"t1_ms": 0.0}, {"u_ms": 0.0, "t0_ms": -2.0, "t1_ms": -3.0},
+                      {"forward_have_aggregation_ms": -1.0}):
+        with pytest.raises(ValueError):
+            RaWaConfig(**overrides)
 
 
 def test_forward_graph_invariants_over_random_topologies():
@@ -82,7 +89,8 @@ def test_reconstruct_replaces_graph():
     engine = scn.engines[0]
     engine.build_graph()
     first = engine.graph.successors
-    second = engine.reconstruct_graph().successors
+    engine.build_graph()
+    second = engine.graph.successors
     for succ in (first, second):
         assert set(succ) <= {1, 2, 3} and len(succ) == 2
 
@@ -231,7 +239,7 @@ def test_route_back_copies_to_every_matching_predecessor():
     engine.entries[(cid, 0)] = RelayEntry(3, 0.0, (0, cid, 0), 1)
     engine.entries[(cid, 1)] = RelayEntry(3, 0.0, (1, cid, 0), 1)
     fh = Message(MessageType.FORWARD_HAVE, cid,
-                 providers=(ProviderRecord(3, "P3"),))
+                 providers=(ProviderRecord(3),))
     engine.handle_message(3, fh, {"walk": (0, cid, 0)})
     scn.sim.run()
     targets = sorted(rec[4] for rec in scn.sends("FORWARD-HAVE"))
@@ -319,6 +327,34 @@ def test_verify_provider_blocks_naive_exploit():
     # verification, so it never receives a retrieval request
     assert all(rec[4] != 1 for rec in scn.sends("WANT-BLOCK"))
     assert 0 in scn.observer.completions
+
+
+def test_aggregation_window_answers_once_with_all_collected():
+    # proxy 7 asks six providers; with 40 ms jitter their HAVEs spread out
+    # and a 30 ms window keeps only those that arrive before it closes
+    window = 30.0
+    link = LinkSpec(latency_ms=100.0, jitter_ms=40.0)
+    partial = 0
+    for seed in range(4):
+        scn = Scenario(8, [(0, 7)] + [(7, n) for n in range(1, 7)], link=link,
+                       rawa=RaWaConfig(p=1.0, forward_have_aggregation_ms=window),
+                       seed=seed)
+        block = make_block(1025)
+        for node in range(1, 7):
+            cid = scn.place_block(node, block)
+        scn.build_graphs()
+        scn.request(0, cid)
+        scn.sim.run()
+        haves = [(rec[0], rec[3]) for rec in scn.observer.trace
+                 if rec[2] == "deliver" and rec[5] == "HAVE" and rec[4] == 7]
+        closes = haves[0][0] + window
+        [answer] = [rec for rec in scn.sends("FORWARD-HAVE") if rec[3] == 7]
+        assert answer[0] == pytest.approx(closes, abs=1e-9)
+        sent = [r.peer for r in scn.engines[7].proxies[cid].providers_sent]
+        assert sent == [frm for at, frm in haves if at < closes]
+        partial += 1 < len(sent) < 6
+        assert 0 in scn.observer.completions
+    assert partial  # some seed both aggregated and left a late HAVE out
 
 
 def test_verify_provider_exchanges_after_honest_have():

@@ -52,6 +52,7 @@ def test_config_validation_errors():
     {"stagger_ms": -5.0}, {"give_up_ms": 0.0}, {"give_up_ms": -1.0},
     {"churn": ((15, 100.0),)}, {"churn": ((-1, 100.0),)},
     {"churn": ((2, -1.0),)}, {"churn": ((2,),)},
+    {"run_bound_ms": -10.0}, {"run_bound_ms": 0.0},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
     with pytest.raises(ValueError):
@@ -127,6 +128,22 @@ def test_stagger_delays_requests():
     starts = [rec[0] for rec in handles.sim.observer.trace
               if rec[2] == "timer" and rec[5].startswith("request:")]
     assert starts == [10.0 * i for i in range(len(handles.honest))]
+
+
+@pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
+def test_run_bound_stops_the_run(protocol):
+    bound = 1500.0
+    config = small_config(protocol=protocol, runs=1)
+    full = run_single(config, 0).metrics
+    bounded = run_single(replace(config, run_bound_ms=bound), 0).metrics
+    # the same run, cut off: what finished by the bound, and nothing else
+    assert bounded.ttfb_ms == {node: ttfb for node, ttfb in full.ttfb_ms.items()
+                               if ttfb <= bound}
+    assert bounded.unresolved and len(bounded.ttfb_ms) > 0
+    handles = build_run(replace(config, run_bound_ms=bound), 0)
+    handles.sim.run(until=bound)
+    assert handles.sim.now <= bound
+    assert handles.sim.run() > 0  # events past the bound were left queued
 
 
 # -- files ----------------------------------------------------------------------
@@ -265,6 +282,12 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("extra", [
     {"dht_delay_spread": 2}, {"stagger_ms": -1}, {"give_up_ms": -1},
     {"churn": [[99, 100.0]]},
+    # these loaded, then died mid-run (exit 2) or resolved nothing (exit 0)
+    {"rawa": {"p": 0.5, "eta": 1, "t0_ms": -1}},
+    {"rawa": {"p": 0.5, "eta": 1, "t1_ms": -5}},
+    {"rawa": {"p": 0.5, "eta": 1, "u_ms": 0, "t0_ms": -2, "t1_ms": -3}},
+    {"rawa": {"p": 0.5, "eta": 1, "forward_have_aggregation_ms": -5}},
+    {"run_bound_ms": -10}, {"run_bound_ms": 0},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
