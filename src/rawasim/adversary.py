@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (Cid, Message, MessageType, PeerId, ProviderRecord,
-                   REQUEST_TYPES, peer_name)
+from .core import (DONT_HAVE, FORWARD_HAVE, HAVE, REQUEST_TYPES, WANT_BLOCK,
+                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
+                   ProviderRecord, peer_name)
 from .netsim import RngStream
 
 
@@ -92,15 +93,15 @@ class ExploiterNode:
     def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
         self.log.append(self.node, frm, msg, self.sim.now)
         variant = msg.variant
-        if variant is MessageType.WANT_FORWARD:
-            fake = Message(MessageType.FORWARD_HAVE, msg.cid,
+        if variant is WANT_FORWARD:
+            fake = Message(FORWARD_HAVE, msg.cid,
                            providers=(ProviderRecord(self.node),))
             self.sim.send(self.node, frm, fake)
-        elif variant is MessageType.WANT_HAVE:
-            reply = MessageType.HAVE if self.fake_have else MessageType.DONT_HAVE
-            self.sim.send(self.node, frm, Message(reply, msg.cid))
-        elif variant is MessageType.WANT_BLOCK:
-            self.sim.send(self.node, frm, Message(MessageType.DONT_HAVE, msg.cid))
+        elif variant is WANT_HAVE:
+            reply = HAVE if self.fake_have else DONT_HAVE
+            self.sim.send(self.node, frm, self.sim.message(reply, msg.cid))
+        elif variant is WANT_BLOCK:
+            self.sim.send(self.node, frm, self.sim.message(DONT_HAVE, msg.cid))
         # responses addressed to us carry no obligation
 
     def handle_dial(self, peer: PeerId, ok: bool) -> None:
@@ -141,7 +142,7 @@ def _first_want_blocks(log: ObservationLog, population) -> dict[PeerId, Cid]:
     pop = set(population)
     for rec in log.records:
         if rec.sender in pop and rec.sender not in links \
-                and rec.message.variant is MessageType.WANT_BLOCK:
+                and rec.message.variant is WANT_BLOCK:
             links[rec.sender] = rec.message.cid
     return links
 
@@ -169,7 +170,7 @@ def sawfe_classify(log: ObservationLog, subgraph: dict[PeerId, tuple],
         for succ in subgraph[holder]:
             predecessors.setdefault(succ, []).append(holder)
     for rec in log.records:
-        if rec.message.variant is not MessageType.WANT_HAVE:
+        if rec.message.variant is not WANT_HAVE:
             continue
         proxy = rec.sender
         if proxy not in pop:

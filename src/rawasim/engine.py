@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (Block, Cid, Message, MessageType, PeerId, ProviderRecord,
-                   derive_cid, validate_block)
+from .core import (BLOCK, CANCEL, DONT_HAVE, HAVE, WANT_BLOCK, WANT_HAVE, Block,
+                   Cid, Message, PeerId, ProviderRecord, derive_cid,
+                   validate_block)
 from .dht import DummyDht
 from .netsim import Simulator
 
@@ -48,7 +49,8 @@ class FetchSession:
     attempt_serial: int = 0
     # peers sent a WANT-HAVE for this request; each gets a CANCEL at the end
     queried: set[PeerId] = field(default_factory=set)
-    timers: list = field(default_factory=list)
+    # pending timers by arm serial (`HonestEngine._arm`)
+    timers: dict = field(default_factory=dict)
 
     def untried(self) -> list[ProviderRecord]:
         return [r for r in self.providers if r.peer not in self.tried]
@@ -74,6 +76,7 @@ class HonestEngine:
         self.peer_wants: dict[Cid, set[PeerId]] = {}
         self.sessions: dict[Cid, FetchSession] = {}
         self._pending_dials: dict[PeerId, Cid] = {}
+        self._arms = 0
 
     # -- storage ----------------------------------------------------------
 
@@ -98,31 +101,33 @@ class HonestEngine:
     def reply_presence(self, frm: PeerId, cid: Cid) -> None:
         """Answer a WANT-HAVE, optionally short-circuiting with the block
         itself when it is small enough (baseline behavior only)."""
+        sim = self.sim
         block = self.store.get(cid)
         if block is not None and self.immediate_block_limit is not None \
                 and block.size <= self.immediate_block_limit:
-            reply = Message(MessageType.BLOCK, cid, payload=block)
+            reply = Message(BLOCK, cid, payload=block)
         elif block is not None:
-            reply = Message(MessageType.HAVE, cid)
+            reply = sim.message(HAVE, cid)
         else:
-            reply = Message(MessageType.DONT_HAVE, cid)
-        self.sim.send(self.node, frm, reply)
+            reply = sim.message(DONT_HAVE, cid)
+        sim.send(self.node, frm, reply)
 
     def handle_storage_query(self, frm: PeerId, msg: Message) -> bool:
         """Shared handling for presence/retrieval/cancel messages; returns
         True when the message was consumed."""
-        if msg.variant is MessageType.WANT_HAVE:
+        variant = msg.variant
+        if variant is WANT_HAVE:
             self.peer_wants.setdefault(msg.cid, set()).add(frm)
             self.reply_presence(frm, msg.cid)
             return True
-        if msg.variant is MessageType.WANT_BLOCK:
+        if variant is WANT_BLOCK:
             block = self.store.get(msg.cid)
             if block is not None:
-                self.send(frm, Message(MessageType.BLOCK, msg.cid, payload=block))
+                self.send(frm, Message(BLOCK, msg.cid, payload=block))
             else:
-                self.send(frm, Message(MessageType.DONT_HAVE, msg.cid))
+                self.send(frm, self.sim.message(DONT_HAVE, msg.cid))
             return True
-        if msg.variant is MessageType.CANCEL:
+        if variant is CANCEL:
             wants = self.peer_wants.get(msg.cid)
             if wants is not None:
                 wants.discard(frm)
@@ -152,10 +157,21 @@ class HonestEngine:
         raise NotImplementedError
 
     def _arm(self, session, delay: float, label: str, fn) -> None:
-        session.timers.append(self.sim.schedule(delay, label, fn, node=self.node))
+        """Schedule `fn`. Its handle stays in `session.timers` until it
+        fires or is cancelled, so re-armed ticks hold no dead handles. The
+        handle is keyed by an arm serial, not referenced from the callback:
+        a callback holding its own timer would be a cycle outliving the
+        event."""
+        timers = session.timers
+        key = self._arms = self._arms + 1
+
+        def fire() -> None:
+            del timers[key]
+            fn()
+        timers[key] = self.sim.schedule(delay, label, fire, node=self.node)
 
     def _cancel_timers(self, session) -> None:
-        for t in session.timers:
+        for t in session.timers.values():
             t.cancel()
         session.timers.clear()
 
@@ -194,7 +210,7 @@ class HonestEngine:
             self.sim.dial(self.node, peer)
 
     def _exchange(self, session: FetchSession) -> None:
-        self.send(session.target, Message(MessageType.WANT_BLOCK, session.cid))
+        self.send(session.target, self.sim.message(WANT_BLOCK, session.cid))
         self._arm_attempt(session)
 
     def _arm_attempt(self, session: FetchSession) -> None:
@@ -224,9 +240,9 @@ class HonestEngine:
         """The target's answer to the current attempt: a valid block
         completes the request; DONT-HAVE or a tampered block fails the
         attempt."""
-        if msg.variant is MessageType.DONT_HAVE:
+        if msg.variant is DONT_HAVE:
             self._next_provider(session)
-        elif msg.variant is MessageType.BLOCK and not self._on_block(session, msg):
+        elif msg.variant is BLOCK and not self._on_block(session, msg):
             self._next_provider(session)
 
     def _on_block(self, session: FetchSession, msg: Message) -> bool:
@@ -247,7 +263,7 @@ class HonestEngine:
         session.state = DONE
         self._cancel_timers(session)
         self.sim.fan_out(self.node, sorted(session.queried),
-                         Message(MessageType.CANCEL, session.cid))
+                         self.sim.message(CANCEL, session.cid))
         self.sim.observer.request_done(self.node, session.cid,
                                        session.started_at, self.sim.now)
 

@@ -11,11 +11,13 @@ Determinism contract: all randomness flows through the single
 identical ``(config, seed)`` pair replays an identical event trace.
 
 Hot-path contract: every message passes through `Simulator.send` exactly
-once, which makes the one reachability decision for it. `fan_out` sends one
-shared message to many peers and silently skips those already unreachable.
-`neighbors` hands out a cached sorted tuple that `add_edge` and departures
-invalidate; edges disappear only when a node departs, which `departures`
-counts so engines can key their own reachability caches on it.
+once, which makes the one reachability decision for it. Payload-free
+messages come from `Simulator.message`, one shared instance per
+``(cid, variant)`` per run. `fan_out` sends one shared message to many
+peers and silently skips those already unreachable. `neighbors` hands out
+a cached sorted tuple that `add_edge` and departures invalidate; edges
+disappear only when a node departs, which `departures` counts so engines
+can key their own reachability caches on it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .core import Message, PeerId, peer_name, wire_size
+from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
 
 RngStream = random.Random
 
@@ -103,7 +105,7 @@ class Observer:
     def record_send(self, time: float, seq: int, frm: PeerId, to: PeerId,
                     msg: Message, meta: dict | None) -> None:
         size = wire_size(msg)
-        variant = msg.variant.value
+        variant = msg.variant._value_
         self.msg_counts[variant] += 1
         self.bytes_by_variant[variant] += size
         self.bytes_total += size
@@ -166,6 +168,9 @@ class Simulator:
         self._alive: set[PeerId] = set()
         self._engines: dict[PeerId, object] = {}
         self._last_delivery: dict[tuple[PeerId, PeerId], float] = {}
+        # the shared payload-free messages of this run: variant value -> cid
+        self._messages: dict[str, dict[Cid, Message]] = {
+            variant._value_: {} for variant in MessageType}
         # departures processed so far: the only events that remove edges
         self.departures = 0
 
@@ -209,6 +214,17 @@ class Simulator:
     def reachable(self, frm: PeerId, to: PeerId) -> bool:
         return self.connected(frm, to) and self.is_alive(frm) and self.is_alive(to)
 
+    def message(self, variant: MessageType, cid: Cid) -> Message:
+        """The run's one payload-free `variant` message for `cid`. Messages
+        are immutable, so every sender shares it; the table lives and dies
+        with this simulator. It is keyed by the member's value, whose hash
+        runs in C, where hashing the member itself would run in Python."""
+        by_cid = self._messages[variant._value_]
+        msg = by_cid.get(cid)
+        if msg is None:
+            msg = by_cid[cid] = Message(variant, cid)
+        return msg
+
     # -- scheduling -------------------------------------------------------
 
     def _push(self, time: float, kind: int, payload) -> None:
@@ -230,7 +246,18 @@ class Simulator:
             self.observer.record_drop(self.now, frm, to, msg, "send-no-link")
             return False
         now = self.now
-        at = now + link_delay(self.link, wire_size(msg), self.rng)
+        # link_delay inlined: the same draw and the same float arithmetic
+        # (random.uniform(a, b) is a + (b - a) * random()); wire sizes are
+        # at least the envelope, so its size check cannot fail here
+        link = self.link
+        jitter = link.jitter_ms
+        if jitter:
+            a, b = -jitter, jitter
+            jitter = a + (b - a) * self.rng.random()
+        else:
+            jitter = 0.0
+        at = now + (link.latency_ms + jitter
+                    + wire_size(msg) / link.bandwidth_bytes_per_s * 1000.0)
         # FIFO per directed link: never overtake an earlier message.
         key = (frm, to)
         last = self._last_delivery

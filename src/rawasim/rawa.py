@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Cid, Message, MessageType, PeerId, ProviderRecord
+from .core import (BLOCK, CANCEL, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
+                   WANT_HAVE, Cid, Message, PeerId, ProviderRecord)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine)
 from .netsim import RngStream
@@ -43,7 +44,11 @@ class RaWaConfig:
     p: float = 0.2
     eta: int | None = None  # None means "all neighbors"
     t0_ms: float = 1000.0   # requester re-transmit interval
-    t1_ms: float = 1000.0   # proxy fallback-lookup timer
+    # two roles: the proxy's quiet period before its index lookup, and the
+    # requester's fetch-attempt timeout (`RawaEngine.attempt_timeout_ms`),
+    # so a t1 sweep also changes how fast a requester abandons a silent
+    # provider; vanilla fixes that timeout at 1 s
+    t1_ms: float = 1000.0
     u_ms: float = 2000.0    # requester fallback-lookup timer
     rebuild_ms: float = 540_000.0
     verify_provider: bool = False
@@ -151,7 +156,7 @@ class ProxySession:
     last_activity: float = 0.0
     dht_pending: bool = False
     answer_pending: bool = False
-    timers: list = field(default_factory=list)
+    timers: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -228,7 +233,7 @@ class RawaEngine(HonestEngine):
     def _send_want_forward(self, session: RequesterSession, retx: int) -> None:
         meta = {"walk": session.walk_id(self.node), "hop": 1, "retx": retx}
         self.send(session.first_hop,
-                  Message(MessageType.WANT_FORWARD, session.cid), meta)
+                  self.sim.message(WANT_FORWARD, session.cid), meta)
 
     def _t0_tick(self, session: RequesterSession) -> None:
         # completion and give-up cancel this timer; it runs only while open
@@ -264,7 +269,7 @@ class RawaEngine(HonestEngine):
     def _exchange(self, session: RequesterSession) -> None:
         if self.config.verify_provider and not session.verified:
             session.queried.add(session.target)
-            self.send(session.target, Message(MessageType.WANT_HAVE, session.cid),
+            self.send(session.target, self.sim.message(WANT_HAVE, session.cid),
                       {"role": "verify"})
             self._arm_attempt(session)
         else:
@@ -291,7 +296,7 @@ class RawaEngine(HonestEngine):
             if entry.successor is None:
                 self._proxy_repeat(cid, frm)
             elif self.sim.reachable(self.node, entry.successor):
-                self.send(entry.successor, Message(MessageType.WANT_FORWARD, cid),
+                self.send(entry.successor, self.sim.message(WANT_FORWARD, cid),
                           {"walk": walk, "hop": hop + 1, "retx": retx})
             else:
                 # recorded successor is gone: collapse into the proxy role
@@ -330,7 +335,7 @@ class RawaEngine(HonestEngine):
         successor = candidates[self.sim.rng.randrange(len(candidates))]
         self.entries[(cid, frm)] = RelayEntry(successor, self.sim.now, walk, hop)
         self.sent_for_cid.setdefault(cid, set()).add(successor)
-        self.send(successor, Message(MessageType.WANT_FORWARD, cid),
+        self.send(successor, self.sim.message(WANT_FORWARD, cid),
                   {"walk": walk, "hop": hop + 1, "retx": retx})
 
     # -- proxy --------------------------------------------------------------
@@ -354,7 +359,7 @@ class RawaEngine(HonestEngine):
             return
         peers = self.sim.neighbors(self.node)
         session.queried.update(peers)
-        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, cid),
+        self.sim.fan_out(self.node, peers, self.sim.message(WANT_HAVE, cid),
                          {"role": "proxy"})
         self._arm(session, self.config.t1_ms, f"proxy-t1:{cid.short()}",
                   lambda: self._proxy_t1(session))
@@ -431,12 +436,12 @@ class RawaEngine(HonestEngine):
         self._cancel_timers(session)
         self._send_forward_have(session)
         self.sim.fan_out(self.node, sorted(session.queried),
-                         Message(MessageType.CANCEL, session.cid))
+                         self.sim.message(CANCEL, session.cid))
 
     def _send_forward_have(self, session: ProxySession,
                            only_pred: PeerId | None = None) -> None:
         preds = [only_pred] if only_pred is not None else sorted(session.preds)
-        msg = Message(MessageType.FORWARD_HAVE, session.cid,
+        msg = Message(FORWARD_HAVE, session.cid,
                       providers=session.providers_sent)
         for pred in preds:
             if self.sim.reachable(self.node, pred):
@@ -467,10 +472,10 @@ class RawaEngine(HonestEngine):
 
     def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
         variant = msg.variant
-        if variant is MessageType.WANT_FORWARD:
+        if variant is WANT_FORWARD:
             self._on_want_forward(frm, msg.cid, meta)
             return
-        if variant is MessageType.FORWARD_HAVE:
+        if variant is FORWARD_HAVE:
             self._route_back(frm, msg, meta)
             return
         if self.handle_storage_query(frm, msg):
@@ -478,7 +483,7 @@ class RawaEngine(HonestEngine):
         # HAVE / DONT-HAVE / BLOCK: requester attempt first, then proxy
         session = self.sessions.get(msg.cid)
         if session is not None and session.state is FETCHING and frm == session.target:
-            if variant is not MessageType.HAVE:
+            if variant is not HAVE:
                 self._on_answer(session, msg)
             elif self.config.verify_provider and not session.verified:
                 session.verified = True
@@ -487,12 +492,12 @@ class RawaEngine(HonestEngine):
             return
         proxy = self.proxies.get(msg.cid)
         if proxy is not None:
-            if variant is MessageType.HAVE:
+            if variant is HAVE:
                 self._proxy_have(proxy, frm)
-            elif variant is MessageType.DONT_HAVE:
+            elif variant is DONT_HAVE:
                 proxy.last_activity = self.sim.now
             return
-        if session is not None and variant is MessageType.BLOCK and \
+        if session is not None and variant is BLOCK and \
                 session.state not in (DONE, FAILED):
             self._on_block(session, msg)
             return

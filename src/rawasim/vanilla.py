@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Message, MessageType, PeerId, ProviderRecord
+from .core import BLOCK, HAVE, WANT_HAVE, Message, PeerId, ProviderRecord
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine)
 
@@ -38,7 +38,7 @@ class VanillaEngine(HonestEngine):
         session.last_activity = self.sim.now
         peers = self.sim.neighbors(self.node)
         session.queried.update(peers)
-        self.sim.fan_out(self.node, peers, Message(MessageType.WANT_HAVE, session.cid))
+        self.sim.fan_out(self.node, peers, self.sim.message(WANT_HAVE, session.cid))
         self._arm_t1(session, T1_MS)
 
     def _arm_t1(self, session: VanillaSession, delay: float, kind: str = "t1") -> None:
@@ -85,18 +85,18 @@ class VanillaEngine(HonestEngine):
             return
         session = self.sessions.get(msg.cid)
         if session is None or session.state in (DONE, FAILED):
-            if msg.variant is MessageType.BLOCK:
+            if msg.variant is BLOCK:
                 self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
                                               "unsolicited-block")
             return
         session.last_activity = self.sim.now
-        if msg.variant is MessageType.HAVE:
+        if msg.variant is HAVE:
             self._merge(session, [ProviderRecord(frm)])
             if session.state is SEARCHING and frm not in session.tried:
                 self._attempt(session, frm)
         elif session.state is FETCHING and frm == session.target:
             self._on_answer(session, msg)
-        elif msg.variant is MessageType.BLOCK:
+        elif msg.variant is BLOCK:
             # a small block sent for the WANT-HAVE, or a late answer to an
             # earlier attempt
             self._on_block(session, msg)

@@ -1,8 +1,12 @@
+import pickle
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rawasim.core import (Block, Cid, Message, MessageType, ProviderRecord,
+from rawasim.core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES,
+                          Block, Cid, Message, MessageType, ProviderRecord,
                           derive_cid, peer_name, validate_block, wire_size)
 
 
@@ -45,6 +49,14 @@ def test_message_field_invariants():
         Message(MessageType.HAVE, cid, providers=(ProviderRecord(1),))
     with pytest.raises(ValueError):
         Message(MessageType.FORWARD_HAVE, cid)
+    for variant in MessageType:
+        if variant is not MessageType.BLOCK:
+            with pytest.raises(ValueError, match="payload"):
+                Message(variant, cid, payload=Block(b"x"))
+        if variant is not MessageType.FORWARD_HAVE:
+            payload = Block(b"x") if variant is MessageType.BLOCK else None
+            with pytest.raises(ValueError, match="providers"):
+                Message(variant, cid, payload, (ProviderRecord(1),))
 
 
 def test_wire_size_table():
@@ -68,3 +80,43 @@ def test_wire_size_monotone_in_payload():
 def test_peer_rendering():
     assert peer_name(17) == "P17"
     assert len(Cid(b"\xab" * 32).short()) == 8
+
+
+def test_cids_with_one_digest_are_one_key():
+    digest = bytes(range(32))
+    a, b = Cid(digest), Cid(bytes(digest))
+    assert a == b and hash(a) == hash(b)
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {a: "second"} and len({a, b}) == 1
+    assert Cid(b"\x01" * 32) != a
+
+
+def test_cid_digest_short_repr_and_pickle():
+    digest = bytes(range(32))
+    cid = Cid(digest)
+    assert type(cid.digest) is bytes and cid.digest == digest
+    assert cid.short() == digest.hex()[:8] == "00010203"
+    assert repr(cid) == "Cid(00010203)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(cid, protocol))
+        assert type(back) is Cid and back == cid and hash(back) == hash(cid)
+    assert type(derive_cid(Block(b"x"))) is Cid
+
+
+PAYLOAD_FREE = [t for t in MessageType
+                if t not in (MessageType.BLOCK, MessageType.FORWARD_HAVE)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(payload=st.integers(1, 200_000), providers=st.integers(1, 40))
+def test_wire_size_follows_the_table(payload, providers):
+    cid = derive_cid(Block(b"s"))
+    base = ENVELOPE_BYTES + CID_ENTRY_BYTES
+    for variant in PAYLOAD_FREE:
+        assert wire_size(Message(variant, cid)) == base
+    block = Message(MessageType.BLOCK, cid, payload=Block(b"b" * payload))
+    assert wire_size(block) == base + payload
+    records = tuple(ProviderRecord(p) for p in range(providers))
+    forward = Message(MessageType.FORWARD_HAVE, cid, providers=records)
+    assert wire_size(forward) == base + PROVIDER_RECORD_BYTES * providers

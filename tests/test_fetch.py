@@ -7,6 +7,7 @@ under both.
 import pytest
 
 from rawasim.core import Message, MessageType
+from rawasim.engine import DONE, FAILED
 from rawasim.rawa import RaWaConfig
 
 from conftest import Scenario, leg_ms, make_block
@@ -54,3 +55,32 @@ def test_tampered_block_from_target_moves_to_next_provider(protocol):
     assert scn.observer.completions[0][3] == pytest.approx(oracle, abs=1e-6)
     assert [rec[4] for rec in scn.sends("WANT-BLOCK")] == [bad, good]
     assert scn.engines[0].store[cid] == block
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_fired_timers_leave_the_session(protocol):
+    # the only provider departs early, so the request re-arms its
+    # discovery ticks until it gives up after 30 s
+    scn = Scenario(3, [(0, 1), (1, 2)], protocol=protocol,
+                   rawa=RaWaConfig(p=1.0))
+    cid = scn.place_block(2, make_block(1025))
+    scn.build_graphs()
+    scn.sim.schedule_departure(2, at=350.0)
+    scn.request(0, cid)
+    engine = scn.engines[0]
+    held = []
+
+    def probe():
+        session = engine.sessions.get(cid)
+        if session is not None:
+            held.append(len(session.timers))
+            if session.state in (DONE, FAILED):
+                return
+        scn.sim.schedule(50.0, "probe", probe)
+    scn.sim.schedule(0.0, "probe", probe)
+    scn.sim.run()
+    assert scn.observer.failures == {0}
+    assert len(held) > 500
+    # discovery ticks, give-up and at most one attempt
+    assert max(held) <= 4
+    assert held[-1] == 0

@@ -1,7 +1,8 @@
 """The event kernel's shortcuts against what they stand in for: cached
 neighbor and successor views against a fresh computation, the relay index
-against a scan of every relay entry, and the fan-out against a
-`reachable`-guarded send loop."""
+against a scan of every relay entry, the fan-out against a
+`reachable`-guarded send loop, the per-run shared messages against fresh
+ones, and the inlined send delay against `link_delay`."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rawasim.core import Message, MessageType, ProviderRecord, derive_cid
-from rawasim.netsim import Observer, Simulator
+from rawasim.core import Message, MessageType, ProviderRecord, derive_cid, wire_size
+from rawasim.netsim import LinkSpec, Observer, Simulator, link_delay
 from rawasim.rawa import RaWaConfig, RelayEntry, RelayTable
+from rawasim.runner import ExperimentConfig, build_run
 
 from conftest import ZERO_JITTER, Scenario, make_block
 
@@ -223,3 +225,54 @@ def test_scheduling_into_the_past_is_refused():
         sim.schedule(-1.0, "past", lambda: None)
     with pytest.raises(AssertionError):
         sim.schedule_departure(1, at=1.0)
+
+
+# -- shared messages and the send delay ----------------------------------------------
+
+
+def test_message_table_shares_one_instance_per_variant_and_cid():
+    sim, _ = star(2)
+    assert not any(sim._messages.values())
+    have = sim.message(MessageType.HAVE, CID)
+    assert have == Message(MessageType.HAVE, CID)
+    assert sim.message(MessageType.HAVE, derive_cid(make_block(1025))) is have
+    assert sim.message(MessageType.DONT_HAVE, CID) is not have
+    assert sim.message(MessageType.HAVE, OTHER_CID) is not have
+    fresh, _ = star(2)
+    assert not any(fresh._messages.values())
+    assert fresh.message(MessageType.HAVE, CID) is not have
+
+
+@pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
+def test_every_payload_free_message_of_a_run_is_the_shared_one(protocol):
+    handles = build_run(ExperimentConfig(protocol=protocol, adversary="fse",
+                                         n_peers=20, runs=1, base_seed=3), 0)
+    sim = handles.sim
+    sim.run()
+    seen = set()
+    for rec in handles.log.records:
+        msg = rec.message
+        if msg.variant in (MessageType.BLOCK, MessageType.FORWARD_HAVE):
+            assert msg is not sim._messages[msg.variant.value].get(msg.cid)
+        else:
+            assert msg is sim._messages[msg.variant.value][msg.cid]
+            seen.add(msg.variant)
+    assert {MessageType.WANT_HAVE, MessageType.CANCEL} <= seen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), jitter=st.sampled_from([0.0, 0.5, 10.0, 33.3]),
+       payload=st.integers(1, 200_000))
+def test_send_delay_is_link_delay_with_the_same_draw(seed, jitter, payload):
+    link = LinkSpec(100.0, jitter, 1234567.0)
+    sim = Simulator(link, Random(seed), Observer())
+    for v in (0, 1):
+        sim.add_node(v)
+    sim.add_edge(0, 1)
+    block = make_block(payload)
+    msg = Message(MessageType.BLOCK, derive_cid(block), payload=block)
+    sim.now = 5.25
+    sim.send(0, 1, msg)
+    oracle = Random(seed)
+    assert sim._heap[0][0] == 5.25 + link_delay(link, wire_size(msg), oracle)
+    assert sim.rng.getstate() == oracle.getstate()
