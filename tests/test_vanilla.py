@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from rawasim.core import Message, MessageType, derive_cid
+from rawasim.rawa import RaWaConfig
 from rawasim.vanilla import DONE, FAILED, VanillaEngine
 
 from conftest import Scenario, cid_of, leg_ms, make_block
@@ -101,15 +102,67 @@ def test_have_just_before_fallback_suppresses_lookup():
     assert dht_lookups(scn) == []
 
 
-def test_empty_index_retries_then_fails():
-    scn = Scenario(1, [], protocol="vanilla")
+DHT_MS = 622.0  # the scenario's provider-index delay, without spread
+
+
+def index_lookup_starts(first: float, started: float, t1: float,
+                        give_up: float, deadline: float | None) -> list[float]:
+    """When a search whose provider index stays empty starts its lookups:
+    `first`, then `t1` after each empty result, until a result lands
+    `give_up` or later after the search began. A requester's give-up timer
+    also cancels a retry due at or after `deadline`."""
+    starts = [first]
+    while True:
+        result = starts[-1] + DHT_MS
+        if result - started >= give_up:
+            return starts
+        retry = result + t1
+        if deadline is not None and retry >= deadline:
+            return starts
+        starts.append(retry)
+
+
+# (protocol, searcher, t1, first lookup): the vanilla requester has no
+# neighbour, so its quiet period runs from the request; the proxy (node 1,
+# p = 1) is reached after one leg and its neighbour's DONT-HAVE lands two
+# legs later, which restarts the quiet period unless t1 has already run out
+EMPTY_INDEX_CASES = {
+    "vanilla": ("vanilla", 0, 1000.0, 1000.0),
+    "rawa-proxy": ("rawa", 1, 1000.0, 3 * leg_ms(44) + 1000.0),
+    "rawa-proxy-short-t1": ("rawa", 1, 50.0, leg_ms(44) + 50.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_INDEX_CASES))
+def test_empty_index_retries_then_fails(case):
+    protocol, searcher, t1, first = EMPTY_INDEX_CASES[case]
+    give_up = 6000.0
+    if protocol == "vanilla":
+        scn = Scenario(1, [], protocol="vanilla", give_up_ms=give_up)
+        started, deadline = 0.0, give_up
+    else:
+        scn = Scenario(2, [(0, 1)], rawa=RaWaConfig(p=1.0, t1_ms=t1),
+                       give_up_ms=give_up)
+        scn.build_graphs()
+        # the proxy has no give-up timer of its own
+        started, deadline = leg_ms(44), None
+    starts = []
+    lookup = scn.dht.lookup
+
+    def recording_lookup(cid, node, callback):
+        if node == searcher:
+            starts.append(scn.sim.now)
+        lookup(cid, node, callback)
+    scn.dht.lookup = recording_lookup
     cid = derive_cid(make_block(1025))
     scn.request(0, cid)
     scn.sim.run()
-    assert len(dht_lookups(scn)) >= 2
+    expected = index_lookup_starts(first, started, t1, give_up, deadline)
+    assert len(expected) >= 3
+    assert starts == pytest.approx(expected, abs=1e-6)
+    assert scn.observer.msg_counts["FORWARD-HAVE"] == 0
     assert 0 in scn.observer.failures
     assert scn.engines[0].sessions[cid].state == FAILED
-    assert scn.sim.now >= 30_000.0
 
 
 def test_corrupt_block_discarded_and_session_recovers():
