@@ -8,7 +8,7 @@ from .netsim import LinkSpec, Observer, RngStream, Simulator, link_delay
 from .rawa import RaWaConfig, build_forward_graph, path_length_probability
 from .runner import (ExperimentConfig, RunResult, build_run, run_experiment,
                      run_single, sweep, write_results)
-from .topology import Topology, build_honest_topology, wire_adversary
+from .topology import build_honest_topology, wire_adversary
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,6 @@ __all__ = [
     "RaWaConfig", "build_forward_graph", "path_length_probability",
     "ExperimentConfig", "RunResult", "build_run", "run_experiment",
     "run_single", "sweep", "write_results",
-    "Topology", "build_honest_topology", "wire_adversary",
+    "build_honest_topology", "wire_adversary",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Shared honest-node machinery: block storage, storage-query answering and
-the requester's fetch state machine.
+"""Shared honest-node machinery: block storage, storage-query answering,
+the baseline neighbour discovery and the requester's fetch state machine.
 
 Both protocol engines answer WANT-HAVE / WANT-BLOCK / CANCEL the same way
 and fetch the same way; they differ only in how a requester discovers
@@ -8,14 +8,21 @@ providers. The baseline engine additionally serves blocks at or below
 walk-based engine disables that path because the asking peer there is
 usually a proxy that never needs the bytes.
 
+A `Search` runs the baseline neighbour discovery: a WANT-HAVE to every
+neighbour, then, once nothing has arrived for a quiet period of ``t1``, a
+provider-index lookup, repeated ``t1`` after each result that leaves the
+search open until ``give_up_ms`` after it began. A vanilla requester runs
+it for itself, a rawa proxy on behalf of the walks that ended at it; each
+engine says what an index result does. A completed search sends one CANCEL
+to every peer that got its WANT-HAVE.
+
 A request is SEARCHING while discovery runs and FETCHING while one provider
 is asked for the block. Each attempt draws a provider uniformly from those
 not yet tried, dials it if there is no link, and sends WANT-BLOCK. The
 attempt fails on DONT-HAVE, on a block that does not hash to the CID, on a
-failed dial or after ``attempt_timeout_ms``; the next untried provider is
-then drawn, and with none left the request goes back to SEARCHING. A valid
-block completes the request and sends one CANCEL to every peer that got a
-WANT-HAVE from it. A request still open after ``give_up_ms`` fails.
+failed dial or after ``t1_ms``; the next untried provider is then drawn,
+and with none left the request goes back to SEARCHING. A valid block
+completes the request. A request still open after ``give_up_ms`` fails.
 """
 
 from __future__ import annotations
@@ -37,33 +44,42 @@ FAILED = "failed"
 
 
 @dataclass
-class FetchSession:
-    """One request of a requester; engines subclass it for discovery state."""
+class Search:
+    """One node's search for providers of `cid`."""
 
     cid: Cid
     started_at: float
     state: str = SEARCHING
+    # peers sent a WANT-HAVE for this search; each gets a CANCEL at the end
+    queried: set[PeerId] = field(default_factory=set)
+    # pending timers by arm serial (`HonestEngine._arm`)
+    timers: dict = field(default_factory=dict)
+    # start of the current t1 quiet period
+    last_activity: float = 0.0
+    dht_pending: bool = False
+
+
+@dataclass
+class FetchSession(Search):
+    """One request of a requester; engines subclass it for discovery state."""
+
     providers: list[ProviderRecord] = field(default_factory=list)
     tried: set[PeerId] = field(default_factory=set)
     target: PeerId | None = None
     attempt_serial: int = 0
-    # peers sent a WANT-HAVE for this request; each gets a CANCEL at the end
-    queried: set[PeerId] = field(default_factory=set)
-    # pending timers by arm serial (`HonestEngine._arm`)
-    timers: dict = field(default_factory=dict)
 
     def untried(self) -> list[ProviderRecord]:
         return [r for r in self.providers if r.peer not in self.tried]
 
 
 class HonestEngine:
-    """Event-loop-confined node: owns a block store, per-cid bookkeeping of
-    which peers asked for presence (cleared again by CANCEL), and its own
-    requests. Subclasses set the class attributes and implement
-    `_discover` and `handle_message`."""
+    """Event-loop-confined node: owns a block store and its own requests.
+    Subclasses set `t1_ms` (the discovery quiet period, also the fetch
+    attempt timeout) and implement `_discover`, `_on_index` and
+    `handle_message`."""
 
     immediate_block_limit: int | None = None
-    attempt_timeout_ms: float
+    t1_ms: float
     session_type: type[FetchSession] = FetchSession
 
     def __init__(self, node: PeerId, sim: Simulator, dht: DummyDht,
@@ -73,7 +89,6 @@ class HonestEngine:
         self.dht = dht
         self.give_up_ms = give_up_ms
         self.store: dict[Cid, Block] = {}
-        self.peer_wants: dict[Cid, set[PeerId]] = {}
         self.sessions: dict[Cid, FetchSession] = {}
         self._pending_dials: dict[PeerId, Cid] = {}
         self._arms = 0
@@ -117,7 +132,6 @@ class HonestEngine:
         True when the message was consumed."""
         variant = msg.variant
         if variant is WANT_HAVE:
-            self.peer_wants.setdefault(msg.cid, set()).add(frm)
             self.reply_presence(frm, msg.cid)
             return True
         if variant is WANT_BLOCK:
@@ -127,14 +141,7 @@ class HonestEngine:
             else:
                 self.send(frm, self.sim.message(DONT_HAVE, msg.cid))
             return True
-        if variant is CANCEL:
-            wants = self.peer_wants.get(msg.cid)
-            if wants is not None:
-                wants.discard(frm)
-                if not wants:
-                    del self.peer_wants[msg.cid]
-            return True
-        return False
+        return variant is CANCEL
 
     # -- requester: session and timers --------------------------------------
 
@@ -175,6 +182,58 @@ class HonestEngine:
             t.cancel()
         session.timers.clear()
 
+    # -- neighbour discovery ------------------------------------------------
+
+    def _broadcast(self, search: Search) -> None:
+        """Ask every neighbour with WANT-HAVE and start the quiet period."""
+        sim = self.sim
+        search.last_activity = sim.now
+        peers = sim.neighbors(self.node)
+        search.queried.update(peers)
+        sim.fan_out(self.node, peers, sim.message(WANT_HAVE, search.cid))
+        self._arm_tick(search, self.t1_ms)
+
+    def _arm_tick(self, search: Search, delay: float, kind: str = "t1") -> None:
+        self._arm(search, delay, f"{kind}:{search.cid.short()}",
+                  lambda: self._discovery_tick(search))
+
+    def _discovery_tick(self, search: Search) -> None:
+        """Look the cid up in the provider index once a full quiet period
+        has passed; re-arm for the rest of it otherwise."""
+        if search.state is not SEARCHING:
+            return
+        idle = self.sim.now - search.last_activity
+        if idle + 1e-9 < self.t1_ms:
+            self._arm_tick(search, self.t1_ms - idle)
+            return
+        self._lookup(search)
+
+    def _lookup(self, search: Search) -> None:
+        if not search.dht_pending:
+            search.dht_pending = True
+            self.dht.lookup(search.cid, self.node,
+                            lambda providers: self._index_result(search, providers))
+
+    def _index_result(self, search: Search, providers: list[ProviderRecord]) -> None:
+        search.dht_pending = False
+        if search.state is DONE or search.state is FAILED:
+            return
+        self._on_index(search, providers)
+        if search.state is SEARCHING and \
+                self.sim.now - search.started_at < self.give_up_ms:
+            self._arm_tick(search, self.t1_ms, "t1-retry")
+
+    def _on_index(self, search: Search, providers: list[ProviderRecord]) -> None:
+        """What a provider-index result does to the open `search`."""
+        raise NotImplementedError
+
+    def _close(self, search: Search) -> None:
+        """End a search: no more timers, one CANCEL per queried peer."""
+        search.state = DONE
+        self._cancel_timers(search)
+        self.sim.fan_out(self.node, sorted(search.queried),
+                         self.sim.message(CANCEL, search.cid))
+
     # -- requester: providers and attempts ----------------------------------
 
     def _merge(self, session: FetchSession, providers) -> None:
@@ -183,6 +242,15 @@ class HonestEngine:
             if rec.peer != self.node and rec.peer not in known:
                 session.providers.append(rec)
                 known.add(rec.peer)
+
+    def _offer(self, session: FetchSession, providers) -> None:
+        """Providers learned while the request is open: merge them, and
+        attempt one if the request is searching."""
+        if session.state is DONE or session.state is FAILED:
+            return
+        self._merge(session, providers)
+        if session.state is SEARCHING and session.untried():
+            self._next_provider(session)
 
     def _next_provider(self, session: FetchSession) -> None:
         """Attempt a uniformly drawn untried provider; with none left, go
@@ -215,7 +283,7 @@ class HonestEngine:
 
     def _arm_attempt(self, session: FetchSession) -> None:
         serial = session.attempt_serial
-        self._arm(session, self.attempt_timeout_ms, f"attempt:{session.cid.short()}",
+        self._arm(session, self.t1_ms, f"attempt:{session.cid.short()}",
                   lambda: self._attempt_timeout(session, serial))
 
     def _attempt_timeout(self, session: FetchSession, serial: int) -> None:
@@ -260,10 +328,7 @@ class HonestEngine:
         self.sim.observer.request_failed(self.node, session.cid)
 
     def _complete(self, session: FetchSession) -> None:
-        session.state = DONE
-        self._cancel_timers(session)
-        self.sim.fan_out(self.node, sorted(session.queried),
-                         self.sim.message(CANCEL, session.cid))
+        self._close(session)
         self.sim.observer.request_done(self.node, session.cid,
                                        session.started_at, self.sim.now)
 

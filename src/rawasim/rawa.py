@@ -3,12 +3,12 @@
 Instead of broadcasting interest, a requester hands a WANT-FORWARD to one
 successor drawn from its privacy subgraph. Each receiver either relays the
 request to one of its own successors (probability ``1 - p``) or becomes the
-proxy (probability ``p``), runs the baseline neighbor discovery on behalf of
-the unknown origin, and returns the provider list along the reversed walk
-with FORWARD-HAVE. The requester then fetches directly from one provider,
-which is the only peer that ever learns its interest; the fetch is the
-shared one in `rawasim.engine`, optionally preceded by a WANT-HAVE that
-verifies the provider.
+proxy (probability ``p``), runs the baseline neighbor discovery of
+`rawasim.engine` on behalf of the unknown origin, and returns the provider
+list along the reversed walk with FORWARD-HAVE. The requester then fetches
+directly from one provider, which is the only peer that ever learns its
+interest; the fetch is the shared one in `rawasim.engine`, optionally
+preceded by a WANT-HAVE that verifies the provider.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (BLOCK, CANCEL, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
+from .core import (BLOCK, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
                    WANT_HAVE, Cid, Message, PeerId, ProviderRecord)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
-                     HonestEngine)
+                     HonestEngine, Search)
 from .netsim import RngStream
 
 RELAY_ENTRY_TTL_MS = 60_000.0
@@ -45,7 +45,7 @@ class RaWaConfig:
     eta: int | None = None  # None means "all neighbors"
     t0_ms: float = 1000.0   # requester re-transmit interval
     # two roles: the proxy's quiet period before its index lookup, and the
-    # requester's fetch-attempt timeout (`RawaEngine.attempt_timeout_ms`),
+    # requester's fetch-attempt timeout (both `HonestEngine.t1_ms`),
     # so a t1 sweep also changes how fast a requester abandons a silent
     # provider; vanilla fixes that timeout at 1 s
     t1_ms: float = 1000.0
@@ -75,17 +75,15 @@ class RaWaConfig:
 @dataclass
 class ForwardGraph:
     successors: tuple[PeerId, ...]
-    built_at: float
 
 
-def build_forward_graph(neighbors, eta: int | None, rng: RngStream,
-                        now: float = 0.0) -> ForwardGraph:
+def build_forward_graph(neighbors, eta: int | None, rng: RngStream) -> ForwardGraph:
     """Uniform sample without replacement of min(eta, degree) successors."""
     pool = sorted(neighbors)
     if not pool:
         raise ValueError("need at least one neighbor")
     k = len(pool) if eta is None else min(eta, len(pool))
-    return ForwardGraph(successors=tuple(sorted(rng.sample(pool, k))), built_at=now)
+    return ForwardGraph(successors=tuple(sorted(rng.sample(pool, k))))
 
 
 @dataclass
@@ -144,19 +142,14 @@ class RelayTable(dict):
 
 
 @dataclass
-class ProxySession:
-    cid: Cid
-    started_at: float
+class ProxySession(Search):
+    """A proxy's search; DONE once it has answered the walks."""
+
     # predecessor -> walk tag of the walk that ended here
     preds: dict[PeerId, tuple] = field(default_factory=dict)
-    queried: set[PeerId] = field(default_factory=set)
     found: list[ProviderRecord] = field(default_factory=list)
-    answered: bool = False
     providers_sent: tuple[ProviderRecord, ...] = ()
-    last_activity: float = 0.0
-    dht_pending: bool = False
     answer_pending: bool = False
-    timers: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -176,6 +169,7 @@ class RawaEngine(HonestEngine):
     def __init__(self, node, sim, dht, config: RaWaConfig, **kwargs):
         super().__init__(node, sim, dht, **kwargs)
         self.config = config
+        self.t1_ms = config.t1_ms
         self.graph: ForwardGraph | None = None
         # (graph, departures, its reachable successors at that count)
         self._live: tuple = (None, -1, ())
@@ -183,16 +177,11 @@ class RawaEngine(HonestEngine):
         self.sent_for_cid: dict[Cid, set[PeerId]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
 
-    @property
-    def attempt_timeout_ms(self) -> float:
-        return self.config.t1_ms
-
     # -- privacy subgraph ---------------------------------------------------
 
     def build_graph(self) -> None:
         self.graph = build_forward_graph(self.sim.neighbors(self.node),
-                                         self.config.eta, self.sim.rng,
-                                         now=self.sim.now)
+                                         self.config.eta, self.sim.rng)
 
     def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
         if self.graph is None:
@@ -254,14 +243,6 @@ class RawaEngine(HonestEngine):
         self._arm(session, self.config.u_ms, f"u:{session.cid.short()}",
                   lambda: self._u_tick(session))
 
-    def _offer(self, session: RequesterSession, providers) -> None:
-        """Providers from the walk or the fallback lookup."""
-        if session.state in (DONE, FAILED):
-            return
-        self._merge(session, providers)
-        if session.state is SEARCHING and session.untried():
-            self._next_provider(session)
-
     def _attempt(self, session: RequesterSession, peer: PeerId) -> None:
         session.verified = False
         super()._attempt(session, peer)
@@ -269,8 +250,7 @@ class RawaEngine(HonestEngine):
     def _exchange(self, session: RequesterSession) -> None:
         if self.config.verify_provider and not session.verified:
             session.queried.add(session.target)
-            self.send(session.target, self.sim.message(WANT_HAVE, session.cid),
-                      {"role": "verify"})
+            self.send(session.target, self.sim.message(WANT_HAVE, session.cid))
             self._arm_attempt(session)
         else:
             super()._exchange(session)
@@ -346,48 +326,25 @@ class RawaEngine(HonestEngine):
         session = self.proxies.get(cid)
         if session is not None:
             session.preds[pred] = walk
-            if session.answered:
+            if session.state is DONE:
                 self._send_forward_have(session, only_pred=pred)
             return
-        session = ProxySession(cid=cid, started_at=self.sim.now,
-                               last_activity=self.sim.now)
+        session = ProxySession(cid=cid, started_at=self.sim.now)
         session.preds[pred] = walk
         self.proxies[cid] = session
         if cid in self.store:
             session.found.append(ProviderRecord(self.node))
             self._answer(session)
             return
-        peers = self.sim.neighbors(self.node)
-        session.queried.update(peers)
-        self.sim.fan_out(self.node, peers, self.sim.message(WANT_HAVE, cid),
-                         {"role": "proxy"})
-        self._arm(session, self.config.t1_ms, f"proxy-t1:{cid.short()}",
-                  lambda: self._proxy_t1(session))
+        self._broadcast(session)
 
     def _proxy_repeat(self, cid: Cid, pred: PeerId) -> None:
         session = self.proxies.get(cid)
-        if session is not None and session.answered:
+        if session is not None and session.state is DONE:
             self._send_forward_have(session, only_pred=pred)
 
-    def _proxy_t1(self, session: ProxySession) -> None:
-        if session.answered:
-            return
-        idle = self.sim.now - session.last_activity
-        if idle + 1e-9 < self.config.t1_ms:
-            self._arm(session, self.config.t1_ms - idle,
-                      f"proxy-t1:{session.cid.short()}",
-                      lambda: self._proxy_t1(session))
-            return
-        if not session.dht_pending:
-            session.dht_pending = True
-            self.dht.lookup(session.cid, self.node,
-                            lambda providers: self._proxy_dht_result(session, providers))
-
-    def _proxy_dht_result(self, session: ProxySession,
-                          providers: list[ProviderRecord]) -> None:
-        session.dht_pending = False
-        if session.answered:
-            return
+    def _on_index(self, session: ProxySession,
+                  providers: list[ProviderRecord]) -> None:
         known = {r.peer for r in session.found}
         for rec in providers:
             if rec.peer not in known:
@@ -395,30 +352,17 @@ class RawaEngine(HonestEngine):
                 known.add(rec.peer)
         if session.found:
             self._answer(session)
-        elif self.sim.now - session.started_at < self.give_up_ms:
-            self._arm(session, self.config.t1_ms,
-                      f"proxy-t1-retry:{session.cid.short()}",
-                      lambda: self._proxy_t1_retry(session))
-        # otherwise stay silent; the requester's own fallback covers this
-
-    def _proxy_t1_retry(self, session: ProxySession) -> None:
-        if session.answered or session.dht_pending:
-            return
-        session.dht_pending = True
-        self.dht.lookup(session.cid, self.node,
-                        lambda providers: self._proxy_dht_result(session, providers))
+        # otherwise retry, then stay silent; the requester's own fallback
+        # covers this
 
     def _proxy_have(self, session: ProxySession, frm: PeerId) -> None:
-        if session.answered:
+        if session.state is DONE:
             return
         session.last_activity = self.sim.now
         if all(r.peer != frm for r in session.found):
             session.found.append(ProviderRecord(frm))
         if self.config.proxy_aggregate_dht:
-            if not session.dht_pending:
-                session.dht_pending = True
-                self.dht.lookup(session.cid, self.node,
-                                lambda providers: self._proxy_dht_result(session, providers))
+            self._lookup(session)
             return
         window = self.config.forward_have_aggregation_ms
         if window <= 0:
@@ -429,14 +373,11 @@ class RawaEngine(HonestEngine):
                       lambda: self._answer(session))
 
     def _answer(self, session: ProxySession) -> None:
-        if session.answered:
+        if session.state is DONE:
             return
-        session.answered = True
         session.providers_sent = tuple(session.found)
-        self._cancel_timers(session)
         self._send_forward_have(session)
-        self.sim.fan_out(self.node, sorted(session.queried),
-                         self.sim.message(CANCEL, session.cid))
+        self._close(session)
 
     def _send_forward_have(self, session: ProxySession,
                            only_pred: PeerId | None = None) -> None:

@@ -177,16 +177,11 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     seed = config.base_seed + run_index
     rng = Random(seed)
     topo_rng = Random(config.base_seed) if config.fixed_topology else rng
-    topo = build_honest_topology(config.n_honest, config.out_links, topo_rng)
-    topo = wire_adversary(topo, config.adversary, topo_rng)
-
     observer = Observer(keep_trace=config.keep_trace)
     sim = Simulator(config.link, rng, observer,
                     dial_rtt_multiplier=config.dial_rtt_multiplier)
-    for node in topo.all_nodes:
-        sim.add_node(node)
-    for a, b in sorted(topo.edges):
-        sim.add_edge(a, b)
+    honest = build_honest_topology(sim, config.n_honest, config.out_links, topo_rng)
+    adversaries = wire_adversary(sim, honest, config.adversary, topo_rng)
     dht = DummyDht(sim, config.dht_base_delay_ms, config.dht_delay_spread)
 
     log = ObservationLog()
@@ -198,9 +193,9 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
                               give_up_ms=config.give_up_ms)
         return VanillaEngine(node, sim, dht, give_up_ms=config.give_up_ms)
 
-    for node in topo.honest:
+    for node in honest:
         engines[node] = honest_engine(node)
-    for node in topo.adversaries:
+    for node in adversaries:
         if config.adversary == ADVERSARY_FSE:
             engines[node] = SpyTap(node, honest_engine(node), log)
         else:
@@ -215,7 +210,7 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     # topology, interests and early event randomness, which keeps
     # size-sweep comparisons paired.
     owners: dict[PeerId, Cid] = {}
-    for node in topo.honest:
+    for node in honest:
         payload_rng = Random(rng.getrandbits(64))
         owners[node] = engines[node].store_block(
             Block(payload_rng.randbytes(config.block_size)))
@@ -223,10 +218,10 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     # privacy subgraphs (the passive spy participates like an honest node)
     subgraph_oracle: dict[PeerId, tuple] = {}
     if config.protocol == PROTOCOL_RAWA:
-        for node in topo.honest:
+        for node in honest:
             engines[node].build_graph()
             subgraph_oracle[node] = engines[node].graph.successors
-        for node in topo.adversaries:
+        for node in adversaries:
             engine = engines[node]
             if isinstance(engine, SpyTap):
                 engine.inner.build_graph()
@@ -236,31 +231,30 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     interests: dict[PeerId, Cid] = {}
     if config.unique_interests:
         # Sattolo shuffle: uniform cyclic permutation, never a fixed point
-        ring = list(topo.honest)
+        ring = list(honest)
         for i in range(len(ring) - 1, 0, -1):
             j = rng.randrange(i)
             ring[i], ring[j] = ring[j], ring[i]
-        for node, owner in zip(topo.honest, ring):
+        for node, owner in zip(honest, ring):
             interests[node] = owners[owner]
     else:
-        for node in topo.honest:
-            others = [n for n in topo.honest if n != node]
+        for node in honest:
+            others = [n for n in honest if n != node]
             interests[node] = owners[others[rng.randrange(len(others))]]
     truth = GroundTruth(interests=interests)
 
     for depart_index, depart_ms in config.churn:
-        sim.schedule_departure(topo.honest[depart_index], depart_ms)
+        sim.schedule_departure(honest[depart_index], depart_ms)
 
-    for i, node in enumerate(topo.honest):
+    for i, node in enumerate(honest):
         engine = engines[node]
         cid = interests[node]
         sim.schedule(config.stagger_ms * i, f"request:{cid.short()}",
                      (lambda e=engine, c=cid: e.request_block(c)), node=node)
 
     return RunHandles(config=config, seed=seed, sim=sim, dht=dht,
-                      engines=engines, honest=topo.honest,
-                      adversaries=topo.adversaries, truth=truth, log=log,
-                      subgraph_oracle=subgraph_oracle)
+                      engines=engines, honest=honest, adversaries=adversaries,
+                      truth=truth, log=log, subgraph_oracle=subgraph_oracle)
 
 
 def collect_metrics(handles: RunHandles) -> RunMetrics:

@@ -1,18 +1,18 @@
 """Overlay topology construction: honest graph plus adversary wiring.
 
-Honest nodes each dial a fixed number of peers they are not yet connected
-to, which yields exactly ``n * out_links`` undirected edges, minimum degree
-``out_links`` and mean degree ``2 * out_links``. Adversaries are wired on
-top: a single fully-connected spy, or a team whose links partition the
-honest population so every honest node gets exactly one adversary neighbor.
+Both steps write nodes and edges straight into the run's `Simulator`, which
+holds the one adjacency of a run. Honest nodes each dial a fixed number of
+peers they are not yet connected to, which yields exactly
+``n * out_links`` undirected edges, minimum degree ``out_links`` and mean
+degree ``2 * out_links``. Adversaries are wired on top: a single
+fully-connected spy, or a team whose links partition the honest population
+so every honest node gets exactly one adversary neighbor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import PeerId
-from .netsim import RngStream
+from .netsim import RngStream, Simulator
 
 ADVERSARY_NONE = "none"
 ADVERSARY_FSE = "fse"
@@ -20,73 +20,51 @@ ADVERSARY_WFE = "wfe"
 ADVERSARY_SAWFE = "sawfe"
 
 
-@dataclass
-class Topology:
-    honest: list[PeerId]
-    adversaries: list[PeerId] = field(default_factory=list)
-    edges: set[tuple[PeerId, PeerId]] = field(default_factory=set)
-
-    def add_edge(self, a: PeerId, b: PeerId) -> None:
-        if a == b:
-            raise ValueError("self-loop")
-        self.edges.add((min(a, b), max(a, b)))
-
-    def degree(self, node: PeerId) -> int:
-        return sum(1 for e in self.edges if node in e)
-
-    def neighbors(self, node: PeerId) -> list[PeerId]:
-        out = [b if a == node else a for a, b in self.edges if node in (a, b)]
-        return sorted(out)
-
-    @property
-    def all_nodes(self) -> list[PeerId]:
-        return sorted(self.honest + self.adversaries)
-
-
-def build_honest_topology(n_honest: int, out_links: int, rng: RngStream) -> Topology:
-    """Every node picks `out_links` distinct targets it is not yet connected
-    to, uniformly at random; edges are undirected."""
+def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
+                          rng: RngStream) -> list[PeerId]:
+    """Add honest nodes ``0 .. n_honest - 1`` to `sim`; every node picks
+    `out_links` distinct targets it is not yet connected to, uniformly at
+    random. Returns the honest ids."""
     if n_honest <= out_links:
         raise ValueError("need n_honest > out_links")
-    topo = Topology(honest=list(range(n_honest)))
-    connected: dict[PeerId, set[PeerId]] = {n: set() for n in topo.honest}
-    for node in topo.honest:
-        candidates = [p for p in topo.honest if p != node and p not in connected[node]]
-        picks = rng.sample(candidates, min(out_links, len(candidates)))
-        for target in picks:
-            topo.add_edge(node, target)
+    honest = list(range(n_honest))
+    for node in honest:
+        sim.add_node(node)
+    connected: dict[PeerId, set[PeerId]] = {n: set() for n in honest}
+    for node in honest:
+        candidates = [p for p in honest if p != node and p not in connected[node]]
+        for target in rng.sample(candidates, min(out_links, len(candidates))):
+            sim.add_edge(node, target)
             connected[node].add(target)
             connected[target].add(node)
-    return topo
+    return honest
 
 
-def wire_adversary(topo: Topology, kind: str, rng: RngStream) -> Topology:
-    """Extend an honest-only topology with adversary nodes.
+def wire_adversary(sim: Simulator, honest: list[PeerId], kind: str,
+                   rng: RngStream) -> list[PeerId]:
+    """Add the adversary nodes of `kind` to `sim`, numbered after the honest
+    ones, and return their ids.
 
     fse: one node linked to every honest node. wfe/sawfe: one node per four
     honest nodes, links assigned by a random partition of the honest set.
     """
-    if topo.adversaries:
-        raise ValueError("topology already has adversaries")
     if kind == ADVERSARY_NONE:
-        return topo
-    next_id = len(topo.honest)
+        return []
+    next_id = len(honest)
     if kind == ADVERSARY_FSE:
-        spy = next_id
-        topo.adversaries.append(spy)
-        for node in topo.honest:
-            topo.add_edge(spy, node)
-        return topo
+        sim.add_node(next_id)
+        for node in honest:
+            sim.add_edge(next_id, node)
+        return [next_id]
     if kind in (ADVERSARY_WFE, ADVERSARY_SAWFE):
-        if len(topo.honest) % 4 != 0:
+        if len(honest) % 4 != 0:
             raise ValueError("wfe wiring needs honest count divisible by 4")
-        n_adv = len(topo.honest) // 4
-        shuffled = list(topo.honest)
+        shuffled = list(honest)
         rng.shuffle(shuffled)
-        for i in range(n_adv):
-            adv = next_id + i
-            topo.adversaries.append(adv)
+        adversaries = list(range(next_id, next_id + len(honest) // 4))
+        for i, adv in enumerate(adversaries):
+            sim.add_node(adv)
             for node in shuffled[4 * i:4 * i + 4]:
-                topo.add_edge(adv, node)
-        return topo
+                sim.add_edge(adv, node)
+        return adversaries
     raise ValueError(f"unknown adversary kind: {kind!r}")

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from rawasim.metrics import aggregate
+from rawasim.netsim import LinkSpec, Simulator
 from rawasim.rawa import RaWaConfig, RelayEntry, build_forward_graph
 from rawasim.runner import ExperimentConfig, build_run, run_experiment, write_results
 from rawasim.topology import build_honest_topology
@@ -192,10 +193,11 @@ def test_criterion_7_protocol_invariants():
     violations = 0
     for _ in range(1000):
         n = rng.randint(6, 40)
-        topo = build_honest_topology(n, rng.randint(2, min(4, n - 2)), rng)
+        sim = Simulator(LinkSpec(), Random(0))
+        honest = build_honest_topology(sim, n, rng.randint(2, min(4, n - 2)), rng)
         eta = rng.choice([1, 2, 3, None])
-        for node in topo.honest:
-            neighbors = topo.neighbors(node)
+        for node in honest:
+            neighbors = sim.neighbors(node)
             succ = build_forward_graph(neighbors, eta, rng).successors
             want = len(neighbors) if eta is None else min(eta, len(neighbors))
             if not (set(succ) <= set(neighbors) and len(succ) == want

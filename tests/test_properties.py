@@ -1,0 +1,70 @@
+"""Protocol properties checked over random small runs with hypothesis."""
+
+from __future__ import annotations
+
+from collections import Counter
+from unittest.mock import patch
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rawasim.engine import DONE, HonestEngine
+from rawasim.rawa import RaWaConfig, RawaEngine
+from rawasim.runner import ExperimentConfig, build_run
+
+
+@st.composite
+def small_configs(draw):
+    adversary = draw(st.sampled_from(["none", "fse"]))
+    n_peers = draw(st.integers(5, 14))
+    n_honest = n_peers - (adversary == "fse")
+    churn = draw(st.lists(
+        st.tuples(st.integers(0, n_honest - 1),
+                  st.floats(0.0, 3000.0, allow_nan=False)),
+        max_size=3, unique_by=lambda c: c[0]))
+    return ExperimentConfig(
+        protocol=draw(st.sampled_from(["vanilla", "rawa"])),
+        adversary=adversary, n_peers=n_peers,
+        out_links=draw(st.integers(1, min(3, n_honest - 1))),
+        runs=1, base_seed=draw(st.integers(0, 2**32 - 1)),
+        churn=tuple(churn), stagger_ms=draw(st.sampled_from([0.0, 150.0])),
+        give_up_ms=draw(st.sampled_from([2500.0, 6000.0])),
+        keep_trace=True,
+        rawa=RaWaConfig(p=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                        eta=draw(st.sampled_from([1, 2, None])),
+                        verify_provider=draw(st.booleans())))
+
+
+def recording(method, expected: Counter):
+    """Wrap a search-completing method: when it completes a search, count
+    one expected CANCEL per queried peer that is still reachable."""
+    def wrapper(self, search, *args):
+        if search.state is not DONE:
+            for peer in search.queried:
+                if self.sim.reachable(self.node, peer):
+                    expected[(self.node, peer, search.cid.short())] += 1
+        return method(self, search, *args)
+    return wrapper
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_want_have_and_cancel_pair_up(config):
+    """Per (sender, recipient, cid): no more CANCELs than WANT-HAVEs, and
+    exactly one CANCEL from each completed search (a requester that got the
+    block, a proxy that answered) to each of its queried peers still
+    reachable then; failed requests and silent proxies send none."""
+    expected: Counter = Counter()
+    with patch.object(HonestEngine, "_complete",
+                      recording(HonestEngine._complete, expected)), \
+            patch.object(RawaEngine, "_answer",
+                         recording(RawaEngine._answer, expected)):
+        handles = build_run(config, 0)
+        handles.sim.run()
+    sent = {"WANT-HAVE": Counter(), "CANCEL": Counter()}
+    for _, _, kind, frm, to, variant, cid8, _ in handles.sim.observer.trace:
+        if kind == "send" and variant in sent:
+            sent[variant][(frm, to, cid8)] += 1
+    for key, cancels in sent["CANCEL"].items():
+        assert cancels <= sent["WANT-HAVE"][key], key
+    assert sent["CANCEL"] == expected

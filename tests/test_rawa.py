@@ -5,7 +5,7 @@ import pytest
 
 from rawasim.adversary import ExploiterNode, ObservationLog
 from rawasim.core import Message, MessageType, ProviderRecord, derive_cid
-from rawasim.netsim import LinkSpec
+from rawasim.netsim import LinkSpec, Simulator
 from rawasim.rawa import (RaWaConfig, RawaEngine, RelayEntry,
                           build_forward_graph, path_length_probability)
 from rawasim.topology import build_honest_topology
@@ -56,10 +56,11 @@ def test_forward_graph_invariants_over_random_topologies():
     for _ in range(1000):
         n = rng.randint(6, 40)
         out_links = rng.randint(2, min(4, n - 2))
-        topo = build_honest_topology(n, out_links, rng)
+        sim = Simulator(LinkSpec(), Random(0))
+        honest = build_honest_topology(sim, n, out_links, rng)
         eta = rng.choice([1, 2, 3, None])
-        for node in topo.honest:
-            neighbors = topo.neighbors(node)
+        for node in honest:
+            neighbors = sim.neighbors(node)
             graph = build_forward_graph(neighbors, eta, rng)
             succ = graph.successors
             assert set(succ) <= set(neighbors)

@@ -3,77 +3,89 @@ from random import Random
 
 import pytest
 
+from rawasim.netsim import LinkSpec, Simulator
 from rawasim.topology import (build_honest_topology, wire_adversary)
+
+
+def honest_sim(n_honest, out_links, rng):
+    sim = Simulator(LinkSpec(), Random(0))
+    return sim, build_honest_topology(sim, n_honest, out_links, rng)
+
+
+def edges(sim):
+    return {(a, b) for a in sim.nodes() for b in sim.neighbors(a) if a < b}
 
 
 def test_degrees_at_default_scale():
     for seed in range(100):
-        topo = build_honest_topology(50, 4, Random(seed))
-        degrees = [topo.degree(n) for n in topo.honest]
+        sim, honest = honest_sim(50, 4, Random(seed))
+        degrees = [len(sim.neighbors(n)) for n in honest]
         assert min(degrees) >= 4
         mean = sum(degrees) / len(degrees)
         assert 7.5 <= mean <= 8.5
         # each node contributes exactly out_links fresh edges
-        assert len(topo.edges) == 50 * 4
+        assert len(edges(sim)) == 50 * 4
 
 
 def test_small_network_forced_complete():
-    topo = build_honest_topology(5, 4, Random(3))
-    assert topo.edges == {(a, b) for a, b in combinations(range(5), 2)}
+    sim, _ = honest_sim(5, 4, Random(3))
+    assert edges(sim) == {(a, b) for a, b in combinations(range(5), 2)}
 
 
 def test_same_seed_same_edges():
-    a = build_honest_topology(50, 4, Random(11))
-    b = build_honest_topology(50, 4, Random(11))
-    assert a.edges == b.edges
+    a, _ = honest_sim(50, 4, Random(11))
+    b, _ = honest_sim(50, 4, Random(11))
+    assert edges(a) == edges(b)
 
 
 def test_rejects_too_few_nodes():
     with pytest.raises(ValueError):
-        build_honest_topology(4, 4, Random(0))
+        honest_sim(4, 4, Random(0))
 
 
 def test_no_self_loops_or_duplicates():
-    topo = build_honest_topology(30, 4, Random(5))
-    assert all(a != b for a, b in topo.edges)
-    assert all(a < b for a, b in topo.edges)
+    sim, honest = honest_sim(30, 4, Random(5))
+    assert all(n not in sim.neighbors(n) for n in honest)
+    # a duplicate pick would leave fewer than out_links edges per node
+    assert sum(len(sim.neighbors(n)) for n in honest) == 2 * 30 * 4
 
 
 def test_fse_wiring():
-    topo = build_honest_topology(49, 4, Random(2))
-    topo = wire_adversary(topo, "fse", Random(2))
-    assert len(topo.all_nodes) == 50
-    spy = topo.adversaries[0]
-    assert topo.degree(spy) == 49
-    assert set(topo.neighbors(spy)) == set(topo.honest)
+    sim, honest = honest_sim(49, 4, Random(2))
+    adversaries = wire_adversary(sim, honest, "fse", Random(2))
+    assert len(sim.nodes()) == 50
+    spy = adversaries[0]
+    assert len(sim.neighbors(spy)) == 49
+    assert set(sim.neighbors(spy)) == set(honest)
 
 
 def test_wfe_wiring_partitions_honest_nodes():
-    topo = build_honest_topology(40, 4, Random(8))
-    topo = wire_adversary(topo, "wfe", Random(8))
-    assert len(topo.adversaries) == 10
-    assert len(topo.all_nodes) == 50
-    for adv in topo.adversaries:
-        assert topo.degree(adv) == 4
-    for node in topo.honest:
-        adv_neighbors = [p for p in topo.neighbors(node) if p in topo.adversaries]
+    sim, honest = honest_sim(40, 4, Random(8))
+    adversaries = wire_adversary(sim, honest, "wfe", Random(8))
+    assert len(adversaries) == 10
+    assert len(sim.nodes()) == 50
+    for adv in adversaries:
+        assert len(sim.neighbors(adv)) == 4
+    for node in honest:
+        adv_neighbors = [p for p in sim.neighbors(node) if p in adversaries]
         assert len(adv_neighbors) == 1
 
 
 def test_sawfe_wiring_matches_wfe():
-    base = build_honest_topology(40, 4, Random(9))
-    wfe = wire_adversary(build_honest_topology(40, 4, Random(9)), "wfe", Random(77))
-    sawfe = wire_adversary(base, "sawfe", Random(77))
-    assert wfe.edges == sawfe.edges
+    wfe, honest = honest_sim(40, 4, Random(9))
+    wire_adversary(wfe, honest, "wfe", Random(77))
+    sawfe, honest = honest_sim(40, 4, Random(9))
+    wire_adversary(sawfe, honest, "sawfe", Random(77))
+    assert edges(wfe) == edges(sawfe)
 
 
 def test_wfe_wiring_rejects_bad_split():
-    topo = build_honest_topology(41, 4, Random(1))
+    sim, honest = honest_sim(41, 4, Random(1))
     with pytest.raises(ValueError):
-        wire_adversary(topo, "wfe", Random(1))
+        wire_adversary(sim, honest, "wfe", Random(1))
 
 
 def test_unknown_kind_rejected():
-    topo = build_honest_topology(10, 4, Random(1))
+    sim, honest = honest_sim(10, 4, Random(1))
     with pytest.raises(ValueError):
-        wire_adversary(topo, "mitm", Random(1))
+        wire_adversary(sim, honest, "mitm", Random(1))

@@ -163,6 +163,7 @@ def test_empty_index_retries_then_fails(case):
     assert scn.observer.msg_counts["FORWARD-HAVE"] == 0
     assert 0 in scn.observer.failures
     assert scn.engines[0].sessions[cid].state == FAILED
+    assert scn.sim.now >= give_up
 
 
 def test_corrupt_block_discarded_and_session_recovers():
@@ -219,6 +220,4 @@ def test_cancel_bookkeeping_exact():
     scn.sim.run()
     cancels = Counter(rec[4] for rec in scn.sends("CANCEL"))
     assert cancels == {1: 1, 2: 1, 3: 1, 4: 1}
-    for node in (1, 2, 3, 4):
-        assert scn.engines[node].peer_wants == {}
     assert scn.engines[0].sessions[cid].state == DONE
