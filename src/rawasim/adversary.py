@@ -15,7 +15,9 @@ prediction.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (DONT_HAVE, FORWARD_HAVE, HAVE, REQUEST_TYPES, WANT_BLOCK,
                    WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
@@ -23,8 +25,7 @@ from .core import (DONT_HAVE, FORWARD_HAVE, HAVE, REQUEST_TYPES, WANT_BLOCK,
 from .netsim import RngStream
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     adversary_node: PeerId
     sender: PeerId
     message: Message
@@ -70,9 +71,11 @@ class SpyTap:
         self.node = node
         self.inner = inner
         self.log = log
+        # the inner engine's weak reference to the simulator
+        self._sim = inner._sim
 
     def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
-        self.log.append(self.node, frm, msg, self.inner.sim.now)
+        self.log.append(self.node, frm, msg, self._sim().now)
         self.inner.handle_message(frm, msg, meta)
 
     def handle_dial(self, peer: PeerId, ok: bool) -> None:
@@ -81,27 +84,29 @@ class SpyTap:
 
 class ExploiterNode:
     """Active node: immediately claims to provide whatever walk request or
-    presence probe it sees, and logs the WANT-BLOCKs that fall for it."""
+    presence probe it sees, and logs the WANT-BLOCKs that fall for it. It
+    holds the simulator weakly, as honest engines do."""
 
     def __init__(self, node: PeerId, sim, log: ObservationLog,
                  fake_have: bool = True):
         self.node = node
-        self.sim = sim
+        self._sim = weakref.ref(sim)
         self.log = log
         self.fake_have = fake_have
 
     def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
-        self.log.append(self.node, frm, msg, self.sim.now)
+        sim = self._sim()
+        self.log.append(self.node, frm, msg, sim.now)
         variant = msg.variant
         if variant is WANT_FORWARD:
             fake = Message(FORWARD_HAVE, msg.cid,
                            providers=(ProviderRecord(self.node),))
-            self.sim.send(self.node, frm, fake)
+            sim.send(self.node, frm, fake)
         elif variant is WANT_HAVE:
             reply = HAVE if self.fake_have else DONT_HAVE
-            self.sim.send(self.node, frm, self.sim.message(reply, msg.cid))
+            sim.send(self.node, frm, sim.message(reply, msg.cid))
         elif variant is WANT_BLOCK:
-            self.sim.send(self.node, frm, self.sim.message(DONT_HAVE, msg.cid))
+            sim.send(self.node, frm, sim.message(DONT_HAVE, msg.cid))
         # responses addressed to us carry no obligation
 
     def handle_dial(self, peer: PeerId, ok: bool) -> None:

@@ -7,19 +7,27 @@ moment the result is delivered, not when the query is issued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from typing import Callable
 
 from .core import Cid, PeerId, ProviderRecord
 from .netsim import Simulator
 
 
-@dataclass
 class DummyDht:
-    sim: Simulator
-    base_delay_ms: float = 622.0
-    delay_spread: float = 0.10
-    table: dict[Cid, set[PeerId]] = field(default_factory=dict)
+    """The run's provider index. Engines and pending lookups hold it, so it
+    holds the simulator weakly, as engines do."""
+
+    def __init__(self, sim: Simulator, base_delay_ms: float = 622.0,
+                 delay_spread: float = 0.10):
+        self._sim = weakref.ref(sim)
+        self.base_delay_ms = base_delay_ms
+        self.delay_spread = delay_spread
+        self.table: dict[Cid, set[PeerId]] = {}
+
+    @property
+    def sim(self) -> Simulator:
+        return self._sim()
 
     def provide(self, cid: Cid, peer: PeerId) -> None:
         self.table.setdefault(cid, set()).add(peer)
@@ -27,7 +35,7 @@ class DummyDht:
     def lookup_delay(self) -> float:
         lo = self.base_delay_ms * (1 - self.delay_spread)
         hi = self.base_delay_ms * (1 + self.delay_spread)
-        return self.sim.rng.uniform(lo, hi)
+        return self._sim().rng.uniform(lo, hi)
 
     def lookup(self, cid: Cid, node: PeerId,
                callback: Callable[[list[ProviderRecord]], None]) -> None:
@@ -36,8 +44,9 @@ class DummyDht:
         delay = self.lookup_delay()
 
         def resolve() -> None:
+            sim = self._sim()
             peers = sorted(self.table.get(cid, ()))
-            records = [ProviderRecord(p) for p in peers if self.sim.is_alive(p)]
+            records = [ProviderRecord(p) for p in peers if sim.is_alive(p)]
             callback(records)
 
-        self.sim.schedule(delay, f"dht-lookup:{cid.short()}", resolve, node=node)
+        self._sim().schedule(delay, f"dht-lookup:{cid.short()}", resolve, node=node)

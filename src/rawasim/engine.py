@@ -27,6 +27,7 @@ completes the request. A request still open after ``give_up_ms`` fails.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .core import (BLOCK, CANCEL, DONT_HAVE, HAVE, WANT_BLOCK, WANT_HAVE, Block,
@@ -52,7 +53,7 @@ class Search:
     state: str = SEARCHING
     # peers sent a WANT-HAVE for this search; each gets a CANCEL at the end
     queried: set[PeerId] = field(default_factory=set)
-    # pending timers by arm serial (`HonestEngine._arm`)
+    # weak handles of pending timers by arm serial (`HonestEngine._arm`)
     timers: dict = field(default_factory=dict)
     # start of the current t1 quiet period
     last_activity: float = 0.0
@@ -76,7 +77,10 @@ class HonestEngine:
     """Event-loop-confined node: owns a block store and its own requests.
     Subclasses set `t1_ms` (the discovery quiet period, also the fetch
     attempt timeout) and implement `_discover`, `_on_index` and
-    `handle_message`."""
+    `handle_message`.
+
+    The simulator holds its engines, so an engine holds the simulator
+    weakly (`_sim`, dereferenced once per method) and a run stays acyclic."""
 
     immediate_block_limit: int | None = None
     t1_ms: float
@@ -85,13 +89,17 @@ class HonestEngine:
     def __init__(self, node: PeerId, sim: Simulator, dht: DummyDht,
                  give_up_ms: float = GIVE_UP_MS):
         self.node = node
-        self.sim = sim
+        self._sim = weakref.ref(sim)
         self.dht = dht
         self.give_up_ms = give_up_ms
         self.store: dict[Cid, Block] = {}
         self.sessions: dict[Cid, FetchSession] = {}
         self._pending_dials: dict[PeerId, Cid] = {}
         self._arms = 0
+
+    @property
+    def sim(self) -> Simulator:
+        return self._sim()
 
     # -- storage ----------------------------------------------------------
 
@@ -111,12 +119,12 @@ class HonestEngine:
     # -- messaging helpers --------------------------------------------------
 
     def send(self, to: PeerId, msg: Message, meta: dict | None = None) -> bool:
-        return self.sim.send(self.node, to, msg, meta)
+        return self._sim().send(self.node, to, msg, meta)
 
     def reply_presence(self, frm: PeerId, cid: Cid) -> None:
         """Answer a WANT-HAVE, optionally short-circuiting with the block
         itself when it is small enough (baseline behavior only)."""
-        sim = self.sim
+        sim = self._sim()
         block = self.store.get(cid)
         if block is not None and self.immediate_block_limit is not None \
                 and block.size <= self.immediate_block_limit:
@@ -135,11 +143,12 @@ class HonestEngine:
             self.reply_presence(frm, msg.cid)
             return True
         if variant is WANT_BLOCK:
+            sim = self._sim()
             block = self.store.get(msg.cid)
             if block is not None:
-                self.send(frm, Message(BLOCK, msg.cid, payload=block))
+                sim.send(self.node, frm, Message(BLOCK, msg.cid, payload=block))
             else:
-                self.send(frm, self.sim.message(DONT_HAVE, msg.cid))
+                sim.send(self.node, frm, sim.message(DONT_HAVE, msg.cid))
             return True
         return variant is CANCEL
 
@@ -148,12 +157,13 @@ class HonestEngine:
     def request_block(self, cid: Cid) -> None:
         if cid in self.sessions:
             return
-        now = self.sim.now
+        sim = self._sim()
+        now = sim.now
         session = self.session_type(cid=cid, started_at=now)
         self.sessions[cid] = session
         if cid in self.store:
             session.state = DONE
-            self.sim.observer.request_done(self.node, cid, now, now)
+            sim.observer.request_done(self.node, cid, now, now)
             return
         self._discover(session)
         self._arm(session, self.give_up_ms, f"give-up:{cid.short()}",
@@ -164,29 +174,34 @@ class HonestEngine:
         raise NotImplementedError
 
     def _arm(self, session, delay: float, label: str, fn) -> None:
-        """Schedule `fn`. Its handle stays in `session.timers` until it
-        fires or is cancelled, so re-armed ticks hold no dead handles. The
-        handle is keyed by an arm serial, not referenced from the callback:
-        a callback holding its own timer would be a cycle outliving the
-        event."""
+        """Schedule `fn`, with a weak handle to its timer in
+        `session.timers` until it fires or is cancelled, so re-armed ticks
+        hold no dead handles. Only the heap holds the timer: its callback
+        reaches `session.timers`, so a strong handle there, or a callback
+        holding its own timer, would be a cycle; an arm serial keys the
+        handle instead."""
         timers = session.timers
         key = self._arms = self._arms + 1
 
         def fire() -> None:
             del timers[key]
             fn()
-        timers[key] = self.sim.schedule(delay, label, fire, node=self.node)
+        timers[key] = weakref.ref(
+            self._sim().schedule(delay, label, fire, node=self.node))
 
     def _cancel_timers(self, session) -> None:
-        for t in session.timers.values():
-            t.cancel()
+        # every handle is live: a timer leaves the heap unfired and
+        # uncancelled only when its node departs, and a departed node's
+        # engine never runs again
+        for handle in session.timers.values():
+            handle().cancel()
         session.timers.clear()
 
     # -- neighbour discovery ------------------------------------------------
 
     def _broadcast(self, search: Search) -> None:
         """Ask every neighbour with WANT-HAVE and start the quiet period."""
-        sim = self.sim
+        sim = self._sim()
         search.last_activity = sim.now
         peers = sim.neighbors(self.node)
         search.queried.update(peers)
@@ -202,7 +217,7 @@ class HonestEngine:
         has passed; re-arm for the rest of it otherwise."""
         if search.state is not SEARCHING:
             return
-        idle = self.sim.now - search.last_activity
+        idle = self._sim().now - search.last_activity
         if idle + 1e-9 < self.t1_ms:
             self._arm_tick(search, self.t1_ms - idle)
             return
@@ -220,7 +235,7 @@ class HonestEngine:
             return
         self._on_index(search, providers)
         if search.state is SEARCHING and \
-                self.sim.now - search.started_at < self.give_up_ms:
+                self._sim().now - search.started_at < self.give_up_ms:
             self._arm_tick(search, self.t1_ms, "t1-retry")
 
     def _on_index(self, search: Search, providers: list[ProviderRecord]) -> None:
@@ -231,8 +246,9 @@ class HonestEngine:
         """End a search: no more timers, one CANCEL per queried peer."""
         search.state = DONE
         self._cancel_timers(search)
-        self.sim.fan_out(self.node, sorted(search.queried),
-                         self.sim.message(CANCEL, search.cid))
+        sim = self._sim()
+        sim.fan_out(self.node, sorted(search.queried),
+                    sim.message(CANCEL, search.cid))
 
     # -- requester: providers and attempts ----------------------------------
 
@@ -257,7 +273,7 @@ class HonestEngine:
         back to searching."""
         untried = session.untried()
         if untried:
-            self._attempt(session, untried[self.sim.rng.randrange(len(untried))].peer)
+            self._attempt(session, untried[self._sim().rng.randrange(len(untried))].peer)
             return
         session.state = SEARCHING
         session.target = None
@@ -271,14 +287,16 @@ class HonestEngine:
         session.tried.add(peer)
         session.target = peer
         session.attempt_serial += 1
-        if self.sim.connected(self.node, peer):
+        sim = self._sim()
+        if sim.connected(self.node, peer):
             self._exchange(session)
         else:
             self._pending_dials[peer] = session.cid
-            self.sim.dial(self.node, peer)
+            sim.dial(self.node, peer)
 
     def _exchange(self, session: FetchSession) -> None:
-        self.send(session.target, self.sim.message(WANT_BLOCK, session.cid))
+        sim = self._sim()
+        sim.send(self.node, session.target, sim.message(WANT_BLOCK, session.cid))
         self._arm_attempt(session)
 
     def _arm_attempt(self, session: FetchSession) -> None:
@@ -325,12 +343,13 @@ class HonestEngine:
             return
         session.state = FAILED
         self._cancel_timers(session)
-        self.sim.observer.request_failed(self.node, session.cid)
+        self._sim().observer.request_failed(self.node, session.cid)
 
     def _complete(self, session: FetchSession) -> None:
         self._close(session)
-        self.sim.observer.request_done(self.node, session.cid,
-                                       session.started_at, self.sim.now)
+        sim = self._sim()
+        sim.observer.request_done(self.node, session.cid, session.started_at,
+                                  sim.now)
 
     # -- interface for the simulator ---------------------------------------
 

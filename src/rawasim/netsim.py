@@ -18,6 +18,13 @@ peers and silently skips those already unreachable. `neighbors` hands out
 a cached sorted tuple that `add_edge` and departures invalidate; edges
 disappear only when a node departs, which `departures` counts so engines
 can key their own reachability caches on it.
+
+Lifetime contract: a run holds no reference cycle. The simulator holds its
+engines (`attach`) and, through the heap, its pending timers and messages;
+engines and the provider index hold the simulator through a weak reference,
+and keep only weak handles to their pending timers. A finished run is
+therefore freed by reference counting as soon as its last handle goes,
+without the cycle collector.
 """
 
 from __future__ import annotations
@@ -64,7 +71,11 @@ def link_delay(link: LinkSpec, size: int, rng: RngStream) -> float:
 
 
 class Timer:
-    __slots__ = ("label", "fn", "cancelled")
+    """A scheduled callback; the heap holds it until it fires or is
+    skipped. Engines keep only weak handles to it (`__weakref__`), so a
+    pending timer whose callback reaches its owner makes no cycle."""
+
+    __slots__ = ("label", "fn", "cancelled", "__weakref__")
 
     def __init__(self, label: str, fn: Callable[[], None]):
         self.label = label

@@ -180,19 +180,21 @@ class RawaEngine(HonestEngine):
     # -- privacy subgraph ---------------------------------------------------
 
     def build_graph(self) -> None:
-        self.graph = build_forward_graph(self.sim.neighbors(self.node),
-                                         self.config.eta, self.sim.rng)
+        sim = self._sim()
+        self.graph = build_forward_graph(sim.neighbors(self.node),
+                                         self.config.eta, sim.rng)
 
     def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
         if self.graph is None:
             self.build_graph()
-        graph, departures = self.graph, self.sim.departures
+        sim = self._sim()
+        graph, departures = self.graph, sim.departures
         cached, epoch, live = self._live
         if cached is not graph or epoch != departures:
             # successors are neighbors when the graph is built; only a
             # departure can make one unreachable
             live = tuple(s for s in graph.successors
-                         if self.sim.reachable(self.node, s))
+                         if sim.reachable(self.node, s))
             self._live = (graph, departures, live)
         if not exclude:
             return live
@@ -215,20 +217,21 @@ class RawaEngine(HonestEngine):
         if not candidates:
             session.first_hop = None
             return
-        session.first_hop = candidates[self.sim.rng.randrange(len(candidates))]
+        session.first_hop = candidates[self._sim().rng.randrange(len(candidates))]
         self.sent_for_cid.setdefault(session.cid, set()).add(session.first_hop)
         self._send_want_forward(session, retx=0)
 
     def _send_want_forward(self, session: RequesterSession, retx: int) -> None:
         meta = {"walk": session.walk_id(self.node), "hop": 1, "retx": retx}
-        self.send(session.first_hop,
-                  self.sim.message(WANT_FORWARD, session.cid), meta)
+        sim = self._sim()
+        sim.send(self.node, session.first_hop,
+                 sim.message(WANT_FORWARD, session.cid), meta)
 
     def _t0_tick(self, session: RequesterSession) -> None:
         # completion and give-up cancel this timer; it runs only while open
         if session.state is SEARCHING:
             if session.first_hop is not None and \
-                    self.sim.reachable(self.node, session.first_hop):
+                    self._sim().reachable(self.node, session.first_hop):
                 session.retx_count += 1
                 self._send_want_forward(session, retx=session.retx_count)
             else:
@@ -250,7 +253,8 @@ class RawaEngine(HonestEngine):
     def _exchange(self, session: RequesterSession) -> None:
         if self.config.verify_provider and not session.verified:
             session.queried.add(session.target)
-            self.send(session.target, self.sim.message(WANT_HAVE, session.cid))
+            sim = self._sim()
+            sim.send(self.node, session.target, sim.message(WANT_HAVE, session.cid))
             self._arm_attempt(session)
         else:
             super()._exchange(session)
@@ -261,7 +265,7 @@ class RawaEngine(HonestEngine):
         entry = self.entries.get((cid, pred))
         if entry is None:
             return None
-        if self.sim.now - entry.created_at > RELAY_ENTRY_TTL_MS:
+        if self._sim().now - entry.created_at > RELAY_ENTRY_TTL_MS:
             del self.entries[(cid, pred)]
             return None
         return entry
@@ -271,20 +275,22 @@ class RawaEngine(HonestEngine):
         walk = meta.get("walk", (frm, cid, -1))
         hop = meta.get("hop", 1)
         retx = meta.get("retx", 0)
+        sim = self._sim()
+        now = sim.now
         entry = self._fresh_entry(cid, frm)
         if entry is not None:
             if entry.successor is None:
                 self._proxy_repeat(cid, frm)
-            elif self.sim.reachable(self.node, entry.successor):
-                self.send(entry.successor, self.sim.message(WANT_FORWARD, cid),
-                          {"walk": walk, "hop": hop + 1, "retx": retx})
+            elif sim.reachable(self.node, entry.successor):
+                sim.send(self.node, entry.successor, sim.message(WANT_FORWARD, cid),
+                         {"walk": walk, "hop": hop + 1, "retx": retx})
             else:
                 # recorded successor is gone: collapse into the proxy role
                 self.entries.collapse((cid, frm))
                 self._become_proxy(cid, frm, walk, hop, retx)
             return
         if cid in self.proxies:
-            self.entries[(cid, frm)] = RelayEntry(None, self.sim.now, walk, hop)
+            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
             self._become_proxy(cid, frm, walk, hop, retx)
             return
         sent = self.sent_for_cid.get(cid)
@@ -292,44 +298,46 @@ class RawaEngine(HonestEngine):
             # loop reduction: only successors that have not seen this cid yet
             candidates = self._live_successors(exclude=sent | {frm})
             if not candidates:
-                self.entries[(cid, frm)] = RelayEntry(None, self.sim.now, walk, hop)
+                self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
                 self._become_proxy(cid, frm, walk, hop, retx)
                 return
             self._relay(frm, cid, candidates, walk, hop, retx)
             return
-        if self.sim.rng.random() < self.config.p:
-            self.entries[(cid, frm)] = RelayEntry(None, self.sim.now, walk, hop)
+        if sim.rng.random() < self.config.p:
+            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
             self._become_proxy(cid, frm, walk, hop, retx)
             return
         candidates = self._live_successors(exclude={frm})
         if not candidates:
             candidates = self._live_successors()
         if not candidates:
-            self.entries[(cid, frm)] = RelayEntry(None, self.sim.now, walk, hop)
+            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
             self._become_proxy(cid, frm, walk, hop, retx)
             return
         self._relay(frm, cid, candidates, walk, hop, retx)
 
     def _relay(self, frm: PeerId, cid: Cid, candidates: tuple[PeerId, ...],
                walk: tuple, hop: int, retx: int) -> None:
-        successor = candidates[self.sim.rng.randrange(len(candidates))]
-        self.entries[(cid, frm)] = RelayEntry(successor, self.sim.now, walk, hop)
+        sim = self._sim()
+        successor = candidates[sim.rng.randrange(len(candidates))]
+        self.entries[(cid, frm)] = RelayEntry(successor, sim.now, walk, hop)
         self.sent_for_cid.setdefault(cid, set()).add(successor)
-        self.send(successor, self.sim.message(WANT_FORWARD, cid),
-                  {"walk": walk, "hop": hop + 1, "retx": retx})
+        sim.send(self.node, successor, sim.message(WANT_FORWARD, cid),
+                 {"walk": walk, "hop": hop + 1, "retx": retx})
 
     # -- proxy --------------------------------------------------------------
 
     def _become_proxy(self, cid: Cid, pred: PeerId, walk: tuple, hop: int,
                       retx: int) -> None:
-        self.sim.observer.walk_terminated(walk, retx, hop, self.node, self.sim.now)
+        sim = self._sim()
+        sim.observer.walk_terminated(walk, retx, hop, self.node, sim.now)
         session = self.proxies.get(cid)
         if session is not None:
             session.preds[pred] = walk
             if session.state is DONE:
                 self._send_forward_have(session, only_pred=pred)
             return
-        session = ProxySession(cid=cid, started_at=self.sim.now)
+        session = ProxySession(cid=cid, started_at=sim.now)
         session.preds[pred] = walk
         self.proxies[cid] = session
         if cid in self.store:
@@ -358,7 +366,7 @@ class RawaEngine(HonestEngine):
     def _proxy_have(self, session: ProxySession, frm: PeerId) -> None:
         if session.state is DONE:
             return
-        session.last_activity = self.sim.now
+        session.last_activity = self._sim().now
         if all(r.peer != frm for r in session.found):
             session.found.append(ProviderRecord(frm))
         if self.config.proxy_aggregate_dht:
@@ -384,30 +392,32 @@ class RawaEngine(HonestEngine):
         preds = [only_pred] if only_pred is not None else sorted(session.preds)
         msg = Message(FORWARD_HAVE, session.cid,
                       providers=session.providers_sent)
+        sim = self._sim()
         for pred in preds:
-            if self.sim.reachable(self.node, pred):
-                self.send(pred, msg, {"walk": session.preds[pred]})
+            if sim.reachable(self.node, pred):
+                sim.send(self.node, pred, msg, {"walk": session.preds[pred]})
 
     # -- return phase -------------------------------------------------------
 
     def _route_back(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
         cid = msg.cid
+        sim = self._sim()
         handled = False
         for pred, entry in self.entries.via(cid, frm):
             handled = True
-            if self.sim.reachable(self.node, pred):
+            if sim.reachable(self.node, pred):
                 # the relayed copy is the received message itself
-                self.send(pred, msg, {"walk": entry.walk})
+                sim.send(self.node, pred, msg, {"walk": entry.walk})
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True
             walk = (meta or {}).get("walk")
             if walk is not None:
-                self.sim.observer.fh_consumed(self.node, walk)
+                sim.observer.fh_consumed(self.node, walk)
             self._offer(session, msg.providers)
         if not handled:
-            self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
-                                          "stray-forward-have")
+            sim.observer.record_drop(sim.now, frm, self.node, msg,
+                                     "stray-forward-have")
 
     # -- message dispatch ---------------------------------------------------
 
@@ -436,11 +446,12 @@ class RawaEngine(HonestEngine):
             if variant is HAVE:
                 self._proxy_have(proxy, frm)
             elif variant is DONT_HAVE:
-                proxy.last_activity = self.sim.now
+                proxy.last_activity = self._sim().now
             return
         if session is not None and variant is BLOCK and \
                 session.state not in (DONE, FAILED):
             self._on_block(session, msg)
             return
-        self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
-                                      "unmatched-response")
+        sim = self._sim()
+        sim.observer.record_drop(sim.now, frm, self.node, msg,
+                                 "unmatched-response")

@@ -10,6 +10,7 @@ order.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -293,8 +294,18 @@ def collect_metrics(handles: RunHandles) -> RunMetrics:
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
+    """Build, run and measure one run. The event loop runs without the
+    cycle collector: a run holds no reference cycle (see `rawasim.netsim`),
+    so collections would only walk its live heap, which grows with
+    ``n_peers``. The collector's previous state is restored afterwards."""
     handles = build_run(config, run_index)
-    handles.sim.run(until=config.run_bound_ms)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        handles.sim.run(until=config.run_bound_ms)
+    finally:
+        if enabled:
+            gc.enable()
     return RunResult(run=run_index, seed=handles.seed,
                      fingerprint=config.fingerprint(),
                      metrics=collect_metrics(handles))

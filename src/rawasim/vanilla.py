@@ -32,7 +32,7 @@ class VanillaEngine(HonestEngine):
         self._offer(session, providers)
 
     def _all_tried(self, session: FetchSession) -> None:
-        session.last_activity = self.sim.now
+        session.last_activity = self._sim().now
         self._arm_tick(session, self.t1_ms)
 
     # -- message handling ---------------------------------------------------
@@ -40,13 +40,14 @@ class VanillaEngine(HonestEngine):
     def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
         if self.handle_storage_query(frm, msg):
             return
+        sim = self._sim()
         session = self.sessions.get(msg.cid)
         if session is None or session.state in (DONE, FAILED):
             if msg.variant is BLOCK:
-                self.sim.observer.record_drop(self.sim.now, frm, self.node, msg,
-                                              "unsolicited-block")
+                sim.observer.record_drop(sim.now, frm, self.node, msg,
+                                         "unsolicited-block")
             return
-        session.last_activity = self.sim.now
+        session.last_activity = sim.now
         if msg.variant is HAVE:
             self._merge(session, [ProviderRecord(frm)])
             if session.state is SEARCHING and frm not in session.tried:

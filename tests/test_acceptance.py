@@ -161,6 +161,41 @@ def test_criterion_5_walk_length_law():
     assert not failures
 
 
+def test_walk_lengths_fit_geometric():
+    """Chi-square goodness of fit of first-termination walk lengths against
+    Geometric(p) on {1, 2, ...}, next to criterion 5: one bin per length
+    while its expected count is at least 5, then one tail bin. The seeds are
+    fixed, so the test is deterministic; it rejects at the 1 % level."""
+    from scipy import stats
+
+    for p in (0.2, 0.3):
+        hops = []
+        for i in range(25):
+            config = ExperimentConfig(protocol="rawa", adversary="none",
+                                      n_peers=200, runs=1, base_seed=60_000,
+                                      rawa=RaWaConfig(p=p, eta=None),
+                                      unique_interests=True)
+            handles = build_run(config, i)
+            handles.sim.run()
+            first = {}
+            for walk, retx, h, node, _ in handles.sim.observer.terminations:
+                first.setdefault(walk, h)
+            hops.extend(first.values())
+        n = len(hops)
+        tail = 1  # lengths >= tail share the last bin
+        while n * p * (1 - p) ** tail >= 5 and n * (1 - p) ** (tail + 1) >= 5:
+            tail += 1
+        observed = [sum(1 for h in hops if h == k) for k in range(1, tail)]
+        observed.append(sum(1 for h in hops if h >= tail))
+        expected = [n * p * (1 - p) ** (k - 1) for k in range(1, tail)]
+        expected.append(n * (1 - p) ** (tail - 1))
+        result = stats.chisquare(observed, expected)
+        print(f"  [diag] walk lengths, p={p}: {n} walks, {tail} bins, "
+              f"chi2 {result.statistic:.1f}, p-value {result.pvalue:.3f}")
+        assert n >= 4000
+        assert result.pvalue >= 0.01, (p, result)
+
+
 def test_criterion_6_deterministic_micro_scenarios():
     check, failures = checks("criterion 6")
     # independent oracle: per-message one-way delays from the delay formula

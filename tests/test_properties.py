@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rawasim.engine import DONE, HonestEngine
+from rawasim.netsim import Observer, Simulator
 from rawasim.rawa import RaWaConfig, RawaEngine
 from rawasim.runner import ExperimentConfig, build_run
 
@@ -68,3 +69,58 @@ def test_want_have_and_cancel_pair_up(config):
     for key, cancels in sent["CANCEL"].items():
         assert cancels <= sent["WANT-HAVE"][key], key
     assert sent["CANCEL"] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_no_send_on_a_non_edge(config):
+    """Every message put on the wire joins two live neighbours at that
+    moment. The edge set is kept apart from the simulator's: the built
+    topology, plus each edge a dial adds, minus every edge of a node that
+    departs."""
+    handles = build_run(config, 0)
+    sim = handles.sim
+    edges = {frozenset((a, b)) for a in sim.nodes() for b in sim.neighbors(a)}
+    alive = set(sim.nodes())
+    bad = []
+    add_edge = Simulator.add_edge
+    depart = Simulator._dispatch_departure
+    record_send = Observer.record_send
+
+    def adding(self, a, b):
+        edges.add(frozenset((a, b)))
+        add_edge(self, a, b)
+
+    def departing(self, node):
+        if node in alive:
+            alive.discard(node)
+            edges.difference_update([e for e in edges if node in e])
+        depart(self, node)
+
+    def recording_send(self, time, seq, frm, to, msg, meta):
+        if frozenset((frm, to)) not in edges or not {frm, to} <= alive:
+            bad.append((time, frm, to, msg.variant.value))
+        record_send(self, time, seq, frm, to, msg, meta)
+
+    with patch.object(Simulator, "add_edge", adding), \
+            patch.object(Simulator, "_dispatch_departure", departing), \
+            patch.object(Observer, "record_send", recording_send):
+        sim.run()
+    assert bad == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_forward_haves_retrace_their_walk(config):
+    """Every FORWARD-HAVE hop ``x -> y`` of a walk reverses an earlier
+    WANT-FORWARD hop ``y -> x`` of the same walk, through re-transmissions,
+    departures and relays shared by walks for one CID."""
+    handles = build_run(config, 0)
+    handles.sim.run()
+    observer = handles.sim.observer
+    first_forward: dict = {}
+    for walk, _, _, frm, to, time in observer.wf_sends:
+        first_forward.setdefault((walk, frm, to), time)
+    for walk, frm, to, time in observer.fh_sends:
+        assert first_forward.get((walk, to, frm), float("inf")) <= time, \
+            (walk, frm, to, time)
