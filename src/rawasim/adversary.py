@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .core import (DONT_HAVE, FORWARD_HAVE, HAVE, REQUEST_TYPES, WANT_BLOCK,
                    WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
                    ProviderRecord, peer_name)
-from .netsim import RngStream
+from .netsim import RngStream, WalkTag
 
 
 class Observation(NamedTuple):
@@ -74,9 +74,10 @@ class SpyTap:
         # the inner engine's weak reference to the simulator
         self._sim = inner._sim
 
-    def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def handle_message(self, frm: PeerId, msg: Message,
+                       tag: WalkTag | None = None) -> None:
         self.log.append(self.node, frm, msg, self._sim().now)
-        self.inner.handle_message(frm, msg, meta)
+        self.inner.handle_message(frm, msg, tag)
 
     def handle_dial(self, peer: PeerId, ok: bool) -> None:
         self.inner.handle_dial(peer, ok)
@@ -94,7 +95,8 @@ class ExploiterNode:
         self.log = log
         self.fake_have = fake_have
 
-    def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def handle_message(self, frm: PeerId, msg: Message,
+                       tag: WalkTag | None = None) -> None:
         sim = self._sim()
         self.log.append(self.node, frm, msg, sim.now)
         variant = msg.variant
@@ -127,18 +129,16 @@ def _random_fill(prediction: Prediction, population, observed: list[Cid],
             prediction.abstained.add(peer)
 
 
-def fse_classify(log: ObservationLog, population, rng: RngStream,
-                 observed_cids: list[Cid] | None = None) -> Prediction:
+def fse_classify(log: ObservationLog, population, rng: RngStream) -> Prediction:
     """Link each peer to the CID of the first request-type message received
     from it; unobserved peers get a uniformly drawn observed CID."""
-    observed = log.observed_request_cids() if observed_cids is None else observed_cids
     prediction = Prediction()
     pop = set(population)
     for rec in log.records:
         if rec.sender in pop and rec.sender not in prediction.links \
                 and rec.message.variant in REQUEST_TYPES:
             prediction.links[rec.sender] = rec.message.cid
-    _random_fill(prediction, population, observed, rng)
+    _random_fill(prediction, population, log.observed_request_cids(), rng)
     return prediction
 
 
@@ -152,22 +152,18 @@ def _first_want_blocks(log: ObservationLog, population) -> dict[PeerId, Cid]:
     return links
 
 
-def wfe_classify(log: ObservationLog, population, rng: RngStream,
-                 observed_cids: list[Cid] | None = None) -> Prediction:
+def wfe_classify(log: ObservationLog, population, rng: RngStream) -> Prediction:
     """Link each peer to the CID of the first WANT-BLOCK received from it."""
-    observed = log.observed_request_cids() if observed_cids is None else observed_cids
     prediction = Prediction(links=_first_want_blocks(log, population))
-    _random_fill(prediction, population, observed, rng)
+    _random_fill(prediction, population, log.observed_request_cids(), rng)
     return prediction
 
 
 def sawfe_classify(log: ObservationLog, subgraph: dict[PeerId, tuple],
-                   population, rng: RngStream,
-                   observed_cids: list[Cid] | None = None) -> Prediction:
+                   population, rng: RngStream) -> Prediction:
     """Stage 1 as wfe_classify; stage 2 walks the observed WANT-HAVE
     broadcasts and assigns each CID to one still-unclassified direct
     predecessor of the broadcasting proxy in the known privacy subgraph."""
-    observed = log.observed_request_cids() if observed_cids is None else observed_cids
     prediction = Prediction(links=_first_want_blocks(log, population))
     pop = set(population)
     predecessors: dict[PeerId, list[PeerId]] = {}
@@ -185,5 +181,5 @@ def sawfe_classify(log: ObservationLog, subgraph: dict[PeerId, tuple],
         if candidates:
             pick = candidates[rng.randrange(len(candidates))]
             prediction.links[pick] = rec.message.cid
-    _random_fill(prediction, population, observed, rng)
+    _random_fill(prediction, population, log.observed_request_cids(), rng)
     return prediction

@@ -34,7 +34,7 @@ from .core import (BLOCK, CANCEL, DONT_HAVE, HAVE, WANT_BLOCK, WANT_HAVE, Block,
                    Cid, Message, PeerId, ProviderRecord, derive_cid,
                    validate_block)
 from .dht import DummyDht
-from .netsim import Simulator
+from .netsim import Simulator, WalkTag
 
 GIVE_UP_MS = 30_000.0
 
@@ -117,9 +117,6 @@ class HonestEngine:
         return True
 
     # -- messaging helpers --------------------------------------------------
-
-    def send(self, to: PeerId, msg: Message, meta: dict | None = None) -> bool:
-        return self._sim().send(self.node, to, msg, meta)
 
     def reply_presence(self, frm: PeerId, cid: Cid) -> None:
         """Answer a WANT-HAVE, optionally short-circuiting with the block
@@ -353,5 +350,6 @@ class HonestEngine:
 
     # -- interface for the simulator ---------------------------------------
 
-    def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def handle_message(self, frm: PeerId, msg: Message,
+                       tag: WalkTag | None = None) -> None:
         raise NotImplementedError

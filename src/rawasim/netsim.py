@@ -33,7 +33,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
 
@@ -68,6 +68,18 @@ def link_delay(link: LinkSpec, size: int, rng: RngStream) -> float:
         raise ValueError("size must be >= 1")
     jitter = rng.uniform(-link.jitter_ms, link.jitter_ms) if link.jitter_ms else 0.0
     return link.latency_ms + jitter + size / link.bandwidth_bytes_per_s * 1000.0
+
+
+class WalkTag(NamedTuple):
+    """Where a WANT-FORWARD or FORWARD-HAVE sits on its random walk: the
+    walk id ``(requester, cid, serial)``, the hop that carries it and the
+    requester's re-transmission count. Simulator bookkeeping, not a wire
+    field: it adds no bytes, no protocol decision reads it, and only the
+    `Observer` records it."""
+
+    walk: tuple
+    hop: int
+    retx: int
 
 
 class Timer:
@@ -110,11 +122,11 @@ class Observer:
     # requester outcomes
     completions: dict[PeerId, tuple] = field(default_factory=dict)
     failures: set[PeerId] = field(default_factory=set)
-    # (requester, walk_id, fh_path) of the FORWARD-HAVE a requester acted on
+    # (requester, walk_id) of the FORWARD-HAVE a requester acted on
     consumed: list[tuple] = field(default_factory=list)
 
     def record_send(self, time: float, seq: int, frm: PeerId, to: PeerId,
-                    msg: Message, meta: dict | None) -> None:
+                    msg: Message, tag: WalkTag | None) -> None:
         size = wire_size(msg)
         variant = msg.variant._value_
         self.msg_counts[variant] += 1
@@ -122,12 +134,11 @@ class Observer:
         self.bytes_total += size
         if self.keep_trace:
             self.trace.append((time, seq, "send", frm, to, variant, msg.cid.short(), size))
-        if meta and "walk" in meta:
+        if tag is not None:
             if variant == "WANT-FORWARD":
-                self.wf_sends.append(
-                    (meta["walk"], meta.get("retx", 0), meta.get("hop", 1), frm, to, time))
+                self.wf_sends.append((tag.walk, tag.retx, tag.hop, frm, to, time))
             elif variant == "FORWARD-HAVE":
-                self.fh_sends.append((meta["walk"], frm, to, time))
+                self.fh_sends.append((tag.walk, frm, to, time))
 
     def record_deliver(self, time: float, seq: int, frm: PeerId, to: PeerId,
                        msg: Message) -> None:
@@ -143,9 +154,8 @@ class Observer:
                     reason: str) -> None:
         self.drops.append((time, frm, to, msg.variant.value, msg.cid.short(), reason))
 
-    def walk_terminated(self, walk_id: tuple, retx: int, hops: int, node: PeerId,
-                        time: float) -> None:
-        self.terminations.append((walk_id, retx, hops, node, time))
+    def walk_terminated(self, tag: WalkTag, node: PeerId, time: float) -> None:
+        self.terminations.append((tag.walk, tag.retx, tag.hop, node, time))
 
     def request_done(self, node: PeerId, cid, started: float, done: float) -> None:
         self.completions[node] = (cid, started, done, done - started)
@@ -249,7 +259,8 @@ class Simulator:
         self._push(self.now + delay_ms, _TIMER, (node, timer))
         return timer
 
-    def send(self, frm: PeerId, to: PeerId, msg: Message, meta: dict | None = None) -> bool:
+    def send(self, frm: PeerId, to: PeerId, msg: Message,
+             tag: WalkTag | None = None) -> bool:
         """Schedule delivery over the live edge; returns False (with a logged
         diagnostic) when the edge is already gone."""
         alive = self._alive
@@ -277,12 +288,11 @@ class Simulator:
             at = prev
         last[key] = at
         seq = self._seq = self._seq + 1
-        self.observer.record_send(now, seq, frm, to, msg, meta)
-        heapq.heappush(self._heap, (at, seq, _DELIVER, (frm, to, msg, meta)))
+        self.observer.record_send(now, seq, frm, to, msg, tag)
+        heapq.heappush(self._heap, (at, seq, _DELIVER, (frm, to, msg, tag)))
         return True
 
-    def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message,
-                meta: dict | None = None) -> None:
+    def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message) -> None:
         """Send the one (frozen) `msg` to each of `peers`, in order, that
         `frm` can still reach; unreachable peers are skipped without a drop
         record, as a caller checking `reachable` first would."""
@@ -293,7 +303,7 @@ class Simulator:
         send = self.send
         for to in peers:
             if to in adjacent and to in alive:
-                send(frm, to, msg, meta)
+                send(frm, to, msg)
 
     def dial(self, frm: PeerId, to: PeerId) -> None:
         """Connection establishment costing one round trip; repeated dials to
@@ -337,7 +347,7 @@ class Simulator:
             if executed > cap:
                 raise RuntimeError(f"livelock: more than {cap} events")
             if kind == _DELIVER:
-                frm, to, msg, meta = payload
+                frm, to, msg, tag = payload
                 if to not in alive or frm not in alive or to not in adjacency[frm]:
                     observer.record_drop(time, frm, to, msg, "in-flight-loss")
                     continue
@@ -347,7 +357,7 @@ class Simulator:
                     continue
                 if keep_trace:
                     observer.record_deliver(time, seq, frm, to, msg)
-                engine.handle_message(frm, msg, meta)
+                engine.handle_message(frm, msg, tag)
             elif kind == _TIMER:
                 node, timer = payload
                 # timers of a departed node die with it (crash-stop)

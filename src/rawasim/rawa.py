@@ -10,11 +10,20 @@ directly from one provider, which is the only peer that ever learns its
 interest; the fetch is the shared one in `rawasim.engine`, optionally
 preceded by a WANT-HAVE that verifies the provider.
 
+A relay decides once per ``(cid, predecessor)`` and keeps that relay entry
+for the whole run: a new walk step draws a successor (or the proxy role),
+and every later WANT-FORWARD from the same predecessor for the same CID
+follows the entry.
+
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
 that successor is gone, so a re-transmitted walk is a prefix of the original.
 A requester-side fallback lookup fires every ``u`` until a global give-up
 bound.
+
+Walk messages travel with a `rawasim.netsim.WalkTag` (walk id, hop,
+re-transmission count). It is simulator bookkeeping for the `Observer`, not
+a wire field, and no routing decision reads it.
 """
 
 from __future__ import annotations
@@ -25,9 +34,7 @@ from .core import (BLOCK, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
                    WANT_HAVE, Cid, Message, PeerId, ProviderRecord)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine, Search)
-from .netsim import RngStream
-
-RELAY_ENTRY_TTL_MS = 60_000.0
+from .netsim import RngStream, WalkTag
 
 
 def path_length_probability(p: float, e: int) -> float:
@@ -72,26 +79,21 @@ class RaWaConfig:
             raise ValueError("forward_have_aggregation_ms must be >= 0")
 
 
-@dataclass
-class ForwardGraph:
-    successors: tuple[PeerId, ...]
-
-
-def build_forward_graph(neighbors, eta: int | None, rng: RngStream) -> ForwardGraph:
-    """Uniform sample without replacement of min(eta, degree) successors."""
+def build_forward_graph(neighbors, eta: int | None,
+                        rng: RngStream) -> tuple[PeerId, ...]:
+    """The sorted successors: a uniform sample without replacement of
+    min(eta, degree) neighbors."""
     pool = sorted(neighbors)
     if not pool:
         raise ValueError("need at least one neighbor")
     k = len(pool) if eta is None else min(eta, len(pool))
-    return ForwardGraph(successors=tuple(sorted(rng.sample(pool, k))))
+    return tuple(sorted(rng.sample(pool, k)))
 
 
 @dataclass
 class RelayEntry:
     successor: PeerId | None  # None marks the proxy role for this predecessor
-    created_at: float
-    walk: tuple
-    hop: int
+    tag: WalkTag  # of the WANT-FORWARD that made the entry
 
 
 class RelayTable(dict):
@@ -99,9 +101,9 @@ class RelayTable(dict):
     ``(cid, successor)`` so a returning FORWARD-HAVE finds the predecessors
     it goes back to without scanning every entry.
 
-    Write entries by item assignment (replacing one moves it to the end)
-    and remove them with ``del``; end a relay role with `collapse`. Other
-    dict mutators bypass the index.
+    Entries live for the whole run: write each key once by item assignment
+    and end a relay role with `collapse`. Other dict mutators bypass the
+    index.
     """
 
     def __init__(self) -> None:
@@ -109,21 +111,19 @@ class RelayTable(dict):
         self._via: dict[tuple[Cid, PeerId], list[PeerId]] = {}
 
     def __setitem__(self, key: tuple[Cid, PeerId], entry: RelayEntry) -> None:
-        if key in self:
-            # a replaced entry moves to the end, as a fresh one would
-            del self[key]
         super().__setitem__(key, entry)
         if entry.successor is not None:
             self._via.setdefault((key[0], entry.successor), []).append(key[1])
 
-    def __delitem__(self, key: tuple[Cid, PeerId]) -> None:
-        self._unlink(key)
-        super().__delitem__(key)
-
     def collapse(self, key: tuple[Cid, PeerId]) -> None:
         """The recorded successor is gone: this entry now marks the proxy."""
-        self._unlink(key)
-        self[key].successor = None
+        entry = self[key]
+        via = (key[0], entry.successor)
+        preds = self._via[via]
+        preds.remove(key[1])
+        if not preds:
+            del self._via[via]
+        entry.successor = None
 
     def via(self, cid: Cid, successor: PeerId) -> list[tuple[PeerId, RelayEntry]]:
         """(predecessor, entry) of every entry relaying `cid` to
@@ -131,24 +131,16 @@ class RelayTable(dict):
         preds = self._via.get((cid, successor), ())
         return [(pred, self[(cid, pred)]) for pred in preds]
 
-    def _unlink(self, key: tuple[Cid, PeerId]) -> None:
-        successor = self[key].successor
-        if successor is None:
-            return
-        preds = self._via[(key[0], successor)]
-        preds.remove(key[1])
-        if not preds:
-            del self._via[(key[0], successor)]
-
 
 @dataclass
 class ProxySession(Search):
     """A proxy's search; DONE once it has answered the walks."""
 
-    # predecessor -> walk tag of the walk that ended here
-    preds: dict[PeerId, tuple] = field(default_factory=dict)
+    # predecessor -> tag of the walk that ended here
+    preds: dict[PeerId, WalkTag] = field(default_factory=dict)
     found: list[ProviderRecord] = field(default_factory=list)
-    providers_sent: tuple[ProviderRecord, ...] = ()
+    # the FORWARD-HAVE sent when DONE, and again to every later walk
+    answer: Message | None = None
     answer_pending: bool = False
 
 
@@ -170,7 +162,7 @@ class RawaEngine(HonestEngine):
         super().__init__(node, sim, dht, **kwargs)
         self.config = config
         self.t1_ms = config.t1_ms
-        self.graph: ForwardGraph | None = None
+        self.graph: tuple[PeerId, ...] | None = None
         # (graph, departures, its reachable successors at that count)
         self._live: tuple = (None, -1, ())
         self.entries = RelayTable()
@@ -193,8 +185,7 @@ class RawaEngine(HonestEngine):
         if cached is not graph or epoch != departures:
             # successors are neighbors when the graph is built; only a
             # departure can make one unreachable
-            live = tuple(s for s in graph.successors
-                         if sim.reachable(self.node, s))
+            live = tuple(s for s in graph if sim.reachable(self.node, s))
             self._live = (graph, departures, live)
         if not exclude:
             return live
@@ -222,10 +213,10 @@ class RawaEngine(HonestEngine):
         self._send_want_forward(session, retx=0)
 
     def _send_want_forward(self, session: RequesterSession, retx: int) -> None:
-        meta = {"walk": session.walk_id(self.node), "hop": 1, "retx": retx}
         sim = self._sim()
         sim.send(self.node, session.first_hop,
-                 sim.message(WANT_FORWARD, session.cid), meta)
+                 sim.message(WANT_FORWARD, session.cid),
+                 WalkTag(session.walk_id(self.node), 1, retx))
 
     def _t0_tick(self, session: RequesterSession) -> None:
         # completion and give-up cancel this timer; it runs only while open
@@ -261,95 +252,69 @@ class RawaEngine(HonestEngine):
 
     # -- relay manager ------------------------------------------------------
 
-    def _fresh_entry(self, cid: Cid, pred: PeerId) -> RelayEntry | None:
-        entry = self.entries.get((cid, pred))
-        if entry is None:
-            return None
-        if self._sim().now - entry.created_at > RELAY_ENTRY_TTL_MS:
-            del self.entries[(cid, pred)]
-            return None
-        return entry
-
-    def _on_want_forward(self, frm: PeerId, cid: Cid, meta: dict | None) -> None:
-        meta = meta or {}
-        walk = meta.get("walk", (frm, cid, -1))
-        hop = meta.get("hop", 1)
-        retx = meta.get("retx", 0)
+    def _on_want_forward(self, frm: PeerId, cid: Cid, tag: WalkTag) -> None:
+        """Route a walk step: a repeat from a known predecessor follows its
+        entry, a new one draws its next hop; then relay or be the proxy."""
         sim = self._sim()
-        now = sim.now
-        entry = self._fresh_entry(cid, frm)
-        if entry is not None:
-            if entry.successor is None:
-                self._proxy_repeat(cid, frm)
-            elif sim.reachable(self.node, entry.successor):
-                sim.send(self.node, entry.successor, sim.message(WANT_FORWARD, cid),
-                         {"walk": walk, "hop": hop + 1, "retx": retx})
-            else:
+        key = (cid, frm)
+        entry = self.entries.get(key)
+        if entry is None:
+            successor = self._next_hop(cid, frm)
+            self.entries[key] = RelayEntry(successor, tag)
+        else:
+            successor = entry.successor
+            if successor is not None and not sim.reachable(self.node, successor):
                 # recorded successor is gone: collapse into the proxy role
-                self.entries.collapse((cid, frm))
-                self._become_proxy(cid, frm, walk, hop, retx)
+                self.entries.collapse(key)
+                successor = None
+        if successor is None:
+            self._become_proxy(cid, frm, tag)
             return
+        self.sent_for_cid.setdefault(cid, set()).add(successor)
+        sim.send(self.node, successor, sim.message(WANT_FORWARD, cid),
+                 WalkTag(tag.walk, tag.hop + 1, tag.retx))
+
+    def _next_hop(self, cid: Cid, frm: PeerId) -> PeerId | None:
+        """The successor a new walk step from `frm` goes to, or None for
+        the proxy role."""
         if cid in self.proxies:
-            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
-            self._become_proxy(cid, frm, walk, hop, retx)
-            return
+            return None
+        rng = self._sim().rng
         sent = self.sent_for_cid.get(cid)
         if sent:
             # loop reduction: only successors that have not seen this cid yet
             candidates = self._live_successors(exclude=sent | {frm})
-            if not candidates:
-                self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
-                self._become_proxy(cid, frm, walk, hop, retx)
-                return
-            self._relay(frm, cid, candidates, walk, hop, retx)
-            return
-        if sim.rng.random() < self.config.p:
-            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
-            self._become_proxy(cid, frm, walk, hop, retx)
-            return
-        candidates = self._live_successors(exclude={frm})
+        elif rng.random() < self.config.p:
+            return None
+        else:
+            candidates = (self._live_successors(exclude={frm})
+                          or self._live_successors())
         if not candidates:
-            candidates = self._live_successors()
-        if not candidates:
-            self.entries[(cid, frm)] = RelayEntry(None, now, walk, hop)
-            self._become_proxy(cid, frm, walk, hop, retx)
-            return
-        self._relay(frm, cid, candidates, walk, hop, retx)
-
-    def _relay(self, frm: PeerId, cid: Cid, candidates: tuple[PeerId, ...],
-               walk: tuple, hop: int, retx: int) -> None:
-        sim = self._sim()
-        successor = candidates[sim.rng.randrange(len(candidates))]
-        self.entries[(cid, frm)] = RelayEntry(successor, sim.now, walk, hop)
-        self.sent_for_cid.setdefault(cid, set()).add(successor)
-        sim.send(self.node, successor, sim.message(WANT_FORWARD, cid),
-                 {"walk": walk, "hop": hop + 1, "retx": retx})
+            return None
+        return candidates[rng.randrange(len(candidates))]
 
     # -- proxy --------------------------------------------------------------
 
-    def _become_proxy(self, cid: Cid, pred: PeerId, walk: tuple, hop: int,
-                      retx: int) -> None:
+    def _become_proxy(self, cid: Cid, pred: PeerId, tag: WalkTag) -> None:
+        """End the walk from `pred` here. The first walk for `cid` starts
+        the search; a later walk, or a repeat of one, gets the answer if
+        there is one. A repeat keeps the tag its walk first ended with."""
         sim = self._sim()
-        sim.observer.walk_terminated(walk, retx, hop, self.node, sim.now)
         session = self.proxies.get(cid)
-        if session is not None:
-            session.preds[pred] = walk
-            if session.state is DONE:
-                self._send_forward_have(session, only_pred=pred)
-            return
-        session = ProxySession(cid=cid, started_at=sim.now)
-        session.preds[pred] = walk
-        self.proxies[cid] = session
-        if cid in self.store:
-            session.found.append(ProviderRecord(self.node))
-            self._answer(session)
-            return
-        self._broadcast(session)
-
-    def _proxy_repeat(self, cid: Cid, pred: PeerId) -> None:
-        session = self.proxies.get(cid)
-        if session is not None and session.state is DONE:
-            self._send_forward_have(session, only_pred=pred)
+        new = session is None
+        if new:
+            session = self.proxies[cid] = ProxySession(cid=cid, started_at=sim.now)
+        if pred not in session.preds:
+            session.preds[pred] = tag
+            sim.observer.walk_terminated(tag, self.node, sim.now)
+        if session.state is DONE:
+            self._send_answer(session, pred)
+        elif new:
+            if cid in self.store:
+                session.found.append(ProviderRecord(self.node))
+                self._answer(session)
+            else:
+                self._broadcast(session)
 
     def _on_index(self, session: ProxySession,
                   providers: list[ProviderRecord]) -> None:
@@ -383,23 +348,20 @@ class RawaEngine(HonestEngine):
     def _answer(self, session: ProxySession) -> None:
         if session.state is DONE:
             return
-        session.providers_sent = tuple(session.found)
-        self._send_forward_have(session)
+        session.answer = Message(FORWARD_HAVE, session.cid,
+                                 providers=tuple(session.found))
+        for pred in sorted(session.preds):
+            self._send_answer(session, pred)
         self._close(session)
 
-    def _send_forward_have(self, session: ProxySession,
-                           only_pred: PeerId | None = None) -> None:
-        preds = [only_pred] if only_pred is not None else sorted(session.preds)
-        msg = Message(FORWARD_HAVE, session.cid,
-                      providers=session.providers_sent)
+    def _send_answer(self, session: ProxySession, pred: PeerId) -> None:
         sim = self._sim()
-        for pred in preds:
-            if sim.reachable(self.node, pred):
-                sim.send(self.node, pred, msg, {"walk": session.preds[pred]})
+        if sim.reachable(self.node, pred):
+            sim.send(self.node, pred, session.answer, session.preds[pred])
 
     # -- return phase -------------------------------------------------------
 
-    def _route_back(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def _route_back(self, frm: PeerId, msg: Message, tag: WalkTag | None) -> None:
         cid = msg.cid
         sim = self._sim()
         handled = False
@@ -407,13 +369,12 @@ class RawaEngine(HonestEngine):
             handled = True
             if sim.reachable(self.node, pred):
                 # the relayed copy is the received message itself
-                sim.send(self.node, pred, msg, {"walk": entry.walk})
+                sim.send(self.node, pred, msg, entry.tag)
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True
-            walk = (meta or {}).get("walk")
-            if walk is not None:
-                sim.observer.fh_consumed(self.node, walk)
+            if tag is not None:
+                sim.observer.fh_consumed(self.node, tag.walk)
             self._offer(session, msg.providers)
         if not handled:
             sim.observer.record_drop(sim.now, frm, self.node, msg,
@@ -421,13 +382,14 @@ class RawaEngine(HonestEngine):
 
     # -- message dispatch ---------------------------------------------------
 
-    def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def handle_message(self, frm: PeerId, msg: Message,
+                       tag: WalkTag | None = None) -> None:
         variant = msg.variant
         if variant is WANT_FORWARD:
-            self._on_want_forward(frm, msg.cid, meta)
+            self._on_want_forward(frm, msg.cid, tag)
             return
         if variant is FORWARD_HAVE:
-            self._route_back(frm, msg, meta)
+            self._route_back(frm, msg, tag)
             return
         if self.handle_storage_query(frm, msg):
             return

@@ -221,12 +221,12 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     if config.protocol == PROTOCOL_RAWA:
         for node in honest:
             engines[node].build_graph()
-            subgraph_oracle[node] = engines[node].graph.successors
+            subgraph_oracle[node] = engines[node].graph
         for node in adversaries:
             engine = engines[node]
             if isinstance(engine, SpyTap):
                 engine.inner.build_graph()
-                subgraph_oracle[node] = engine.inner.graph.successors
+                subgraph_oracle[node] = engine.inner.graph
 
     # each honest node wants another honest node's block
     interests: dict[PeerId, Cid] = {}

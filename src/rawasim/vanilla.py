@@ -13,6 +13,7 @@ from __future__ import annotations
 from .core import BLOCK, HAVE, Message, PeerId, ProviderRecord
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine)
+from .netsim import WalkTag
 
 IMMEDIATE_BLOCK_LIMIT = 1024
 # quiet period before the provider-index fallback; also the attempt timeout
@@ -37,7 +38,8 @@ class VanillaEngine(HonestEngine):
 
     # -- message handling ---------------------------------------------------
 
-    def handle_message(self, frm: PeerId, msg: Message, meta: dict | None) -> None:
+    def handle_message(self, frm: PeerId, msg: Message,
+                       tag: WalkTag | None = None) -> None:
         if self.handle_storage_query(frm, msg):
             return
         sim = self._sim()

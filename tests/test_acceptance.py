@@ -233,7 +233,7 @@ def test_criterion_7_protocol_invariants():
         eta = rng.choice([1, 2, 3, None])
         for node in honest:
             neighbors = sim.neighbors(node)
-            succ = build_forward_graph(neighbors, eta, rng).successors
+            succ = build_forward_graph(neighbors, eta, rng)
             want = len(neighbors) if eta is None else min(eta, len(neighbors))
             if not (set(succ) <= set(neighbors) and len(succ) == want
                     and len(set(succ)) == len(succ)):

@@ -195,7 +195,7 @@ def test_spy_behaves_honestly_and_never_requests():
                            keep_trace=True)
     handles = build_run(cfg, 0)
     spy = handles.adversaries[0]
-    graphs_before = {n: handles.engines[n].graph.successors
+    graphs_before = {n: handles.engines[n].graph
                      for n in handles.honest}
     handles.sim.run()
     tap = handles.engines[spy]
@@ -205,7 +205,7 @@ def test_spy_behaves_honestly_and_never_requests():
     assert all(rec[5] != "WANT-BLOCK" or rec[3] != spy
                for rec in handles.sim.observer.trace if rec[2] == "send")
     # adversary presence does not perturb honest privacy subgraphs
-    assert graphs_before == {n: handles.engines[n].graph.successors
+    assert graphs_before == {n: handles.engines[n].graph
                              for n in handles.honest}
     # every honest store holds exactly its own block plus its interest
     for node in handles.honest:

@@ -21,13 +21,15 @@ def tamper_first_want_block(engines):
     that answer."""
     tampered = []
     for engine in engines:
-        def handle(frm, msg, meta, engine=engine, honest=engine.handle_message):
+        def handle(frm, msg, tag=None, engine=engine,
+                   honest=engine.handle_message):
             if msg.variant is MessageType.WANT_BLOCK and not tampered:
                 tampered.append((engine.node, engine.sim.now))
                 bad = make_block(1025, tag=99)
-                engine.send(frm, Message(MessageType.BLOCK, msg.cid, payload=bad))
+                engine.sim.send(engine.node, frm,
+                                Message(MessageType.BLOCK, msg.cid, payload=bad))
                 return
-            honest(frm, msg, meta)
+            honest(frm, msg, tag)
         engine.handle_message = handle
     return tampered
 

@@ -16,8 +16,8 @@ class Recorder:
         self.messages = []
         self.dials = []
 
-    def handle_message(self, frm, msg, meta):
-        self.messages.append((frm, msg, meta))
+    def handle_message(self, frm, msg, tag=None):
+        self.messages.append((frm, msg, tag))
 
     def handle_dial(self, peer, ok):
         self.dials.append((peer, ok))

@@ -97,10 +97,10 @@ def test_no_send_on_a_non_edge(config):
             edges.difference_update([e for e in edges if node in e])
         depart(self, node)
 
-    def recording_send(self, time, seq, frm, to, msg, meta):
+    def recording_send(self, time, seq, frm, to, msg, tag):
         if frozenset((frm, to)) not in edges or not {frm, to} <= alive:
             bad.append((time, frm, to, msg.variant.value))
-        record_send(self, time, seq, frm, to, msg, meta)
+        record_send(self, time, seq, frm, to, msg, tag)
 
     with patch.object(Simulator, "add_edge", adding), \
             patch.object(Simulator, "_dispatch_departure", departing), \
@@ -124,3 +124,27 @@ def test_forward_haves_retrace_their_walk(config):
     for walk, frm, to, time in observer.fh_sends:
         assert first_forward.get((walk, to, frm), float("inf")) <= time, \
             (walk, frm, to, time)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_walk_tags_extend_hop_by_hop(config):
+    """A walk's tag grows one hop per relay: a hop-1 WANT-FORWARD leaves the
+    walk's requester, every WANT-FORWARD ``x -> y`` of walk w at hop h > 1
+    with retx r follows a WANT-FORWARD of w into x at hop h - 1 with the
+    same r, and every termination of w at a node follows a WANT-FORWARD of
+    w into that node with the same hop and retx."""
+    handles = build_run(config, 0)
+    handles.sim.run()
+    observer = handles.sim.observer
+    first_into: dict = {}
+    for walk, retx, hop, frm, to, time in observer.wf_sends:
+        first_into.setdefault((walk, retx, hop, to), time)
+        if hop == 1:
+            assert frm == walk[0], (walk, retx, hop, frm, to, time)
+        else:
+            assert first_into.get((walk, retx, hop - 1, frm), time) < time, \
+                (walk, retx, hop, frm, to, time)
+    for walk, retx, hop, node, time in observer.terminations:
+        assert first_into.get((walk, retx, hop, node), time) < time, \
+            (walk, retx, hop, node, time)

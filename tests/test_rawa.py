@@ -5,7 +5,7 @@ import pytest
 
 from rawasim.adversary import ExploiterNode, ObservationLog
 from rawasim.core import Message, MessageType, ProviderRecord, derive_cid
-from rawasim.netsim import LinkSpec, Simulator
+from rawasim.netsim import LinkSpec, Simulator, WalkTag
 from rawasim.rawa import (RaWaConfig, RawaEngine, RelayEntry,
                           build_forward_graph, path_length_probability)
 from rawasim.topology import build_honest_topology
@@ -61,8 +61,7 @@ def test_forward_graph_invariants_over_random_topologies():
         eta = rng.choice([1, 2, 3, None])
         for node in honest:
             neighbors = sim.neighbors(node)
-            graph = build_forward_graph(neighbors, eta, rng)
-            succ = graph.successors
+            succ = build_forward_graph(neighbors, eta, rng)
             assert set(succ) <= set(neighbors)
             assert len(set(succ)) == len(succ)
             want = len(neighbors) if eta is None else min(eta, len(neighbors))
@@ -70,28 +69,26 @@ def test_forward_graph_invariants_over_random_topologies():
 
 
 def test_forward_graph_eta_max_is_all_neighbors():
-    graph = build_forward_graph([3, 1, 2], None, Random(1))
-    assert graph.successors == (1, 2, 3)
+    assert build_forward_graph([3, 1, 2], None, Random(1)) == (1, 2, 3)
 
 
 def test_forward_graph_capped_by_degree():
-    graph = build_forward_graph([9], 2, Random(1))
-    assert graph.successors == (9,)
+    assert build_forward_graph([9], 2, Random(1)) == (9,)
 
 
 def test_forward_graph_same_rng_state_identical():
     a = build_forward_graph(range(10), 3, Random(5))
     b = build_forward_graph(range(10), 3, Random(5))
-    assert a.successors == b.successors
+    assert a == b
 
 
 def test_reconstruct_replaces_graph():
     scn = Scenario(4, [(0, 1), (0, 2), (0, 3)], rawa=RaWaConfig(p=0.5, eta=2))
     engine = scn.engines[0]
     engine.build_graph()
-    first = engine.graph.successors
+    first = engine.graph
     engine.build_graph()
-    second = engine.graph.successors
+    second = engine.graph
     for succ in (first, second):
         assert set(succ) <= {1, 2, 3} and len(succ) == 2
 
@@ -144,7 +141,7 @@ def test_eta_one_first_hop_is_the_single_successor():
     scn.build_graphs()
     engine = scn.engines[0]
     engine.request_block(cid)
-    assert engine.sessions[cid].first_hop == engine.graph.successors[0]
+    assert engine.sessions[cid].first_hop == engine.graph[0]
 
 
 # -- relay semantics ---------------------------------------------------------
@@ -204,12 +201,12 @@ def test_duplicate_from_same_predecessor_reuses_successor():
     cid = derive_cid(make_block(1025))
     scn.build_graphs()
     engine = scn.engines[1]
-    meta = {"walk": (0, cid, 0), "hop": 1, "retx": 0}
-    engine.handle_message(0, Message(MessageType.WANT_FORWARD, cid), meta)
+    tag = WalkTag((0, cid, 0), 1, 0)
+    engine.handle_message(0, Message(MessageType.WANT_FORWARD, cid), tag)
     successor = engine.entries[(cid, 0)].successor
     assert successor in (2, 3)
     engine.handle_message(0, Message(MessageType.WANT_FORWARD, cid),
-                          dict(meta, retx=1))
+                          tag._replace(retx=1))
     assert engine.entries[(cid, 0)].successor == successor
     forwards = [rec for rec in scn.observer.wf_sends if rec[3] == 1]
     assert [f[4] for f in forwards] == [successor, successor]
@@ -220,14 +217,14 @@ def test_loop_reduction_exhaustion_becomes_proxy():
     cid = derive_cid(make_block(1025))
     scn.build_graphs()
     engine = scn.engines[1]  # successors: exactly one of {0, 2}
-    succ = engine.graph.successors[0]
+    succ = engine.graph[0]
     other = 0 if succ == 2 else 2
     engine.handle_message(other, Message(MessageType.WANT_FORWARD, cid),
-                          {"walk": (other, cid, 0), "hop": 1, "retx": 0})
+                          WalkTag((other, cid, 0), 1, 0))
     assert engine.entries[(cid, other)].successor == succ
     # a second walk for the same cid finds no unused successor
     engine.handle_message(succ, Message(MessageType.WANT_FORWARD, cid),
-                          {"walk": (succ, cid, 0), "hop": 1, "retx": 0})
+                          WalkTag((succ, cid, 0), 1, 0))
     assert engine.entries[(cid, succ)].successor is None
     assert cid in engine.proxies
 
@@ -237,11 +234,11 @@ def test_route_back_copies_to_every_matching_predecessor():
     cid = derive_cid(make_block(1025))
     scn.build_graphs()
     engine = scn.engines[2]
-    engine.entries[(cid, 0)] = RelayEntry(3, 0.0, (0, cid, 0), 1)
-    engine.entries[(cid, 1)] = RelayEntry(3, 0.0, (1, cid, 0), 1)
+    engine.entries[(cid, 0)] = RelayEntry(3, WalkTag((0, cid, 0), 1, 0))
+    engine.entries[(cid, 1)] = RelayEntry(3, WalkTag((1, cid, 0), 1, 0))
     fh = Message(MessageType.FORWARD_HAVE, cid,
                  providers=(ProviderRecord(3),))
-    engine.handle_message(3, fh, {"walk": (0, cid, 0)})
+    engine.handle_message(3, fh, WalkTag((0, cid, 0), 2, 0))
     scn.sim.run()
     targets = sorted(rec[4] for rec in scn.sends("FORWARD-HAVE"))
     assert targets == [0, 1]
@@ -256,16 +253,37 @@ def test_stray_forward_have_dropped_with_diagnostic():
     assert any(reason == "stray-forward-have" for *_, reason in scn.observer.drops)
 
 
-def test_relay_entry_expires_after_ttl():
-    scn = Scenario(3, [(0, 1), (1, 2)], rawa=RaWaConfig(p=0.001))
+class Sink:
+    """An engine that swallows everything delivered to it."""
+
+    def handle_message(self, frm, msg, tag=None):
+        pass
+
+    def handle_dial(self, peer, ok):
+        pass
+
+
+def test_repeat_a_minute_later_follows_the_recorded_successor():
+    # relay 1 has successors 2 and 3; its entry for (cid, 0) lives for the
+    # whole run, so a repeat 61 s later takes the first one's successor, one
+    # hop further, instead of being loop-reduced onto the other successor
+    scn = Scenario(4, [(0, 1), (1, 2), (1, 3)], rawa=RaWaConfig(p=0.001))
     cid = derive_cid(make_block(1025))
     scn.build_graphs()
+    for peer in (2, 3):
+        scn.sim.attach(peer, Sink())
     engine = scn.engines[1]
-    engine.entries[(cid, 0)] = RelayEntry(2, 0.0, (0, cid, 0), 1)
-    scn.sim.schedule(61_000.0, "advance", lambda: None)
+    forward = Message(MessageType.WANT_FORWARD, cid)
+    tag = WalkTag((0, cid, 0), 1, 0)
+    engine.handle_message(0, forward, tag)
+    successor = engine.entries[(cid, 0)].successor
+    assert successor in (2, 3)
+    scn.sim.schedule(61_000.0, "repeat", lambda: engine.handle_message(
+        0, forward, tag._replace(retx=1)))
     scn.sim.run()
-    assert engine._fresh_entry(cid, 0) is None
-    assert (cid, 0) not in engine.entries
+    assert [rec[:5] for rec in scn.observer.wf_sends] == [
+        ((0, cid, 0), 0, 2, 1, successor), ((0, cid, 0), 1, 2, 1, successor)]
+    assert scn.observer.wf_sends[1][5] == 61_000.0
 
 
 # -- requester fallbacks ------------------------------------------------------
@@ -351,7 +369,7 @@ def test_aggregation_window_answers_once_with_all_collected():
         closes = haves[0][0] + window
         [answer] = [rec for rec in scn.sends("FORWARD-HAVE") if rec[3] == 7]
         assert answer[0] == pytest.approx(closes, abs=1e-9)
-        sent = [r.peer for r in scn.engines[7].proxies[cid].providers_sent]
+        sent = [r.peer for r in scn.engines[7].proxies[cid].answer.providers]
         assert sent == [frm for at, frm in haves if at < closes]
         partial += 1 < len(sent) < 6
         assert 0 in scn.observer.completions

@@ -168,12 +168,13 @@ def test_empty_index_retries_then_fails(case):
 
 def test_corrupt_block_discarded_and_session_recovers():
     class CorruptingProvider(VanillaEngine):
-        def handle_message(self, frm, msg, meta):
+        def handle_message(self, frm, msg, tag=None):
             if msg.variant is MessageType.WANT_BLOCK:
                 bad = make_block(msg_block_size, tag=99)
-                self.send(frm, Message(MessageType.BLOCK, msg.cid, payload=bad))
+                self.sim.send(self.node, frm,
+                              Message(MessageType.BLOCK, msg.cid, payload=bad))
                 return
-            super().handle_message(frm, msg, meta)
+            super().handle_message(frm, msg, tag)
 
     msg_block_size = 1025
     scn = Scenario(3, [(0, 1)], protocol="vanilla")
