@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (DONT_HAVE, FORWARD_HAVE, HAVE, REQUEST_TYPES, WANT_BLOCK,
-                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
-                   ProviderRecord, peer_name)
+                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId, peer_name)
 from .netsim import RngStream, WalkTag
 
 
@@ -79,9 +78,6 @@ class SpyTap:
         self.log.append(self.node, frm, msg, self._sim().now)
         self.inner.handle_message(frm, msg, tag)
 
-    def handle_dial(self, peer: PeerId, ok: bool) -> None:
-        self.inner.handle_dial(peer, ok)
-
 
 class ExploiterNode:
     """Active node: immediately claims to provide whatever walk request or
@@ -101,18 +97,14 @@ class ExploiterNode:
         self.log.append(self.node, frm, msg, sim.now)
         variant = msg.variant
         if variant is WANT_FORWARD:
-            fake = Message(FORWARD_HAVE, msg.cid,
-                           providers=(ProviderRecord(self.node),))
-            sim.send(self.node, frm, fake)
+            sim.send(self.node, frm,
+                     Message(FORWARD_HAVE, msg.cid, providers=(self.node,)))
         elif variant is WANT_HAVE:
             reply = HAVE if self.fake_have else DONT_HAVE
             sim.send(self.node, frm, sim.message(reply, msg.cid))
         elif variant is WANT_BLOCK:
             sim.send(self.node, frm, sim.message(DONT_HAVE, msg.cid))
         # responses addressed to us carry no obligation
-
-    def handle_dial(self, peer: PeerId, ok: bool) -> None:
-        pass
 
 
 # -- classifiers ------------------------------------------------------------

@@ -94,13 +94,6 @@ REQUEST_TYPES = frozenset({WANT_HAVE, WANT_BLOCK, WANT_FORWARD})
 
 
 @dataclass(frozen=True)
-class ProviderRecord:
-    """A peer believed to store the block."""
-
-    peer: PeerId
-
-
-@dataclass(frozen=True)
 class Message:
     """One envelope. Immutable, so one instance may be sent many times; its
     wire size is computed once, at construction."""
@@ -108,7 +101,8 @@ class Message:
     variant: MessageType
     cid: Cid
     payload: Block | None = None
-    providers: tuple[ProviderRecord, ...] = field(default_factory=tuple)
+    # peers believed to store the block (FORWARD-HAVE only)
+    providers: tuple[PeerId, ...] = field(default_factory=tuple)
     size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -128,7 +122,7 @@ class Message:
         if self.payload is not None:
             extra = f", {self.payload.size}B"
         elif self.providers:
-            extra = f", providers={[peer_name(p.peer) for p in self.providers]}"
+            extra = f", providers={[peer_name(p) for p in self.providers]}"
         return f"Message({self.variant.value} {self.cid.short()}{extra})"
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable
 
-from .core import Cid, PeerId, ProviderRecord
+from .core import Cid, PeerId
 from .netsim import Simulator
 
 
@@ -38,15 +38,14 @@ class DummyDht:
         return self._sim().rng.uniform(lo, hi)
 
     def lookup(self, cid: Cid, node: PeerId,
-               callback: Callable[[list[ProviderRecord]], None]) -> None:
-        """Deliver all live registered providers to `callback` after the
-        sampled delay. An empty list is a valid outcome."""
+               callback: Callable[[list[PeerId]], None]) -> None:
+        """Deliver the sorted ids of all live registered providers to
+        `callback` after the sampled delay. An empty list is a valid
+        outcome."""
         delay = self.lookup_delay()
 
         def resolve() -> None:
             sim = self._sim()
-            peers = sorted(self.table.get(cid, ()))
-            records = [ProviderRecord(p) for p in peers if sim.is_alive(p)]
-            callback(records)
+            callback([p for p in sorted(self.table.get(cid, ())) if sim.is_alive(p)])
 
         self._sim().schedule(delay, f"dht-lookup:{cid.short()}", resolve, node=node)

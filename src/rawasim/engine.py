@@ -17,12 +17,14 @@ engine says what an index result does. A completed search sends one CANCEL
 to every peer that got its WANT-HAVE.
 
 A request is SEARCHING while discovery runs and FETCHING while one provider
-is asked for the block. Each attempt draws a provider uniformly from those
-not yet tried, dials it if there is no link, and sends WANT-BLOCK. The
-attempt fails on DONT-HAVE, on a block that does not hash to the CID, on a
-failed dial or after ``t1_ms``; the next untried provider is then drawn,
-and with none left the request goes back to SEARCHING. A valid block
-completes the request. A request still open after ``give_up_ms`` fails.
+is asked for the block. Providers are peer ids, kept in the order they were
+learned. Each attempt draws a provider uniformly from those not yet tried,
+dials it if there is no link, and sends WANT-BLOCK once its own dial
+completes. The attempt fails on DONT-HAVE, on a block that does not hash to
+the CID, on a failed dial or after ``t1_ms``; the next untried provider is
+then drawn, and with none left the request goes back to SEARCHING. A valid
+block completes the request. A request still open after ``give_up_ms``
+fails.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .core import (BLOCK, CANCEL, DONT_HAVE, HAVE, WANT_BLOCK, WANT_HAVE, Block,
-                   Cid, Message, PeerId, ProviderRecord, derive_cid,
-                   validate_block)
+                   Cid, Message, PeerId, derive_cid, validate_block)
 from .dht import DummyDht
 from .netsim import Simulator, WalkTag
 
@@ -64,13 +65,14 @@ class Search:
 class FetchSession(Search):
     """One request of a requester; engines subclass it for discovery state."""
 
-    providers: list[ProviderRecord] = field(default_factory=list)
+    # providers in the order they were learned
+    providers: dict[PeerId, None] = field(default_factory=dict)
     tried: set[PeerId] = field(default_factory=set)
     target: PeerId | None = None
     attempt_serial: int = 0
 
-    def untried(self) -> list[ProviderRecord]:
-        return [r for r in self.providers if r.peer not in self.tried]
+    def untried(self) -> list[PeerId]:
+        return [p for p in self.providers if p not in self.tried]
 
 
 class HonestEngine:
@@ -94,7 +96,6 @@ class HonestEngine:
         self.give_up_ms = give_up_ms
         self.store: dict[Cid, Block] = {}
         self.sessions: dict[Cid, FetchSession] = {}
-        self._pending_dials: dict[PeerId, Cid] = {}
         self._arms = 0
 
     @property
@@ -226,7 +227,7 @@ class HonestEngine:
             self.dht.lookup(search.cid, self.node,
                             lambda providers: self._index_result(search, providers))
 
-    def _index_result(self, search: Search, providers: list[ProviderRecord]) -> None:
+    def _index_result(self, search: Search, providers: list[PeerId]) -> None:
         search.dht_pending = False
         if search.state is DONE or search.state is FAILED:
             return
@@ -235,7 +236,7 @@ class HonestEngine:
                 self._sim().now - search.started_at < self.give_up_ms:
             self._arm_tick(search, self.t1_ms, "t1-retry")
 
-    def _on_index(self, search: Search, providers: list[ProviderRecord]) -> None:
+    def _on_index(self, search: Search, providers: list[PeerId]) -> None:
         """What a provider-index result does to the open `search`."""
         raise NotImplementedError
 
@@ -250,11 +251,9 @@ class HonestEngine:
     # -- requester: providers and attempts ----------------------------------
 
     def _merge(self, session: FetchSession, providers) -> None:
-        known = {r.peer for r in session.providers}
-        for rec in providers:
-            if rec.peer != self.node and rec.peer not in known:
-                session.providers.append(rec)
-                known.add(rec.peer)
+        for peer in providers:
+            if peer != self.node:
+                session.providers.setdefault(peer)
 
     def _offer(self, session: FetchSession, providers) -> None:
         """Providers learned while the request is open: merge them, and
@@ -270,7 +269,7 @@ class HonestEngine:
         back to searching."""
         untried = session.untried()
         if untried:
-            self._attempt(session, untried[self._sim().rng.randrange(len(untried))].peer)
+            self._attempt(session, untried[self._sim().rng.randrange(len(untried))])
             return
         session.state = SEARCHING
         session.target = None
@@ -288,8 +287,7 @@ class HonestEngine:
         if sim.connected(self.node, peer):
             self._exchange(session)
         else:
-            self._pending_dials[peer] = session.cid
-            sim.dial(self.node, peer)
+            sim.dial(self.node, peer, lambda ok: self._dialled(session, peer, ok))
 
     def _exchange(self, session: FetchSession) -> None:
         sim = self._sim()
@@ -305,12 +303,10 @@ class HonestEngine:
         if session.state is FETCHING and session.attempt_serial == serial:
             self._next_provider(session)
 
-    def handle_dial(self, peer: PeerId, ok: bool) -> None:
-        cid = self._pending_dials.pop(peer, None)
-        if cid is None:
-            return
-        session = self.sessions.get(cid)
-        if session is None or session.state is not FETCHING or session.target != peer:
+    def _dialled(self, session: FetchSession, peer: PeerId, ok: bool) -> None:
+        """This session's dial of `peer` completed; act on it only if the
+        attempt that dialled is still waiting for it."""
+        if session.state is not FETCHING or session.target != peer:
             return
         if ok:
             self._exchange(session)

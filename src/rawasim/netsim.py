@@ -19,18 +19,24 @@ a cached sorted tuple that `add_edge` and departures invalidate; edges
 disappear only when a node departs, which `departures` counts so engines
 can key their own reachability caches on it.
 
+The heap holds two event kinds: a message delivery and a timer of a node
+(or of no node). A dial and a departure are kernel timers of the node that
+dials or departs, so a dial dies with its dialler, as engine timers do.
+
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the heap, its pending timers and messages;
-engines and the provider index hold the simulator through a weak reference,
-and keep only weak handles to their pending timers. A finished run is
-therefore freed by reference counting as soon as its last handle goes,
-without the cycle collector.
+engines, the provider index and the kernel's own dial and departure timers
+hold the simulator through a weak reference, and engines keep only weak
+handles to their pending timers. A finished run is therefore freed by
+reference counting as soon as its last handle goes, without the cycle
+collector.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
@@ -41,8 +47,6 @@ RngStream = random.Random
 
 _DELIVER = 0
 _TIMER = 1
-_DEPART = 2
-_DIAL = 3
 
 
 @dataclass(frozen=True)
@@ -174,13 +178,15 @@ class Observer:
 class Simulator:
     """Single-threaded deterministic event loop over a simulated overlay."""
 
+    # `run` refuses to execute more events than this
+    livelock_cap = 10_000_000
+
     def __init__(self, link: LinkSpec, rng: RngStream, observer: Observer | None = None,
-                 dial_rtt_multiplier: float = 1.0, livelock_cap: int = 10_000_000):
+                 dial_rtt_multiplier: float = 1.0):
         self.link = link
         self.rng = rng
         self.observer = observer if observer is not None else Observer()
         self.dial_rtt_multiplier = dial_rtt_multiplier
-        self.livelock_cap = livelock_cap
         self.now = 0.0
         self._heap: list[tuple] = []
         self._seq = 0
@@ -305,24 +311,34 @@ class Simulator:
             if to in adjacent and to in alive:
                 send(frm, to, msg)
 
-    def dial(self, frm: PeerId, to: PeerId) -> None:
-        """Connection establishment costing one round trip; repeated dials to
-        an existing neighbor succeed immediately."""
-        if self.connected(frm, to):
-            self._push(self.now, _DIAL, (frm, to))
-            return
+    def dial(self, frm: PeerId, to: PeerId, done: Callable[[bool], None]) -> None:
+        """Connection establishment costing one round trip: a timer of
+        `frm` that adds the edge if `to` is still alive and then calls
+        ``done(ok)``. A dial to an existing neighbor succeeds at once."""
         rtt = 0.0
-        if self.dial_rtt_multiplier > 0:
+        if not self.connected(frm, to) and self.dial_rtt_multiplier > 0:
             one_way = lambda: self.link.latency_ms + (
                 self.rng.uniform(-self.link.jitter_ms, self.link.jitter_ms)
                 if self.link.jitter_ms else 0.0)
             rtt = self.dial_rtt_multiplier * (one_way() + one_way())
-        self._push(self.now + rtt, _DIAL, (frm, to))
+        ref = weakref.ref(self)
+
+        def connect() -> None:
+            sim = ref()
+            ok = sim.is_alive(to)
+            if ok and not sim.connected(frm, to):
+                sim.add_edge(frm, to)
+            done(ok)
+        timer = Timer(f"dial:{peer_name(to)}", connect)
+        self._push(self.now + rtt, _TIMER, (frm, timer))
 
     def schedule_departure(self, node: PeerId, at: float) -> None:
+        """Crash-stop `node` at the absolute time `at`: a timer of `node`,
+        so a second departure of it never fires."""
         if not self.is_alive(node):
             raise ValueError(f"{peer_name(node)} already departed")
-        self._push(at, _DEPART, node)
+        ref = weakref.ref(self)
+        self._push(at, _TIMER, (node, Timer("depart", lambda: ref()._depart(node))))
 
     # -- event loop -------------------------------------------------------
 
@@ -358,33 +374,16 @@ class Simulator:
                 if keep_trace:
                     observer.record_deliver(time, seq, frm, to, msg)
                 engine.handle_message(frm, msg, tag)
-            elif kind == _TIMER:
+            else:
                 node, timer = payload
                 # timers of a departed node die with it (crash-stop)
                 if not timer.cancelled and (node < 0 or node in alive):
                     if keep_trace:
                         observer.record_timer(time, seq, node, timer.label)
                     timer.fn()
-            elif kind == _DIAL:
-                self._dispatch_dial(payload)
-            elif kind == _DEPART:
-                self._dispatch_departure(payload)
         return executed
 
-    def _dispatch_dial(self, payload) -> None:
-        frm, to = payload
-        engine = self._engines.get(frm)
-        if not self.is_alive(frm):
-            return
-        ok = self.is_alive(to)
-        if ok and not self.connected(frm, to):
-            self.add_edge(frm, to)
-        if engine is not None:
-            engine.handle_dial(to, ok)
-
-    def _dispatch_departure(self, node: PeerId) -> None:
-        if node not in self._alive:
-            return
+    def _depart(self, node: PeerId) -> None:
         self._alive.discard(node)
         self.departures += 1
         for other in self._adjacency[node]:

@@ -13,7 +13,10 @@ preceded by a WANT-HAVE that verifies the provider.
 A relay decides once per ``(cid, predecessor)`` and keeps that relay entry
 for the whole run: a new walk step draws a successor (or the proxy role),
 and every later WANT-FORWARD from the same predecessor for the same CID
-follows the entry.
+follows the entry. Entries are written once; a collapse only clears the
+successor. A second dict lists, per ``(cid, successor)``, the predecessors
+whose entries were made with that successor, so a returning FORWARD-HAVE
+finds the walks it goes back to without scanning every entry.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (BLOCK, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
-                   WANT_HAVE, Cid, Message, PeerId, ProviderRecord)
+                   WANT_HAVE, Cid, Message, PeerId)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine, Search)
 from .netsim import RngStream, WalkTag
@@ -96,49 +99,14 @@ class RelayEntry:
     tag: WalkTag  # of the WANT-FORWARD that made the entry
 
 
-class RelayTable(dict):
-    """Relay entries keyed by ``(cid, predecessor)``, indexed by
-    ``(cid, successor)`` so a returning FORWARD-HAVE finds the predecessors
-    it goes back to without scanning every entry.
-
-    Entries live for the whole run: write each key once by item assignment
-    and end a relay role with `collapse`. Other dict mutators bypass the
-    index.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._via: dict[tuple[Cid, PeerId], list[PeerId]] = {}
-
-    def __setitem__(self, key: tuple[Cid, PeerId], entry: RelayEntry) -> None:
-        super().__setitem__(key, entry)
-        if entry.successor is not None:
-            self._via.setdefault((key[0], entry.successor), []).append(key[1])
-
-    def collapse(self, key: tuple[Cid, PeerId]) -> None:
-        """The recorded successor is gone: this entry now marks the proxy."""
-        entry = self[key]
-        via = (key[0], entry.successor)
-        preds = self._via[via]
-        preds.remove(key[1])
-        if not preds:
-            del self._via[via]
-        entry.successor = None
-
-    def via(self, cid: Cid, successor: PeerId) -> list[tuple[PeerId, RelayEntry]]:
-        """(predecessor, entry) of every entry relaying `cid` to
-        `successor`, in the table's insertion order."""
-        preds = self._via.get((cid, successor), ())
-        return [(pred, self[(cid, pred)]) for pred in preds]
-
-
 @dataclass
 class ProxySession(Search):
     """A proxy's search; DONE once it has answered the walks."""
 
     # predecessor -> tag of the walk that ended here
     preds: dict[PeerId, WalkTag] = field(default_factory=dict)
-    found: list[ProviderRecord] = field(default_factory=list)
+    # providers in the order they were found
+    found: dict[PeerId, None] = field(default_factory=dict)
     # the FORWARD-HAVE sent when DONE, and again to every later walk
     answer: Message | None = None
     answer_pending: bool = False
@@ -165,7 +133,10 @@ class RawaEngine(HonestEngine):
         self.graph: tuple[PeerId, ...] | None = None
         # (graph, departures, its reachable successors at that count)
         self._live: tuple = (None, -1, ())
-        self.entries = RelayTable()
+        # (cid, predecessor) -> its relay entry, written once
+        self.entries: dict[tuple[Cid, PeerId], RelayEntry] = {}
+        # (cid, successor) -> the predecessors relayed to it, in entry order
+        self.relayed: dict[tuple[Cid, PeerId], list[PeerId]] = {}
         self.sent_for_cid: dict[Cid, set[PeerId]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
 
@@ -261,12 +232,13 @@ class RawaEngine(HonestEngine):
         if entry is None:
             successor = self._next_hop(cid, frm)
             self.entries[key] = RelayEntry(successor, tag)
+            if successor is not None:
+                self.relayed.setdefault((cid, successor), []).append(frm)
         else:
             successor = entry.successor
             if successor is not None and not sim.reachable(self.node, successor):
                 # recorded successor is gone: collapse into the proxy role
-                self.entries.collapse(key)
-                successor = None
+                successor = entry.successor = None
         if successor is None:
             self._become_proxy(cid, frm, tag)
             return
@@ -311,18 +283,13 @@ class RawaEngine(HonestEngine):
             self._send_answer(session, pred)
         elif new:
             if cid in self.store:
-                session.found.append(ProviderRecord(self.node))
+                session.found[self.node] = None
                 self._answer(session)
             else:
                 self._broadcast(session)
 
-    def _on_index(self, session: ProxySession,
-                  providers: list[ProviderRecord]) -> None:
-        known = {r.peer for r in session.found}
-        for rec in providers:
-            if rec.peer not in known:
-                session.found.append(rec)
-                known.add(rec.peer)
+    def _on_index(self, session: ProxySession, providers: list[PeerId]) -> None:
+        session.found.update(dict.fromkeys(providers))
         if session.found:
             self._answer(session)
         # otherwise retry, then stay silent; the requester's own fallback
@@ -332,8 +299,7 @@ class RawaEngine(HonestEngine):
         if session.state is DONE:
             return
         session.last_activity = self._sim().now
-        if all(r.peer != frm for r in session.found):
-            session.found.append(ProviderRecord(frm))
+        session.found.setdefault(frm)
         if self.config.proxy_aggregate_dht:
             self._lookup(session)
             return
@@ -365,7 +331,11 @@ class RawaEngine(HonestEngine):
         cid = msg.cid
         sim = self._sim()
         handled = False
-        for pred, entry in self.entries.via(cid, frm):
+        entries = self.entries
+        for pred in self.relayed.get((cid, frm), ()):
+            entry = entries[(cid, pred)]
+            if entry.successor != frm:
+                continue  # the entry has collapsed into the proxy role
             handled = True
             if sim.reachable(self.node, pred):
                 # the relayed copy is the received message itself

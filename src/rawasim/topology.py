@@ -30,13 +30,11 @@ def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
     honest = list(range(n_honest))
     for node in honest:
         sim.add_node(node)
-    connected: dict[PeerId, set[PeerId]] = {n: set() for n in honest}
     for node in honest:
-        candidates = [p for p in honest if p != node and p not in connected[node]]
+        connected = set(sim.neighbors(node))
+        candidates = [p for p in honest if p != node and p not in connected]
         for target in rng.sample(candidates, min(out_links, len(candidates))):
             sim.add_edge(node, target)
-            connected[node].add(target)
-            connected[target].add(node)
     return honest
 
 

@@ -10,7 +10,7 @@ WANT-HAVE. The fetch itself is the shared one in `rawasim.engine`.
 
 from __future__ import annotations
 
-from .core import BLOCK, HAVE, Message, PeerId, ProviderRecord
+from .core import BLOCK, HAVE, Message, PeerId
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine)
 from .netsim import WalkTag
@@ -29,7 +29,7 @@ class VanillaEngine(HonestEngine):
     def _discover(self, session: FetchSession) -> None:
         self._broadcast(session)
 
-    def _on_index(self, session: FetchSession, providers: list[ProviderRecord]) -> None:
+    def _on_index(self, session: FetchSession, providers: list[PeerId]) -> None:
         self._offer(session, providers)
 
     def _all_tried(self, session: FetchSession) -> None:
@@ -51,7 +51,7 @@ class VanillaEngine(HonestEngine):
             return
         session.last_activity = sim.now
         if msg.variant is HAVE:
-            self._merge(session, [ProviderRecord(frm)])
+            self._merge(session, (frm,))
             if session.state is SEARCHING and frm not in session.tried:
                 self._attempt(session, frm)
         elif session.state is FETCHING and frm == session.target:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rawasim.core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES,
-                          Block, Cid, Message, MessageType, ProviderRecord,
-                          derive_cid, peer_name, validate_block, wire_size)
+                          Block, Cid, Message, MessageType, derive_cid,
+                          peer_name, validate_block, wire_size)
 
 
 def test_cid_deterministic():
@@ -46,7 +46,7 @@ def test_message_field_invariants():
     with pytest.raises(ValueError):
         Message(MessageType.BLOCK, cid)
     with pytest.raises(ValueError):
-        Message(MessageType.HAVE, cid, providers=(ProviderRecord(1),))
+        Message(MessageType.HAVE, cid, providers=(1,))
     with pytest.raises(ValueError):
         Message(MessageType.FORWARD_HAVE, cid)
     for variant in MessageType:
@@ -56,15 +56,14 @@ def test_message_field_invariants():
         if variant is not MessageType.FORWARD_HAVE:
             payload = Block(b"x") if variant is MessageType.BLOCK else None
             with pytest.raises(ValueError, match="providers"):
-                Message(variant, cid, payload, (ProviderRecord(1),))
+                Message(variant, cid, payload, (1,))
 
 
 def test_wire_size_table():
     cid = derive_cid(Block(b"x"))
     assert wire_size(Message(MessageType.WANT_HAVE, cid)) == 44
     assert wire_size(Message(MessageType.CANCEL, cid)) == 44
-    providers = tuple(ProviderRecord(p) for p in (1, 2))
-    assert wire_size(Message(MessageType.FORWARD_HAVE, cid, providers=providers)) == 120
+    assert wire_size(Message(MessageType.FORWARD_HAVE, cid, providers=(1, 2))) == 120
     assert wire_size(Message(MessageType.BLOCK, cid, payload=Block(b"a" * 1025))) == 1069
 
 
@@ -117,6 +116,6 @@ def test_wire_size_follows_the_table(payload, providers):
         assert wire_size(Message(variant, cid)) == base
     block = Message(MessageType.BLOCK, cid, payload=Block(b"b" * payload))
     assert wire_size(block) == base + payload
-    records = tuple(ProviderRecord(p) for p in range(providers))
-    forward = Message(MessageType.FORWARD_HAVE, cid, providers=records)
+    forward = Message(MessageType.FORWARD_HAVE, cid,
+                      providers=tuple(range(providers)))
     assert wire_size(forward) == base + PROVIDER_RECORD_BYTES * providers

@@ -28,7 +28,7 @@ def test_provide_then_lookup():
     cid = derive_cid(Block(b"a"))
     dht.provide(cid, 1)
     providers, at = lookup_now(sim, dht, cid)
-    assert [r.peer for r in providers] == [1]
+    assert providers == [1]
 
 
 def test_provide_idempotent():
@@ -37,7 +37,7 @@ def test_provide_idempotent():
     dht.provide(cid, 1)
     dht.provide(cid, 1)
     providers, _ = lookup_now(sim, dht, cid)
-    assert [r.peer for r in providers] == [1]
+    assert providers == [1]
 
 
 def test_multiple_providers_returned():
@@ -46,7 +46,7 @@ def test_multiple_providers_returned():
     dht.provide(cid, 2)
     dht.provide(cid, 1)
     providers, _ = lookup_now(sim, dht, cid)
-    assert [r.peer for r in providers] == [1, 2]
+    assert providers == [1, 2]
 
 
 def test_unknown_cid_empty_after_same_delay():
@@ -71,7 +71,7 @@ def test_departed_provider_filtered_at_delivery():
     dht.provide(cid, 2)
     sim.schedule_departure(2, at=100.0)  # departs while the query is pending
     providers, _ = lookup_now(sim, dht, cid)
-    assert [r.peer for r in providers] == [1]
+    assert providers == [1]
 
 
 def test_never_returns_unregistered_peer():
@@ -79,4 +79,4 @@ def test_never_returns_unregistered_peer():
     cid = derive_cid(Block(b"a"))
     dht.provide(cid, 3)
     providers, _ = lookup_now(sim, dht, cid)
-    assert all(r.peer == 3 for r in providers)
+    assert all(p == 3 for p in providers)

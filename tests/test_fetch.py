@@ -86,3 +86,23 @@ def test_fired_timers_leave_the_session(protocol):
     # discovery ticks, give-up and at most one attempt
     assert max(held) <= 4
     assert held[-1] == 0
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_two_requests_dialling_one_provider_both_complete(protocol):
+    # node 0 wants two blocks that only node 2, not a neighbour, stores:
+    # both requests learn of node 2 at the same moment and dial it, and
+    # each must get its own dial back
+    scn = Scenario(3, [(0, 1)], protocol=protocol, rawa=RaWaConfig(p=1.0))
+    cids = [scn.place_block(2, make_block(1025, tag=tag)) for tag in (1, 2)]
+    scn.build_graphs()
+    for cid in cids:
+        scn.request(0, cid)
+    scn.sim.run()
+    dials = [rec[0] for rec in scn.observer.trace
+             if rec[2] == "timer" and rec[5] == "dial:P2"]
+    want_blocks = scn.sends("WANT-BLOCK")
+    assert sorted(rec[6] for rec in want_blocks) == sorted(c.short() for c in cids)
+    assert len(dials) == 2
+    assert [rec[0] for rec in want_blocks] == dials
+    assert all(scn.engines[0].sessions[cid].state is DONE for cid in cids)

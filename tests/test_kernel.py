@@ -1,20 +1,21 @@
 """The event kernel's shortcuts against what they stand in for: cached
 neighbor and successor views against a fresh computation, the relay index
-against a scan of every relay entry, the fan-out against a
+against the relay entries it stands for, the fan-out against a
 `reachable`-guarded send loop, the per-run shared messages against fresh
 ones, and the inlined send delay against `link_delay`."""
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawasim.core import Message, MessageType, ProviderRecord, derive_cid, wire_size
+from rawasim.core import Message, MessageType, derive_cid, wire_size
 from rawasim.netsim import LinkSpec, Observer, Simulator, WalkTag, link_delay
-from rawasim.rawa import RaWaConfig, RelayEntry, RelayTable
+from rawasim.rawa import RaWaConfig, RelayEntry
 from rawasim.runner import ExperimentConfig, build_run
 
 from conftest import ZERO_JITTER, Scenario, make_block
@@ -61,7 +62,7 @@ def test_cached_views_equal_recomputed_after_any_topology_change(edges, ops):
         if kind == "edge" and a != rest[0]:
             sim.add_edge(a, rest[0])
         elif kind == "dial" and a != rest[0]:
-            sim.dial(a, rest[0])
+            sim.dial(a, rest[0], lambda ok: None)
             sim.run()
         elif kind == "depart" and sim.is_alive(a):
             sim.schedule_departure(a, sim.now)
@@ -85,38 +86,57 @@ def test_neighbors_view_is_shared_until_an_edge_changes():
 
 # -- relay index -----------------------------------------------------------------
 
-
-def scan(table: dict, cid, successor) -> list:
-    """The index's reference: every entry relaying `cid` to `successor`, in
-    table order."""
-    return [(pred, entry) for (c, pred), entry in table.items()
-            if c == cid and entry.successor == successor]
-
-
-# few predecessors and successors, so entries often share a successor
-few_preds = st.integers(0, 3)
-table_op = st.one_of(
-    st.tuples(st.just("set"), st.booleans(), few_preds,
-              st.one_of(st.none(), st.integers(0, 2))),
-    st.tuples(st.just("collapse"), st.booleans(), few_preds, st.none()),
+RELAY = 4
+SUCCESSORS = (5, 6, 7, 8)
+relay_op = st.one_of(
+    # a WANT-FORWARD from one of few predecessors, so repeats are common
+    st.tuples(st.just("forward"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("depart"), st.sampled_from(SUCCESSORS), st.none()),
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(ops=st.lists(table_op, max_size=30))
-def test_relay_index_matches_a_scan_of_every_entry(ops):
-    table = RelayTable()
-    for kind, other, pred, successor in ops:
-        key = (OTHER_CID if other else CID, pred)
-        if key not in table and kind == "set":
-            # an entry is written once and lives for the whole run
-            table[key] = RelayEntry(successor, WalkTag((pred, key[0], 0), 1, 0))
-        elif key in table and table[key].successor is not None \
-                and kind == "collapse":
-            table.collapse(key)
-        for cid in (CID, OTHER_CID):
-            for s in range(3):
-                assert table.via(cid, s) == scan(table, cid, s)
+class Sink:
+    def handle_message(self, frm, msg, tag=None):
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), ops=st.lists(relay_op, max_size=30))
+def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, ops):
+    """After any WANT-FORWARDs from predecessors 0-3 for two CIDs and any
+    departures of successors, a FORWARD-HAVE from each successor goes back
+    to exactly the predecessors whose entry still names it as successor,
+    in the order the entries were made; with none it is a stray."""
+    edges = [(pred, RELAY) for pred in range(4)] + [(RELAY, s) for s in SUCCESSORS]
+    scn = Scenario(9, edges, rawa=RaWaConfig(p=0.3), seed=seed)
+    sim = scn.sim
+    for v in range(9):
+        if v != RELAY:
+            sim.attach(v, Sink())
+    engine = scn.engines[RELAY]
+    engine.graph = SUCCESSORS
+    retx = Counter()
+    for kind, a, other in ops:
+        if kind == "forward":
+            cid = OTHER_CID if other else CID
+            tag = WalkTag((a, cid, 0), 1, retx[(a, cid)])
+            retx[(a, cid)] += 1
+            engine.handle_message(a, Message(MessageType.WANT_FORWARD, cid), tag)
+        elif sim.is_alive(a):
+            sim.schedule_departure(a, sim.now)
+            sim.run(until=sim.now)
+    observer = scn.observer
+    for cid in (CID, OTHER_CID):
+        for s in SUCCESSORS:
+            expected = [(entry.tag.walk, RELAY, pred)
+                        for (c, pred), entry in engine.entries.items()
+                        if c == cid and entry.successor == s]
+            sent, drops = len(observer.fh_sends), len(observer.drops)
+            engine.handle_message(s, Message(MessageType.FORWARD_HAVE, cid,
+                                             providers=(s,)), None)
+            assert [rec[:3] for rec in observer.fh_sends[sent:]] == expected
+            assert [d[5] for d in observer.drops[drops:]] == \
+                ([] if expected else ["stray-forward-have"])
 
 
 def test_shared_successor_returns_to_predecessors_in_insertion_order():
@@ -125,7 +145,8 @@ def test_shared_successor_returns_to_predecessors_in_insertion_order():
     engine = scn.engines[2]
     engine.entries[(CID, 1)] = RelayEntry(3, WalkTag((1, CID, 0), 1, 0))
     engine.entries[(CID, 0)] = RelayEntry(3, WalkTag((0, CID, 0), 1, 0))
-    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(ProviderRecord(3),))
+    engine.relayed[(CID, 3)] = [1, 0]
+    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(3,))
     engine.handle_message(3, fh, WalkTag((1, CID, 0), 2, 0))
     assert [rec[4] for rec in scn.sends("FORWARD-HAVE")] == [1, 0]
     assert [rec[0] for rec in scn.observer.fh_sends] == [(1, CID, 0), (0, CID, 0)]
@@ -145,8 +166,7 @@ def test_collapse_to_proxy_leaves_the_index():
                           tag._replace(retx=1))
     assert engine.entries[(CID, 0)].successor is None
     assert CID in engine.proxies
-    assert engine.entries.via(CID, 2) == []
-    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(ProviderRecord(2),))
+    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(2,))
     engine.handle_message(2, fh, None)
     assert scn.observer.drops[-1][5] == "stray-forward-have"
 
@@ -160,9 +180,6 @@ class Recorder:
 
     def handle_message(self, frm, msg, tag=None):
         self.got.append((frm, msg, tag))
-
-    def handle_dial(self, peer, ok):
-        pass
 
 
 def star(n: int) -> tuple[Simulator, dict]:

@@ -4,7 +4,8 @@
 Engines and the provider index hold the simulator weakly, and sessions
 hold only weak handles to their pending timers, so a run holds no
 reference cycle however it ends: all requests settled, nodes departed with
-timers pending, or stopped by a run bound with events still queued.
+timers pending, or stopped by a run bound with events, dials and
+departures still queued.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ ENDINGS = {
     "plain": {},
     "churn-stagger": {"churn": ((1, 300.0), (4, 900.0)), "stagger_ms": 200.0},
     "run-bound": {"run_bound_ms": 700.0},
+    # a departure, and under rawa some dials, still queued at the bound
+    "run-bound-churn": {"churn": ((1, 300.0), (4, 900.0)), "run_bound_ms": 700.0},
 }
 
 

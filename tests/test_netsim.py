@@ -14,13 +14,9 @@ class Recorder:
 
     def __init__(self):
         self.messages = []
-        self.dials = []
 
     def handle_message(self, frm, msg, tag=None):
         self.messages.append((frm, msg, tag))
-
-    def handle_dial(self, peer, ok):
-        self.dials.append((peer, ok))
 
 
 def two_node_sim(link=ZERO_JITTER, seed=1):
@@ -117,32 +113,35 @@ def test_fifo_per_directed_link_under_jitter():
 
 
 def test_dial_costs_one_round_trip():
-    sim, recorders = two_node_sim()
+    sim, _ = two_node_sim()
     sim.add_node(2)
     sim.attach(2, Recorder())
-    sim.dial(0, 2)
+    dials = []
+    sim.dial(0, 2, dials.append)
     sim.run()
-    assert recorders[0].dials == [(2, True)]
+    assert dials == [True]
     assert sim.connected(0, 2)
     assert sim.now == pytest.approx(200.0)
 
 
 def test_dial_to_departed_peer_fails():
-    sim, recorders = two_node_sim()
+    sim, _ = two_node_sim()
     sim.add_node(2)
     sim.attach(2, Recorder())
     sim.schedule_departure(2, at=0.0)
-    sim.schedule(1.0, "dial", lambda: sim.dial(0, 2))
+    dials = []
+    sim.schedule(1.0, "dial", lambda: sim.dial(0, 2, dials.append))
     sim.run()
-    assert recorders[0].dials == [(2, False)]
+    assert dials == [False]
     assert not sim.connected(0, 2)
 
 
 def test_dial_existing_neighbor_is_immediate_noop():
-    sim, recorders = two_node_sim()
-    sim.dial(0, 1)
+    sim, _ = two_node_sim()
+    dials = []
+    sim.dial(0, 1, dials.append)
     sim.run()
-    assert recorders[0].dials == [(1, True)]
+    assert dials == [True]
     assert sim.now == 0.0
 
 
@@ -152,9 +151,28 @@ def test_dial_cost_disabled_by_multiplier():
     for node in (0, 1):
         sim.add_node(node)
     sim.attach(0, rec)
-    sim.dial(0, 1)
+    dials = []
+    sim.dial(0, 1, dials.append)
     sim.run()
+    assert dials == [True]
     assert sim.now == 0.0 and sim.connected(0, 1)
+
+
+def test_dial_and_departure_are_timers_of_their_node():
+    sim, _ = two_node_sim()
+    sim.add_node(2)
+    sim.attach(2, Recorder())
+    dials = []
+    sim.dial(1, 2, dials.append)
+    sim.dial(0, 2, dials.append)
+    sim.schedule_departure(0, at=50.0)
+    sim.run()
+    # the departed dialler's dial dies with it; the other one completes
+    assert dials == [True]
+    assert sim.connected(1, 2) and not sim.connected(0, 2)
+    timers = [(t, node, label) for t, _, kind, node, _, label, _, _
+              in sim.observer.trace if kind == "timer"]
+    assert timers == [(50.0, 0, "depart"), (200.0, 1, "dial:P2")]
 
 
 def test_trace_export_line_format():

@@ -84,7 +84,7 @@ def test_no_send_on_a_non_edge(config):
     alive = set(sim.nodes())
     bad = []
     add_edge = Simulator.add_edge
-    depart = Simulator._dispatch_departure
+    depart = Simulator._depart
     record_send = Observer.record_send
 
     def adding(self, a, b):
@@ -103,7 +103,7 @@ def test_no_send_on_a_non_edge(config):
         record_send(self, time, seq, frm, to, msg, tag)
 
     with patch.object(Simulator, "add_edge", adding), \
-            patch.object(Simulator, "_dispatch_departure", departing), \
+            patch.object(Simulator, "_depart", departing), \
             patch.object(Observer, "record_send", recording_send):
         sim.run()
     assert bad == []

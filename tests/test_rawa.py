@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from rawasim.adversary import ExploiterNode, ObservationLog
-from rawasim.core import Message, MessageType, ProviderRecord, derive_cid
+from rawasim.core import Message, MessageType, derive_cid
 from rawasim.netsim import LinkSpec, Simulator, WalkTag
 from rawasim.rawa import (RaWaConfig, RawaEngine, RelayEntry,
                           build_forward_graph, path_length_probability)
@@ -236,8 +236,8 @@ def test_route_back_copies_to_every_matching_predecessor():
     engine = scn.engines[2]
     engine.entries[(cid, 0)] = RelayEntry(3, WalkTag((0, cid, 0), 1, 0))
     engine.entries[(cid, 1)] = RelayEntry(3, WalkTag((1, cid, 0), 1, 0))
-    fh = Message(MessageType.FORWARD_HAVE, cid,
-                 providers=(ProviderRecord(3),))
+    engine.relayed[(cid, 3)] = [0, 1]
+    fh = Message(MessageType.FORWARD_HAVE, cid, providers=(3,))
     engine.handle_message(3, fh, WalkTag((0, cid, 0), 2, 0))
     scn.sim.run()
     targets = sorted(rec[4] for rec in scn.sends("FORWARD-HAVE"))
@@ -248,7 +248,7 @@ def test_stray_forward_have_dropped_with_diagnostic():
     scn = Scenario(2, [(0, 1)], rawa=RaWaConfig(p=0.5))
     cid = derive_cid(make_block(1025))
     scn.build_graphs()
-    fh = Message(MessageType.FORWARD_HAVE, cid, providers=(ProviderRecord(0),))
+    fh = Message(MessageType.FORWARD_HAVE, cid, providers=(0,))
     scn.engines[1].handle_message(0, fh, None)
     assert any(reason == "stray-forward-have" for *_, reason in scn.observer.drops)
 
@@ -257,9 +257,6 @@ class Sink:
     """An engine that swallows everything delivered to it."""
 
     def handle_message(self, frm, msg, tag=None):
-        pass
-
-    def handle_dial(self, peer, ok):
         pass
 
 
@@ -369,7 +366,7 @@ def test_aggregation_window_answers_once_with_all_collected():
         closes = haves[0][0] + window
         [answer] = [rec for rec in scn.sends("FORWARD-HAVE") if rec[3] == 7]
         assert answer[0] == pytest.approx(closes, abs=1e-9)
-        sent = [r.peer for r in scn.engines[7].proxies[cid].answer.providers]
+        sent = list(scn.engines[7].proxies[cid].answer.providers)
         assert sent == [frm for at, frm in haves if at < closes]
         partial += 1 < len(sent) < 6
         assert 0 in scn.observer.completions
