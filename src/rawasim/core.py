@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 PeerId = int
 
@@ -47,11 +48,20 @@ class Cid(bytes):
 
 @dataclass(frozen=True)
 class Block:
+    """An immutable payload. Its CID is computed on first use and kept on
+    the instance, so a block is hashed once however often it is stored,
+    sent and validated; a different (say, tampered) block is a different
+    object and is hashed afresh."""
+
     payload: bytes
 
     @property
     def size(self) -> int:
         return len(self.payload)
+
+    @cached_property
+    def cid(self) -> Cid:
+        return Cid(hashlib.sha256(self.payload).digest())
 
     def __post_init__(self) -> None:
         if not self.payload:
@@ -60,11 +70,11 @@ class Block:
 
 def derive_cid(block: Block) -> Cid:
     """Digest of the payload; equal payloads always map to equal CIDs."""
-    return Cid(hashlib.sha256(block.payload).digest())
+    return block.cid
 
 
 def validate_block(cid: Cid, block: Block) -> bool:
-    return derive_cid(block) == cid
+    return block.cid == cid
 
 
 class MessageType(Enum):

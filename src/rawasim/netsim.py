@@ -19,9 +19,13 @@ a cached sorted tuple that `add_edge` and departures invalidate; edges
 disappear only when a node departs, which `departures` counts so engines
 can key their own reachability caches on it.
 
-The heap holds two event kinds: a message delivery and a timer of a node
-(or of no node). A dial and a departure are kernel timers of the node that
-dials or departs, so a dial dies with its dialler, as engine timers do.
+The heap holds two event kinds as flat tuples, told apart by length: a
+message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node (or
+of no node, -1) ``(at, seq, node, timer)``. A dial and a departure are
+kernel timers of the node that dials or departs, so a dial dies with its
+dialler, as engine timers do. The link model is read once, at
+construction: `send` and `dial` keep its numbers and draw jitter with the
+same float operations as ``random.uniform``.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the heap, its pending timers and messages;
@@ -29,11 +33,14 @@ engines, the provider index and the kernel's own dial and departure timers
 hold the simulator through a weak reference, and engines keep only weak
 handles to their pending timers. A finished run is therefore freed by
 reference counting as soon as its last handle goes, without the cycle
-collector.
+collector, and `run` switches the collector off while its loop runs (and
+restores its previous state afterwards): a collection there could only
+walk the run's live heap.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 import weakref
@@ -44,9 +51,6 @@ from typing import Callable, Iterable, NamedTuple
 from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
 
 RngStream = random.Random
-
-_DELIVER = 0
-_TIMER = 1
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,14 @@ class Simulator:
 
     def __init__(self, link: LinkSpec, rng: RngStream, observer: Observer | None = None,
                  dial_rtt_multiplier: float = 1.0):
-        self.link = link
         self.rng = rng
+        # the link model, read once: random.uniform(a, b) is
+        # a + (b - a) * random(), with a = -jitter here
+        self._latency_ms = link.latency_ms
+        self._bandwidth = link.bandwidth_bytes_per_s
+        self._jitter_lo = -link.jitter_ms
+        self._jitter_span = link.jitter_ms - self._jitter_lo
+        self._random = rng.random
         self.observer = observer if observer is not None else Observer()
         self.dial_rtt_multiplier = dial_rtt_multiplier
         self.now = 0.0
@@ -239,7 +249,8 @@ class Simulator:
         return peer in self._alive
 
     def reachable(self, frm: PeerId, to: PeerId) -> bool:
-        return self.connected(frm, to) and self.is_alive(frm) and self.is_alive(to)
+        alive = self._alive
+        return to in self._adjacency.get(frm, ()) and frm in alive and to in alive
 
     def message(self, variant: MessageType, cid: Cid) -> Message:
         """The run's one payload-free `variant` message for `cid`. Messages
@@ -254,15 +265,21 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def _push(self, time: float, kind: int, payload) -> None:
+    def _push(self, time: float, node: PeerId, timer: Timer) -> None:
         assert time >= self.now, f"event at {time} scheduled before now={self.now}"
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, node, timer))
+
+    def _one_way_ms(self) -> float:
+        """Base latency plus one jitter draw: one leg of a dial."""
+        span = self._jitter_span
+        return self._latency_ms + (
+            self._jitter_lo + span * self._random() if span else 0.0)
 
     def schedule(self, delay_ms: float, label: str, fn: Callable[[], None],
                  node: PeerId = -1) -> Timer:
         timer = Timer(label, fn)
-        self._push(self.now + delay_ms, _TIMER, (node, timer))
+        self._push(self.now + delay_ms, node, timer)
         return timer
 
     def send(self, frm: PeerId, to: PeerId, msg: Message,
@@ -274,18 +291,13 @@ class Simulator:
             self.observer.record_drop(self.now, frm, to, msg, "send-no-link")
             return False
         now = self.now
-        # link_delay inlined: the same draw and the same float arithmetic
-        # (random.uniform(a, b) is a + (b - a) * random()); wire sizes are
-        # at least the envelope, so its size check cannot fail here
-        link = self.link
-        jitter = link.jitter_ms
-        if jitter:
-            a, b = -jitter, jitter
-            jitter = a + (b - a) * self.rng.random()
-        else:
-            jitter = 0.0
-        at = now + (link.latency_ms + jitter
-                    + wire_size(msg) / link.bandwidth_bytes_per_s * 1000.0)
+        # link_delay inlined: the same draw and the same float arithmetic;
+        # wire sizes are at least the envelope, so its size check cannot
+        # fail here
+        span = self._jitter_span
+        jitter = self._jitter_lo + span * self._random() if span else 0.0
+        at = now + (self._latency_ms + jitter
+                    + wire_size(msg) / self._bandwidth * 1000.0)
         # FIFO per directed link: never overtake an earlier message.
         key = (frm, to)
         last = self._last_delivery
@@ -295,7 +307,7 @@ class Simulator:
         last[key] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
-        heapq.heappush(self._heap, (at, seq, _DELIVER, (frm, to, msg, tag)))
+        heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
         return True
 
     def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message) -> None:
@@ -317,10 +329,7 @@ class Simulator:
         ``done(ok)``. A dial to an existing neighbor succeeds at once."""
         rtt = 0.0
         if not self.connected(frm, to) and self.dial_rtt_multiplier > 0:
-            one_way = lambda: self.link.latency_ms + (
-                self.rng.uniform(-self.link.jitter_ms, self.link.jitter_ms)
-                if self.link.jitter_ms else 0.0)
-            rtt = self.dial_rtt_multiplier * (one_way() + one_way())
+            rtt = self.dial_rtt_multiplier * (self._one_way_ms() + self._one_way_ms())
         ref = weakref.ref(self)
 
         def connect() -> None:
@@ -329,8 +338,7 @@ class Simulator:
             if ok and not sim.connected(frm, to):
                 sim.add_edge(frm, to)
             done(ok)
-        timer = Timer(f"dial:{peer_name(to)}", connect)
-        self._push(self.now + rtt, _TIMER, (frm, timer))
+        self._push(self.now + rtt, frm, Timer(f"dial:{peer_name(to)}", connect))
 
     def schedule_departure(self, node: PeerId, at: float) -> None:
         """Crash-stop `node` at the absolute time `at`: a timer of `node`,
@@ -338,11 +346,15 @@ class Simulator:
         if not self.is_alive(node):
             raise ValueError(f"{peer_name(node)} already departed")
         ref = weakref.ref(self)
-        self._push(at, _TIMER, (node, Timer("depart", lambda: ref()._depart(node))))
+        self._push(at, node, Timer("depart", lambda: ref()._depart(node)))
 
     # -- event loop -------------------------------------------------------
 
     def run(self, until: float | None = None) -> int:
+        """Execute events in ``(time, seq)`` order until the heap is empty
+        or the next event lies after `until`; returns the number executed.
+        The cycle collector is off while the loop runs and gets its previous
+        state back however the loop ends."""
         heap = self._heap
         alive = self._alive
         adjacency = self._adjacency
@@ -350,37 +362,44 @@ class Simulator:
         observer = self.observer
         keep_trace = observer.keep_trace
         cap = self.livelock_cap
+        limit = float("inf") if until is None else until
         pop = heapq.heappop
         executed = 0
-        while heap:
-            event = pop(heap)
-            time, seq, kind, payload = event
-            if until is not None and time > until:
-                heapq.heappush(heap, event)
-                break
-            self.now = time
-            executed += 1
-            if executed > cap:
-                raise RuntimeError(f"livelock: more than {cap} events")
-            if kind == _DELIVER:
-                frm, to, msg, tag = payload
-                if to not in alive or frm not in alive or to not in adjacency[frm]:
-                    observer.record_drop(time, frm, to, msg, "in-flight-loss")
-                    continue
-                engine = engines.get(to)
-                if engine is None:
-                    observer.record_drop(time, frm, to, msg, "no-engine")
-                    continue
-                if keep_trace:
-                    observer.record_deliver(time, seq, frm, to, msg)
-                engine.handle_message(frm, msg, tag)
-            else:
-                node, timer = payload
-                # timers of a departed node die with it (crash-stop)
-                if not timer.cancelled and (node < 0 or node in alive):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                event = pop(heap)
+                time = event[0]
+                if time > limit:
+                    heapq.heappush(heap, event)
+                    break
+                self.now = time
+                executed += 1
+                if executed > cap:
+                    raise RuntimeError(f"livelock: more than {cap} events")
+                if len(event) == 6:
+                    _, seq, frm, to, msg, tag = event
+                    if to not in alive or frm not in alive or to not in adjacency[frm]:
+                        observer.record_drop(time, frm, to, msg, "in-flight-loss")
+                        continue
+                    engine = engines.get(to)
+                    if engine is None:
+                        observer.record_drop(time, frm, to, msg, "no-engine")
+                        continue
                     if keep_trace:
-                        observer.record_timer(time, seq, node, timer.label)
-                    timer.fn()
+                        observer.record_deliver(time, seq, frm, to, msg)
+                    engine.handle_message(frm, msg, tag)
+                else:
+                    _, seq, node, timer = event
+                    # timers of a departed node die with it (crash-stop)
+                    if not timer.cancelled and (node < 0 or node in alive):
+                        if keep_trace:
+                            observer.record_timer(time, seq, node, timer.label)
+                        timer.fn()
+        finally:
+            if enabled:
+                gc.enable()
         return executed
 
     def _depart(self, node: PeerId) -> None:

@@ -14,9 +14,10 @@ A relay decides once per ``(cid, predecessor)`` and keeps that relay entry
 for the whole run: a new walk step draws a successor (or the proxy role),
 and every later WANT-FORWARD from the same predecessor for the same CID
 follows the entry. Entries are written once; a collapse only clears the
-successor. A second dict lists, per ``(cid, successor)``, the predecessors
-whose entries were made with that successor, so a returning FORWARD-HAVE
-finds the walks it goes back to without scanning every entry.
+successor. Loop reduction never hands one CID's walks the same successor
+twice, so a second dict maps ``(cid, successor)`` to the one predecessor
+whose entry was made with that successor, and a returning FORWARD-HAVE
+finds the walk it goes back to with one lookup.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -135,8 +136,8 @@ class RawaEngine(HonestEngine):
         self._live: tuple = (None, -1, ())
         # (cid, predecessor) -> its relay entry, written once
         self.entries: dict[tuple[Cid, PeerId], RelayEntry] = {}
-        # (cid, successor) -> the predecessors relayed to it, in entry order
-        self.relayed: dict[tuple[Cid, PeerId], list[PeerId]] = {}
+        # (cid, successor) -> the one predecessor relayed to it
+        self.relayed: dict[tuple[Cid, PeerId], PeerId] = {}
         self.sent_for_cid: dict[Cid, set[PeerId]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
 
@@ -233,7 +234,7 @@ class RawaEngine(HonestEngine):
             successor = self._next_hop(cid, frm)
             self.entries[key] = RelayEntry(successor, tag)
             if successor is not None:
-                self.relayed.setdefault((cid, successor), []).append(frm)
+                self.relayed[(cid, successor)] = frm
         else:
             successor = entry.successor
             if successor is not None and not sim.reachable(self.node, successor):
@@ -331,15 +332,15 @@ class RawaEngine(HonestEngine):
         cid = msg.cid
         sim = self._sim()
         handled = False
-        entries = self.entries
-        for pred in self.relayed.get((cid, frm), ()):
-            entry = entries[(cid, pred)]
-            if entry.successor != frm:
-                continue  # the entry has collapsed into the proxy role
-            handled = True
-            if sim.reachable(self.node, pred):
-                # the relayed copy is the received message itself
-                sim.send(self.node, pred, msg, entry.tag)
+        pred = self.relayed.get((cid, frm))
+        if pred is not None:
+            entry = self.entries[(cid, pred)]
+            # unless the entry has collapsed into the proxy role
+            if entry.successor == frm:
+                handled = True
+                if sim.reachable(self.node, pred):
+                    # the relayed copy is the received message itself
+                    sim.send(self.node, pred, msg, entry.tag)
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True

@@ -10,7 +10,6 @@ order.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import multiprocessing
@@ -239,9 +238,11 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
         for node, owner in zip(honest, ring):
             interests[node] = owners[owner]
     else:
+        # honest ids are 0 .. n - 1, so the j-th of the others is j or j + 1
+        last = len(honest) - 1
         for node in honest:
-            others = [n for n in honest if n != node]
-            interests[node] = owners[others[rng.randrange(len(others))]]
+            j = rng.randrange(last)
+            interests[node] = owners[j if j < node else j + 1]
     truth = GroundTruth(interests=interests)
 
     for depart_index, depart_ms in config.churn:
@@ -294,18 +295,9 @@ def collect_metrics(handles: RunHandles) -> RunMetrics:
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
-    """Build, run and measure one run. The event loop runs without the
-    cycle collector: a run holds no reference cycle (see `rawasim.netsim`),
-    so collections would only walk its live heap, which grows with
-    ``n_peers``. The collector's previous state is restored afterwards."""
+    """Build, run and measure one run."""
     handles = build_run(config, run_index)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        handles.sim.run(until=config.run_bound_ms)
-    finally:
-        if enabled:
-            gc.enable()
+    handles.sim.run(until=config.run_bound_ms)
     return RunResult(run=run_index, seed=handles.seed,
                      fingerprint=config.fingerprint(),
                      metrics=collect_metrics(handles))

@@ -28,11 +28,14 @@ def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
     if n_honest <= out_links:
         raise ValueError("need n_honest > out_links")
     honest = list(range(n_honest))
+    everyone = set(honest)
     for node in honest:
         sim.add_node(node)
     for node in honest:
-        connected = set(sim.neighbors(node))
-        candidates = [p for p in honest if p != node and p not in connected]
+        # the honest ids in ascending order, less `node` and its neighbours
+        taken = set(sim.neighbors(node))
+        taken.add(node)
+        candidates = sorted(everyone - taken)
         for target in rng.sample(candidates, min(out_links, len(candidates))):
             sim.add_edge(node, target)
     return honest

@@ -1,13 +1,18 @@
+import hashlib
 import pickle
+from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rawasim import core
 from rawasim.core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES,
                           Block, Cid, Message, MessageType, derive_cid,
                           peer_name, validate_block, wire_size)
+from rawasim.runner import ExperimentConfig, build_run
 
 
 def test_cid_deterministic():
@@ -32,6 +37,27 @@ def test_validate_round_trip():
 def test_validate_rejects_other_payload():
     cid = derive_cid(Block(b"payload"))
     assert not validate_block(cid, Block(b"payload!"))
+
+
+@pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
+def test_a_run_hashes_each_stored_block_once(protocol, monkeypatch):
+    """A received block is the sender's stored object, whose CID is kept on
+    it, so validating it on receipt hashes nothing."""
+    hashed = Counter()
+
+    def sha256(data):
+        hashed[id(data)] += 1
+        return hashlib.sha256(data)
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    config = ExperimentConfig(protocol=protocol, n_peers=20, out_links=3,
+                              runs=1, base_seed=3)
+    handles = build_run(config, 0)
+    handles.sim.run()
+    assert len(handles.sim.observer.completions) == len(handles.honest)
+    stored = {id(block): block for engine in handles.engines.values()
+              for block in engine.store.values()}
+    assert len(stored) == len(handles.honest)
+    assert hashed == Counter({id(block.payload): 1 for block in stored.values()})
 
 
 def test_empty_block_rejected():

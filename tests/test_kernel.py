@@ -1,8 +1,9 @@
 """The event kernel's shortcuts against what they stand in for: cached
 neighbor and successor views against a fresh computation, the relay index
-against the relay entries it stands for, the fan-out against a
-`reachable`-guarded send loop, the per-run shared messages against fresh
-ones, and the inlined send delay against `link_delay`."""
+(one predecessor per CID and successor) against the relay entries it
+stands for, the fan-out against a `reachable`-guarded send loop, the
+per-run shared messages against fresh ones, and the inlined send delay
+against `link_delay`."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from rawasim.core import Message, MessageType, derive_cid, wire_size
 from rawasim.netsim import LinkSpec, Observer, Simulator, WalkTag, link_delay
-from rawasim.rawa import RaWaConfig, RelayEntry
+from rawasim.rawa import RaWaConfig
 from rawasim.runner import ExperimentConfig, build_run
 
 from conftest import ZERO_JITTER, Scenario, make_block
@@ -100,13 +101,10 @@ class Sink:
         pass
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32), ops=st.lists(relay_op, max_size=30))
-def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, ops):
-    """After any WANT-FORWARDs from predecessors 0-3 for two CIDs and any
-    departures of successors, a FORWARD-HAVE from each successor goes back
-    to exactly the predecessors whose entry still names it as successor,
-    in the order the entries were made; with none it is a stray."""
+def drive_relay(seed, ops):
+    """A relay with predecessors 0-3 and successors 5-8 (sinks), after
+    `ops`: WANT-FORWARDs from a predecessor for one of two CIDs, and
+    departures of successors."""
     edges = [(pred, RELAY) for pred in range(4)] + [(RELAY, s) for s in SUCCESSORS]
     scn = Scenario(9, edges, rawa=RaWaConfig(p=0.3), seed=seed)
     sim = scn.sim
@@ -125,6 +123,32 @@ def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, op
         elif sim.is_alive(a):
             sim.schedule_departure(a, sim.now)
             sim.run(until=sim.now)
+    return scn, engine
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), ops=st.lists(relay_op, max_size=30))
+def test_no_two_relay_entries_for_one_cid_share_a_successor(seed, ops):
+    """Loop reduction gives each new walk step for a CID a successor no
+    earlier step for it got, so `relayed` can name one predecessor per
+    ``(cid, successor)``: the one whose entry was made with it."""
+    _, engine = drive_relay(seed, ops)
+    seen = set()
+    for (cid, pred), entry in engine.entries.items():
+        if entry.successor is None:
+            continue  # the proxy role, or collapsed into it
+        assert (cid, entry.successor) not in seen
+        seen.add((cid, entry.successor))
+        assert engine.relayed[(cid, entry.successor)] == pred
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), ops=st.lists(relay_op, max_size=30))
+def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, ops):
+    """After any WANT-FORWARDs and departures, a FORWARD-HAVE from each
+    successor goes back to exactly the predecessors whose entry still
+    names it as successor; with none it is a stray."""
+    scn, engine = drive_relay(seed, ops)
     observer = scn.observer
     for cid in (CID, OTHER_CID):
         for s in SUCCESSORS:
@@ -137,20 +161,6 @@ def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, op
             assert [rec[:3] for rec in observer.fh_sends[sent:]] == expected
             assert [d[5] for d in observer.drops[drops:]] == \
                 ([] if expected else ["stray-forward-have"])
-
-
-def test_shared_successor_returns_to_predecessors_in_insertion_order():
-    scn = Scenario(4, [(0, 2), (1, 2), (2, 3)], rawa=RaWaConfig(p=0.5))
-    scn.build_graphs()
-    engine = scn.engines[2]
-    engine.entries[(CID, 1)] = RelayEntry(3, WalkTag((1, CID, 0), 1, 0))
-    engine.entries[(CID, 0)] = RelayEntry(3, WalkTag((0, CID, 0), 1, 0))
-    engine.relayed[(CID, 3)] = [1, 0]
-    fh = Message(MessageType.FORWARD_HAVE, CID, providers=(3,))
-    engine.handle_message(3, fh, WalkTag((1, CID, 0), 2, 0))
-    assert [rec[4] for rec in scn.sends("FORWARD-HAVE")] == [1, 0]
-    assert [rec[0] for rec in scn.observer.fh_sends] == [(1, CID, 0), (0, CID, 0)]
-    assert scn.observer.drops == []
 
 
 def test_collapse_to_proxy_leaves_the_index():

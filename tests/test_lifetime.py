@@ -1,5 +1,5 @@
 """Run lifetime: a finished run is freed by reference counting alone, and
-`run_single` runs the event loop without the cycle collector.
+`Simulator.run` runs the event loop without the cycle collector.
 
 Engines and the provider index hold the simulator weakly, and sessions
 hold only weak handles to their pending timers, so a run holds no
@@ -11,11 +11,12 @@ departures still queued.
 from __future__ import annotations
 
 import gc
+from random import Random
 
 import pytest
 
-from rawasim import runner
-from rawasim.netsim import Simulator
+from rawasim.core import Block, MessageType
+from rawasim.netsim import LinkSpec, Simulator
 from rawasim.runner import ExperimentConfig, build_run, collect_metrics
 
 ENDINGS = {
@@ -56,30 +57,52 @@ def test_a_dropped_run_leaves_no_cyclic_garbage(protocol, adversary, ending,
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("raises", [False, True])
+class Probe:
+    """An engine that notes the collector's state on every delivery and,
+    if asked, raises from the first one."""
+
+    def __init__(self, raises: bool):
+        self.raises = raises
+        self.seen: list[bool] = []
+
+    def handle_message(self, frm, msg, tag=None):
+        self.seen.append(gc.isenabled())
+        if self.raises:
+            raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("ending", ["drained", "until", "raises"])
 @pytest.mark.parametrize("enabled", [True, False])
-def test_run_single_runs_without_the_collector_and_restores_it(
-        enabled, raises, monkeypatch):
+def test_run_turns_the_collector_off_and_restores_it(enabled, ending):
+    """Timers and handlers run with the collector off, and `run` gives it
+    back its previous state whether the heap drains, the run stops at
+    `until` or a handler raises."""
+    sim = Simulator(LinkSpec(), Random(1))
+    for v in (0, 1):
+        sim.add_node(v)
+    sim.add_edge(0, 1)
+    probe = Probe(raises=ending == "raises")
+    sim.attach(1, probe)
     seen = []
-    real_run = Simulator.run
 
-    def run(sim, until=None):
+    def tick():
         seen.append(gc.isenabled())
-        if raises:
-            raise RuntimeError("run failed")
-        return real_run(sim, until)
-
-    monkeypatch.setattr(Simulator, "run", run)
-    config = ExperimentConfig(protocol="rawa", n_peers=10, out_links=2, runs=1)
+        sim.send(0, 1, sim.message(MessageType.WANT_HAVE, Block(b"x").cid))
+    for at in (0.0, 300.0, 600.0):
+        sim.schedule(at, "tick", tick, node=0)
     before = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if raises:
-            with pytest.raises(RuntimeError, match="run failed"):
-                runner.run_single(config, 0)
+        if ending == "raises":
+            with pytest.raises(RuntimeError, match="handler failed"):
+                sim.run()
         else:
-            assert runner.run_single(config, 0).metrics.n_requesters == 10
+            sim.run(until=450.0 if ending == "until" else None)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if before else gc.disable)()
-    assert seen == [False]
+    # a delivery takes about 100 ms, so the bound at 450 ms stops the run
+    # after two ticks and their deliveries
+    expected = {"drained": (3, 3), "until": (2, 2), "raises": (1, 1)}[ending]
+    assert (len(seen), len(probe.seen)) == expected
+    assert not any(seen + probe.seen)

@@ -6,7 +6,7 @@ import pytest
 from rawasim.adversary import ExploiterNode, ObservationLog
 from rawasim.core import Message, MessageType, derive_cid
 from rawasim.netsim import LinkSpec, Simulator, WalkTag
-from rawasim.rawa import (RaWaConfig, RawaEngine, RelayEntry,
+from rawasim.rawa import (RaWaConfig, RawaEngine,
                           build_forward_graph, path_length_probability)
 from rawasim.topology import build_honest_topology
 
@@ -227,21 +227,6 @@ def test_loop_reduction_exhaustion_becomes_proxy():
                           WalkTag((succ, cid, 0), 1, 0))
     assert engine.entries[(cid, succ)].successor is None
     assert cid in engine.proxies
-
-
-def test_route_back_copies_to_every_matching_predecessor():
-    scn = Scenario(4, [(0, 2), (1, 2), (2, 3)], rawa=RaWaConfig(p=0.5))
-    cid = derive_cid(make_block(1025))
-    scn.build_graphs()
-    engine = scn.engines[2]
-    engine.entries[(cid, 0)] = RelayEntry(3, WalkTag((0, cid, 0), 1, 0))
-    engine.entries[(cid, 1)] = RelayEntry(3, WalkTag((1, cid, 0), 1, 0))
-    engine.relayed[(cid, 3)] = [0, 1]
-    fh = Message(MessageType.FORWARD_HAVE, cid, providers=(3,))
-    engine.handle_message(3, fh, WalkTag((0, cid, 0), 2, 0))
-    scn.sim.run()
-    targets = sorted(rec[4] for rec in scn.sends("FORWARD-HAVE"))
-    assert targets == [0, 1]
 
 
 def test_stray_forward_have_dropped_with_diagnostic():

@@ -3,8 +3,13 @@ from random import Random
 
 import pytest
 
+from rawasim import runner
 from rawasim.netsim import LinkSpec, Simulator
+from rawasim.runner import ExperimentConfig, build_run
 from rawasim.topology import (build_honest_topology, wire_adversary)
+
+SCALES = [(n, out_links, seed) for n in (20, 50, 400)
+          for out_links in (1, 2, 3, 4) for seed in (0, 7, 4242)]
 
 
 def honest_sim(n_honest, out_links, rng):
@@ -89,3 +94,59 @@ def test_unknown_kind_rejected():
     sim, honest = honest_sim(10, 4, Random(1))
     with pytest.raises(ValueError):
         wire_adversary(sim, honest, "mitm", Random(1))
+
+
+# -- run setup against the rules it was first written as -------------------------
+
+
+def reference_edges(n_honest, out_links, rng):
+    """Each node samples its targets from a scan of the honest ids, in
+    ascending order, that are neither itself nor already its neighbours."""
+    adjacency = {v: set() for v in range(n_honest)}
+    for node in range(n_honest):
+        candidates = [p for p in range(n_honest)
+                      if p != node and p not in adjacency[node]]
+        for target in rng.sample(candidates, min(out_links, len(candidates))):
+            adjacency[node].add(target)
+            adjacency[target].add(node)
+    return {(a, b) for a in adjacency for b in adjacency[a] if a < b}
+
+
+@pytest.mark.parametrize("n, out_links, seed", SCALES)
+def test_edges_and_draws_match_the_reference(n, out_links, seed):
+    rng, oracle = Random(seed), Random(seed)
+    sim, _ = honest_sim(n, out_links, rng)
+    assert edges(sim) == reference_edges(n, out_links, oracle)
+    assert rng.getstate() == oracle.getstate()
+
+
+class RecordingRandom(Random):
+    """A `Random` that keeps every `randrange` result, in order."""
+
+    def __init__(self, seed=None):
+        self.drawn = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.drawn.append(value)
+        return value
+
+
+@pytest.mark.parametrize("n, out_links, seed", SCALES)
+def test_interests_are_the_drawn_index_into_the_other_nodes(
+        n, out_links, seed, monkeypatch):
+    """Without unique interests node v wants the block of ``others[j]``,
+    where ``others`` is the honest ids less v and j the draw made for v;
+    those draws are the last ones `build_run` makes."""
+    monkeypatch.setattr(runner, "Random", RecordingRandom)
+    config = ExperimentConfig(protocol="vanilla", n_peers=n,
+                              out_links=out_links, runs=1, base_seed=seed,
+                              unique_interests=False)
+    handles = build_run(config, 0)
+    honest = handles.honest
+    owners = {node: next(iter(handles.engines[node].store)) for node in honest}
+    draws = handles.sim.rng.drawn[-len(honest):]
+    for node, j in zip(honest, draws):
+        others = [v for v in honest if v != node]
+        assert handles.truth.interests[node] == owners[others[j]]
