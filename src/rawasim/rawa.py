@@ -335,7 +335,7 @@ class RawaEngine(HonestEngine):
         pred = self.relayed.get((cid, frm))
         if pred is not None:
             entry = self.entries[(cid, pred)]
-            # unless the entry has collapsed into the proxy role
+            # a collapsed entry (now the proxy role) names no successor
             if entry.successor == frm:
                 handled = True
                 if sim.reachable(self.node, pred):
