@@ -174,7 +174,7 @@ class HonestEngine:
     def _arm(self, session, delay: float, label: str, fn) -> None:
         """Schedule `fn`, with a weak handle to its timer in
         `session.timers` until it fires or is cancelled, so re-armed ticks
-        hold no dead handles. Only the heap holds the timer: its callback
+        hold no dead handles. Only the event set holds the timer: its callback
         reaches `session.timers`, so a strong handle there, or a callback
         holding its own timer, would be a cycle; an arm serial keys the
         handle instead."""
@@ -188,7 +188,7 @@ class HonestEngine:
             self._sim().schedule(delay, label, fire, node=self.node))
 
     def _cancel_timers(self, session) -> None:
-        # every handle is live: a timer leaves the heap unfired and
+        # every handle is live: a timer leaves the event set unfired and
         # uncancelled only when its node departs, and a departed node's
         # engine never runs again
         for handle in session.timers.values():

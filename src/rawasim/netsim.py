@@ -10,38 +10,46 @@ Determinism contract: all randomness flows through the single
 64-bit integer), and every neighbor iteration happens in sorted order, so an
 identical ``(config, seed)`` pair replays an identical event trace.
 
-Hot-path contract: every message passes through `Simulator.send` exactly
-once, which makes the one reachability decision for it. Payload-free
-messages come from `Simulator.message`, one shared instance per
-``(cid, variant)`` per run. `fan_out` sends one shared message to many
-peers and silently skips those already unreachable. `neighbors` hands out
-a cached sorted tuple that `add_edge` and departures invalidate; edges
-disappear only when a node departs, which `departures` counts so engines
-can key their own reachability caches on it.
+Hot-path contract: every message passes through `Simulator.send` or
+`Simulator.fan_out` exactly once, and each makes the one reachability
+decision for it. Payload-free messages come from `Simulator.message`, one
+shared instance per ``(cid, variant)`` per run. `fan_out` sends one shared
+message to many peers in one pass, silently skips those already
+unreachable, and reports the whole fan-out to the `Observer` in one call.
+`neighbors` hands out a cached sorted tuple that `add_edge` and departures
+invalidate; edges disappear only when a node departs, which `departures`
+counts so engines can key their own reachability caches on it.
 
-The heap holds two event kinds as flat tuples, told apart by length: a
-message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node (or
-of no node, -1) ``(at, seq, node, timer)``. A dial and a departure are
-kernel timers of the node that dials or departs, so a dial dies with its
-dialler, as engine timers do. The link model is read once, at
-construction: `send` and `dial` keep its numbers and draw jitter with the
-same float operations as ``random.uniform``.
+The event set holds two event kinds as flat tuples, told apart by length:
+a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node
+(or of no node, -1) ``(at, seq, node, timer)``. It is a calendar of
+`BUCKET_MS`-wide buckets: a heap holds every entry whose bucket is at or
+before the current one, and each later entry is appended unsorted to its
+bucket, which is sorted when it becomes current. So the heap stays as
+shallow as one bucket however many messages are in flight. Buckets are
+monotone in time and ``seq`` is unique, so events still run in exact
+``(at, seq)`` order; the width changes speed only. A dial and a departure
+are kernel timers of the node that dials or departs, so a dial dies with
+its dialler, as engine timers do. The link model is read once, at
+construction: `send`, `fan_out` and `dial` keep its numbers and draw
+jitter with the same float operations as ``random.uniform``.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
-engines (`attach`) and, through the heap, its pending timers and messages;
-engines, the provider index and the kernel's own dial and departure timers
-hold the simulator through a weak reference, and engines keep only weak
-handles to their pending timers. A finished run is therefore freed by
-reference counting as soon as its last handle goes, without the cycle
-collector, and `run` switches the collector off while its loop runs (and
-restores its previous state afterwards): a collection there could only
-walk the run's live heap.
+engines (`attach`) and, through the event set, its pending timers and
+messages; engines, the provider index and the kernel's own dial and
+departure timers hold the simulator through a weak reference, and engines
+keep only weak handles to their pending timers. A finished run is
+therefore freed by reference counting as soon as its last handle goes,
+without the cycle collector, and `run` switches the collector off while
+its loop runs (and restores its previous state afterwards): a collection
+there could only walk the run's live event set.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import math
 import random
 import weakref
 from collections import Counter
@@ -51,6 +59,12 @@ from typing import Callable, Iterable, NamedTuple
 from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
 
 RngStream = random.Random
+
+# The calendar's bucket width: an entry's bucket is ``int(at / BUCKET_MS)``
+# (infinity for an event at infinity, which configs such as ``u_ms`` may
+# ask for). It sets how many entries one sort and one heap see, never the
+# order.
+BUCKET_MS = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,7 @@ class WalkTag(NamedTuple):
 
 
 class Timer:
-    """A scheduled callback; the heap holds it until it fires or is
+    """A scheduled callback; the event set holds it until it fires or is
     skipped. Engines keep only weak handles to it (`__weakref__`), so a
     pending timer whose callback reaches its owner makes no cycle."""
 
@@ -148,6 +162,24 @@ class Observer:
             elif variant == "FORWARD-HAVE":
                 self.fh_sends.append((tag.walk, frm, to, time))
 
+    def record_fan_out(self, time: float, first_seq: int, frm: PeerId,
+                       recipients: list[PeerId], msg: Message) -> None:
+        """One `Simulator.fan_out`: `msg` sent to each of `recipients` in
+        order, with the sequence numbers from `first_seq` up. Counts and
+        trace rows are those of one `record_send` per recipient."""
+        count = len(recipients)
+        if not count:
+            return
+        size = msg.size
+        variant = msg.variant._value_
+        self.msg_counts[variant] += count
+        self.bytes_by_variant[variant] += count * size
+        self.bytes_total += count * size
+        if self.keep_trace:
+            cid8 = msg.cid.short()
+            self.trace.extend((time, seq, "send", frm, to, variant, cid8, size)
+                              for seq, to in enumerate(recipients, first_seq))
+
     def record_deliver(self, time: float, seq: int, frm: PeerId, to: PeerId,
                        msg: Message) -> None:
         if self.keep_trace:
@@ -198,7 +230,13 @@ class Simulator:
         self.observer = observer if observer is not None else Observer()
         self.dial_rtt_multiplier = dial_rtt_multiplier
         self.now = 0.0
-        self._heap: list[tuple] = []
+        # the event set: the heap `_near` holds every entry whose bucket is
+        # at or before `_bucket`; each later bucket's entries wait unsorted
+        # in `_later`, and `_keys` is the heap of those buckets
+        self._near: list[tuple] = []
+        self._bucket = 0
+        self._later: dict[int, list[tuple]] = {}
+        self._keys: list[int] = []
         self._seq = 0
         self._adjacency: dict[PeerId, set[PeerId]] = {}
         self._sorted_neighbors: dict[PeerId, tuple[PeerId, ...]] = {}
@@ -268,7 +306,33 @@ class Simulator:
     def _push(self, time: float, node: PeerId, timer: Timer) -> None:
         assert time >= self.now, f"event at {time} scheduled before now={self.now}"
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, node, timer))
+        self._enqueue((time, self._seq, node, timer))
+
+    def _enqueue(self, entry: tuple) -> None:
+        """Put `entry` in the event set: in the heap if its bucket is
+        current or past, else at the end of its bucket."""
+        try:
+            bucket = int(entry[0] / BUCKET_MS)
+        except OverflowError:  # at infinity: after every finite bucket
+            bucket = math.inf
+        if bucket <= self._bucket:
+            heapq.heappush(self._near, entry)
+        else:
+            later = self._later.get(bucket)
+            if later is None:
+                self._later[bucket] = [entry]
+                heapq.heappush(self._keys, bucket)
+            else:
+                later.append(entry)
+
+    def peek(self) -> tuple[float, int] | None:
+        """``(at, seq)`` of the next pending event, cancelled timers
+        included, or None when nothing is pending. Changes nothing."""
+        if self._near:
+            return self._near[0][:2]
+        if self._keys:
+            return min(self._later[self._keys[0]])[:2]
+        return None
 
     def _one_way_ms(self) -> float:
         """Base latency plus one jitter draw: one leg of a dial."""
@@ -307,21 +371,60 @@ class Simulator:
         last[key] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
-        heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
+        self._enqueue((at, seq, frm, to, msg, tag))
         return True
 
     def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message) -> None:
         """Send the one (frozen) `msg` to each of `peers`, in order, that
         `frm` can still reach; unreachable peers are skipped without a drop
-        record, as a caller checking `reachable` first would."""
+        record, as a caller checking `reachable` first would. Each send
+        makes the draw, the delay and the FIFO clamp of `send`; the
+        observer hears of the whole fan-out once."""
         alive = self._alive
         if frm not in alive:
             return
         adjacent = self._adjacency[frm]
-        send = self.send
+        now = self.now
+        latency = self._latency_ms
+        lo = self._jitter_lo
+        span = self._jitter_span
+        rand = self._random
+        tx_ms = msg.size / self._bandwidth * 1000.0
+        last = self._last_delivery
+        near = self._near
+        current = self._bucket
+        later = self._later
+        push = heapq.heappush
+        first = seq = self._seq + 1
+        recipients = []
         for to in peers:
-            if to in adjacent and to in alive:
-                send(frm, to, msg)
+            if to not in adjacent or to not in alive:
+                continue
+            at = now + (latency + (lo + span * rand() if span else 0.0) + tx_ms)
+            key = (frm, to)
+            prev = last.get(key, 0.0)
+            if at < prev:
+                at = prev
+            last[key] = at
+            # `_enqueue`, inlined
+            entry = (at, seq, frm, to, msg, None)
+            try:
+                bucket = int(at / BUCKET_MS)
+            except OverflowError:
+                bucket = math.inf
+            if bucket <= current:
+                push(near, entry)
+            else:
+                pending = later.get(bucket)
+                if pending is None:
+                    later[bucket] = [entry]
+                    push(self._keys, bucket)
+                else:
+                    pending.append(entry)
+            recipients.append(to)
+            seq += 1
+        self._seq = seq - 1
+        self.observer.record_fan_out(now, first, frm, recipients, msg)
 
     def dial(self, frm: PeerId, to: PeerId, done: Callable[[bool], None]) -> None:
         """Connection establishment costing one round trip: a timer of
@@ -351,11 +454,13 @@ class Simulator:
     # -- event loop -------------------------------------------------------
 
     def run(self, until: float | None = None) -> int:
-        """Execute events in ``(time, seq)`` order until the heap is empty
-        or the next event lies after `until`; returns the number executed.
-        The cycle collector is off while the loop runs and gets its previous
-        state back however the loop ends."""
-        heap = self._heap
+        """Execute events in ``(time, seq)`` order until none is pending or
+        the next one lies after `until`, which stays pending; returns the
+        number executed. The cycle collector is off while the loop runs
+        and gets its previous state back however the loop ends."""
+        near = self._near
+        later = self._later
+        keys = self._keys
         alive = self._alive
         adjacency = self._adjacency
         engines = self._engines
@@ -368,12 +473,19 @@ class Simulator:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            while heap:
-                event = pop(heap)
-                time = event[0]
+            while True:
+                if not near:
+                    if not keys:
+                        break
+                    # the next bucket becomes current: sorted, it is a heap
+                    bucket = pop(keys)
+                    near = self._near = later.pop(bucket)
+                    near.sort()
+                    self._bucket = bucket
+                time = near[0][0]
                 if time > limit:
-                    heapq.heappush(heap, event)
                     break
+                event = pop(near)
                 self.now = time
                 executed += 1
                 if executed > cap:

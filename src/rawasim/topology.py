@@ -11,6 +11,8 @@ so every honest node gets exactly one adversary neighbor.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .core import PeerId
 from .netsim import RngStream, Simulator
 
@@ -18,6 +20,27 @@ ADVERSARY_NONE = "none"
 ADVERSARY_FSE = "fse"
 ADVERSARY_WFE = "wfe"
 ADVERSARY_SAWFE = "sawfe"
+
+
+class _Untaken(Sequence):
+    """The ids ``0 .. n - 1`` in ascending order, less the ascending ids in
+    `taken`, without building the list: item j is the j-th id not taken."""
+
+    def __init__(self, n: int, taken: list[PeerId]):
+        self._n = n
+        self._taken = taken
+
+    def __len__(self) -> int:
+        return self._n - len(self._taken)
+
+    def __getitem__(self, j: int) -> PeerId:
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        for t in self._taken:
+            if t > j:
+                break
+            j += 1
+        return j
 
 
 def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
@@ -28,14 +51,14 @@ def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
     if n_honest <= out_links:
         raise ValueError("need n_honest > out_links")
     honest = list(range(n_honest))
-    everyone = set(honest)
     for node in honest:
         sim.add_node(node)
     for node in honest:
-        # the honest ids in ascending order, less `node` and its neighbours
-        taken = set(sim.neighbors(node))
-        taken.add(node)
-        candidates = sorted(everyone - taken)
+        # the honest ids in ascending order, less `node` and its neighbours;
+        # `rng.sample` only takes its length and indexes it (or lists it),
+        # so the draws are those of the materialised list
+        taken = sorted((*sim.neighbors(node), node))
+        candidates = _Untaken(n_honest, taken)
         for target in rng.sample(candidates, min(out_links, len(candidates))):
             sim.add_edge(node, target)
     return honest

@@ -2,11 +2,13 @@
 neighbor and successor views against a fresh computation, the relay index
 (one predecessor per CID and successor) against the relay entries it
 stands for, the fan-out against a `reachable`-guarded send loop, the
-per-run shared messages against fresh ones, and the inlined send delay
-against `link_delay`."""
+per-run shared messages against fresh ones, the inlined send delay
+against `link_delay`, and the calendar event set against a plain heap."""
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import Counter
 from random import Random
 
@@ -285,5 +287,229 @@ def test_send_delay_is_link_delay_with_the_same_draw(seed, jitter, payload):
     sim.now = 5.25
     sim.send(0, 1, msg)
     oracle = Random(seed)
-    assert sim._heap[0][0] == 5.25 + link_delay(link, wire_size(msg), oracle)
+    assert sim.peek() == (5.25 + link_delay(link, wire_size(msg), oracle), 1)
     assert sim.rng.getstate() == oracle.getstate()
+
+
+# -- the calendar event set against a plain heap ------------------------------------
+
+# 1.5 ms latency and 0.25 ms of jitter: a CANCEL (44 B) arrives about
+# 1.94 ms after it leaves and a BLOCK (1,244 B) about 13.94 ms, so a small
+# message behind a big one on a link is clamped to its time, and
+# deliveries cross bucket boundaries all the time
+CALENDAR_LINK = LinkSpec(1.5, 0.25, 100_000.0)
+BIG = Message(MessageType.BLOCK, CID, payload=make_block(1200))
+SMALL = Message(MessageType.CANCEL, CID)
+TRIO = (0, 1, 2)
+
+push_op = st.one_of(
+    st.tuples(st.sampled_from(["now", "inside", "boundary", "below", "far"]),
+              st.integers(1, 7)),
+    st.tuples(st.just("send"), st.permutations(TRIO), st.booleans()),
+    st.tuples(st.just("fan_out"), st.sampled_from(TRIO), st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+)
+stop = st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0))
+
+
+def timer_delay(now: float, where: str, j: int) -> float:
+    """A delay that lands at `now`, inside the bucket of `now`, on a later
+    bucket boundary, just below one, or far in the future."""
+    if where == "now":
+        return 0.0
+    if where == "inside":
+        return (math.floor(now) + 1 - now) * j / 8
+    if where == "boundary":
+        return math.floor(now) + j - now
+    if where == "below":
+        return math.nextafter(math.floor(now) + j, 0.0) - now
+    return 1e6 + j
+
+
+class EventSetCheck:
+    """Drives a simulator with `script` and checks each event it runs
+    against a plain `heapq` of the ``(at, seq)`` of every push, which skips
+    cancelled timers as the kernel does."""
+
+    def __init__(self, seed: int, script):
+        self.sim = Simulator(CALENDAR_LINK, Random(seed), Observer(keep_trace=True))
+        for v in TRIO:
+            self.sim.add_node(v)
+            self.sim.attach(v, self)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            self.sim.add_edge(a, b)
+        self.script = iter(script)
+        self.reference: list[tuple] = []
+        self.timers: list = []
+        self.popped = 0
+
+    def push(self, ops) -> None:
+        sim = self.sim
+        for op in ops:
+            kind = op[0]
+            if kind == "send":
+                (frm, to, _), big = op[1], op[2]
+                sim.send(frm, to, BIG if big else SMALL)
+                self._sent(len(sim.observer.trace) - 1)
+            elif kind == "fan_out":
+                rows = len(sim.observer.trace)
+                sim.fan_out(op[1], TRIO, BIG if op[2] else SMALL)
+                for row in range(rows, len(sim.observer.trace)):
+                    self._sent(row)
+            elif kind == "cancel":
+                if self.timers:
+                    self.timers[op[1] % len(self.timers)].cancel()
+            else:
+                delay = timer_delay(sim.now, *op)
+                timer = sim.schedule(delay, kind, self.ran)
+                self.timers.append(timer)
+                heapq.heappush(self.reference, (sim.now + delay, sim._seq, timer))
+
+    def _sent(self, row: int) -> None:
+        _, seq, _, frm, to, *_ = self.sim.observer.trace[row]
+        at = self.sim._last_delivery[(frm, to)]
+        heapq.heappush(self.reference, (at, seq, None))
+
+    def pop(self) -> tuple[float, int, object]:
+        self.popped += 1
+        return heapq.heappop(self.reference)
+
+    def ran(self) -> None:
+        """The event the kernel is running is the reference's next live one."""
+        at, seq, timer = self.pop()
+        while timer is not None and timer.cancelled:
+            at, seq, timer = self.pop()
+        row = self.sim.observer.trace[-1]
+        assert (self.sim.now, row[1]) == (at, seq)
+        self.push(next(self.script, ()))
+
+    def handle_message(self, frm, msg, tag=None):
+        self.ran()
+
+    def run(self, until: float | None) -> None:
+        before = self.popped
+        executed = self.sim.run(until=until)
+        limit = math.inf if until is None else until
+        # whatever the reference still holds up to the stop was cancelled
+        while self.reference and self.reference[0][0] <= limit:
+            assert self.pop()[2].cancelled
+        assert executed == self.popped - before
+        self.assert_head()
+
+    def assert_head(self) -> None:
+        head = self.reference[0][:2] if self.reference else None
+        assert self.sim.peek() == head
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), first=st.lists(push_op, min_size=1, max_size=6),
+       script=st.lists(st.lists(push_op, max_size=4), max_size=60),
+       stops=st.lists(st.tuples(stop, st.lists(push_op, max_size=3)), max_size=6))
+def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
+    """Random interleavings of pushes at `now`, inside the current bucket,
+    on and just below a bucket boundary, far ahead, FIFO-clamped equal
+    times and cancelled timers, run in stages by ``run(until=...)`` with
+    pushes between the stages, pop in the order a plain heap gives."""
+    check = EventSetCheck(seed, script)
+    check.push(first)
+    check.assert_head()
+    for until, between in sorted(stops, key=lambda s: s[0]):
+        check.run(until)
+        check.push(between)
+        check.assert_head()
+    check.run(None)
+    assert check.sim.peek() is None
+
+
+def test_peek_reads_the_next_event_without_running_it():
+    sim, recorders = star(2)
+    assert sim.peek() is None
+    sim.schedule(7.5, "late", lambda: None)
+    assert sim.peek() == (7.5, 1)
+    earlier = sim.schedule(7.25, "earlier", lambda: None)
+    assert sim.peek() == (7.25, 2)  # the least of a bucket, not its first
+    sim.schedule(0.25, "soon", lambda: None)
+    assert sim.peek() == (0.25, 3)
+    earlier.cancel()
+    assert sim.run(until=1.0) == 1
+    assert sim.peek() == (7.25, 2)  # a cancelled timer is still pending
+    assert sim.run() == 2 and sim.peek() is None
+
+
+def test_an_event_at_infinity_runs_after_every_finite_one():
+    """A timer at infinity (say a ``u_ms`` of infinity) waits in its own
+    bucket; once it runs, what it sends is at infinity too."""
+    sim, recorders = star(3)
+    order = []
+    sim.schedule(math.inf, "never", lambda: (
+        order.append(sim.now), sim.fan_out(0, [1, 2], SMALL),
+        sim.send(0, 1, SMALL)))
+    sim.schedule(2.5, "soon", lambda: order.append(sim.now))
+    assert sim.peek() == (2.5, 2)
+    assert sim.run(until=1e300) == 1 and sim.peek() == (math.inf, 1)
+    assert sim.run() == 4
+    assert order == [2.5, math.inf]
+    assert [got for r in recorders.values() for got in r.got] == \
+        [(0, SMALL, None), (0, SMALL, None), (0, SMALL, None)]
+
+
+# -- fan-out against a send loop ------------------------------------------------------
+
+FAN_NODES = 6
+fan_node = st.integers(0, FAN_NODES - 1)
+FAN_MESSAGES = (SMALL, BIG, Message(MessageType.WANT_HAVE, OTHER_CID))
+
+
+def fan_sim(seed, jitter, edges, departed, before, until):
+    """A simulator with `edges`, the `departed` nodes gone, the sends
+    `before` made (some dropped) and run up to `until`."""
+    sim = Simulator(LinkSpec(1.5, jitter, 100_000.0), Random(seed),
+                    Observer(keep_trace=True))
+    recorders = {}
+    for v in range(FAN_NODES):
+        sim.add_node(v)
+        recorders[v] = Recorder()
+        sim.attach(v, recorders[v])
+    for a, b in edges:
+        if a != b:
+            sim.add_edge(a, b)
+    for v in departed:
+        sim.schedule_departure(v, 0.0)
+    sim.run(until=0.0)
+    for frm, to, m in before:
+        sim.send(frm, to, FAN_MESSAGES[m])
+    sim.run(until=until)
+    return sim, recorders
+
+
+def kernel_state(sim: Simulator) -> tuple:
+    observer = sim.observer
+    return (sim.now, sim._seq, sim.rng.getstate(), list(sim._last_delivery.items()),
+            list(observer.msg_counts.items()), list(observer.bytes_by_variant.items()),
+            observer.bytes_total, list(observer.trace), list(observer.drops),
+            sim.peek())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), jitter=st.sampled_from([0.0, 0.25]),
+       edges=st.lists(st.tuples(fan_node, fan_node), max_size=12),
+       departed=st.sets(fan_node, max_size=2),
+       before=st.lists(st.tuples(fan_node, fan_node, st.integers(0, 2)), max_size=8),
+       until=st.floats(0.0, 15.0), frm=fan_node,
+       peers=st.lists(fan_node, max_size=8), m=st.integers(0, 2))
+def test_fan_out_leaves_the_state_of_a_send_loop(seed, jitter, edges, departed,
+                                                 before, until, frm, peers, m):
+    """`fan_out` leaves what one `send` per still-reachable peer leaves: the
+    sequence numbers, RNG state, FIFO clocks, observer counters (in key
+    order) and trace rows, and the same events in the same order."""
+    fanned, fanned_got = fan_sim(seed, jitter, edges, departed, before, until)
+    looped, looped_got = fan_sim(seed, jitter, edges, departed, before, until)
+    fanned.fan_out(frm, peers, FAN_MESSAGES[m])
+    for to in peers:
+        if looped.reachable(frm, to):
+            looped.send(frm, to, FAN_MESSAGES[m])
+    assert kernel_state(fanned) == kernel_state(looped)
+    assert fanned.run() == looped.run()
+    assert kernel_state(fanned) == kernel_state(looped)
+    assert {v: r.got for v, r in fanned_got.items()} == \
+        {v: r.got for v, r in looped_got.items()}

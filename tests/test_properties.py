@@ -8,6 +8,7 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rawasim.core import validate_block
 from rawasim.engine import DONE, HonestEngine
 from rawasim.netsim import Observer, Simulator
 from rawasim.rawa import RaWaConfig, RawaEngine
@@ -74,8 +75,8 @@ def test_want_have_and_cancel_pair_up(config):
 @settings(max_examples=60, deadline=None)
 @given(small_configs())
 def test_no_send_on_a_non_edge(config):
-    """Every message put on the wire joins two live neighbours at that
-    moment. The edge set is kept apart from the simulator's: the built
+    """Every message put on the wire, alone or in a fan-out, joins two live
+    neighbours at that moment. The edge set is kept apart from the simulator's: the built
     topology, plus each edge a dial adds, minus every edge of a node that
     departs."""
     handles = build_run(config, 0)
@@ -86,6 +87,7 @@ def test_no_send_on_a_non_edge(config):
     add_edge = Simulator.add_edge
     depart = Simulator._depart
     record_send = Observer.record_send
+    record_fan_out = Observer.record_fan_out
 
     def adding(self, a, b):
         edges.add(frozenset((a, b)))
@@ -97,14 +99,23 @@ def test_no_send_on_a_non_edge(config):
             edges.difference_update([e for e in edges if node in e])
         depart(self, node)
 
-    def recording_send(self, time, seq, frm, to, msg, tag):
+    def check(time, frm, to, msg):
         if frozenset((frm, to)) not in edges or not {frm, to} <= alive:
             bad.append((time, frm, to, msg.variant.value))
+
+    def recording_send(self, time, seq, frm, to, msg, tag):
+        check(time, frm, to, msg)
         record_send(self, time, seq, frm, to, msg, tag)
+
+    def recording_fan_out(self, time, first_seq, frm, recipients, msg):
+        for to in recipients:
+            check(time, frm, to, msg)
+        record_fan_out(self, time, first_seq, frm, recipients, msg)
 
     with patch.object(Simulator, "add_edge", adding), \
             patch.object(Simulator, "_depart", departing), \
-            patch.object(Observer, "record_send", recording_send):
+            patch.object(Observer, "record_send", recording_send), \
+            patch.object(Observer, "record_fan_out", recording_fan_out):
         sim.run()
     assert bad == []
 
@@ -148,3 +159,15 @@ def test_walk_tags_extend_hop_by_hop(config):
     for walk, retx, hop, node, time in observer.terminations:
         assert first_into.get((walk, retx, hop, node), time) < time, \
             (walk, retx, hop, node, time)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_every_completed_block_validates(config):
+    """A request completes only with a block in the requester's store that
+    hashes to the CID it asked for."""
+    handles = build_run(config, 0)
+    handles.sim.run()
+    for node, (cid, *_) in handles.sim.observer.completions.items():
+        block = handles.engines[node].store.get(cid)
+        assert block is not None and validate_block(cid, block), (node, cid)
