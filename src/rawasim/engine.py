@@ -25,6 +25,10 @@ the CID, on a failed dial or after ``t1_ms``; the next untried provider is
 then drawn, and with none left the request goes back to SEARCHING. A valid
 block completes the request. A request still open after ``give_up_ms``
 fails.
+
+Nothing cancels a timer. Each timer a session arms reads the session's
+state when it fires, so once the session is DONE or FAILED its pending
+timers fire as no-ops and arm nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ class Search:
     state: str = SEARCHING
     # peers sent a WANT-HAVE for this search; each gets a CANCEL at the end
     queried: set[PeerId] = field(default_factory=set)
-    # weak handles of pending timers by arm serial (`HonestEngine._arm`)
-    timers: dict = field(default_factory=dict)
     # start of the current t1 quiet period
     last_activity: float = 0.0
     dht_pending: bool = False
@@ -96,7 +98,6 @@ class HonestEngine:
         self.give_up_ms = give_up_ms
         self.store: dict[Cid, Block] = {}
         self.sessions: dict[Cid, FetchSession] = {}
-        self._arms = 0
 
     @property
     def sim(self) -> Simulator:
@@ -164,36 +165,17 @@ class HonestEngine:
             sim.observer.request_done(self.node, cid, now, now)
             return
         self._discover(session)
-        self._arm(session, self.give_up_ms, f"give-up:{cid.short()}",
+        self._arm(self.give_up_ms, f"give-up:{cid.short()}",
                   lambda: self._give_up(session))
 
     def _discover(self, session: FetchSession) -> None:
         """Start looking for providers and arm the discovery timers."""
         raise NotImplementedError
 
-    def _arm(self, session, delay: float, label: str, fn) -> None:
-        """Schedule `fn`, with a weak handle to its timer in
-        `session.timers` until it fires or is cancelled, so re-armed ticks
-        hold no dead handles. Only the event set holds the timer: its callback
-        reaches `session.timers`, so a strong handle there, or a callback
-        holding its own timer, would be a cycle; an arm serial keys the
-        handle instead."""
-        timers = session.timers
-        key = self._arms = self._arms + 1
-
-        def fire() -> None:
-            del timers[key]
-            fn()
-        timers[key] = weakref.ref(
-            self._sim().schedule(delay, label, fire, node=self.node))
-
-    def _cancel_timers(self, session) -> None:
-        # every handle is live: a timer leaves the event set unfired and
-        # uncancelled only when its node departs, and a departed node's
-        # engine never runs again
-        for handle in session.timers.values():
-            handle().cancel()
-        session.timers.clear()
+    def _arm(self, delay: float, label: str, fn) -> None:
+        """Schedule `fn` as a timer of this node; it fires even after its
+        session has closed."""
+        self._sim().schedule(delay, label, fn, node=self.node)
 
     # -- neighbour discovery ------------------------------------------------
 
@@ -207,7 +189,7 @@ class HonestEngine:
         self._arm_tick(search, self.t1_ms)
 
     def _arm_tick(self, search: Search, delay: float, kind: str = "t1") -> None:
-        self._arm(search, delay, f"{kind}:{search.cid.short()}",
+        self._arm(delay, f"{kind}:{search.cid.short()}",
                   lambda: self._discovery_tick(search))
 
     def _discovery_tick(self, search: Search) -> None:
@@ -241,9 +223,8 @@ class HonestEngine:
         raise NotImplementedError
 
     def _close(self, search: Search) -> None:
-        """End a search: no more timers, one CANCEL per queried peer."""
+        """End a search with one CANCEL per queried peer."""
         search.state = DONE
-        self._cancel_timers(search)
         sim = self._sim()
         sim.fan_out(self.node, sorted(search.queried),
                     sim.message(CANCEL, search.cid))
@@ -296,7 +277,7 @@ class HonestEngine:
 
     def _arm_attempt(self, session: FetchSession) -> None:
         serial = session.attempt_serial
-        self._arm(session, self.t1_ms, f"attempt:{session.cid.short()}",
+        self._arm(self.t1_ms, f"attempt:{session.cid.short()}",
                   lambda: self._attempt_timeout(session, serial))
 
     def _attempt_timeout(self, session: FetchSession, serial: int) -> None:
@@ -335,7 +316,6 @@ class HonestEngine:
         if session.state in (DONE, FAILED):
             return
         session.state = FAILED
-        self._cancel_timers(session)
         self._sim().observer.request_failed(self.node, session.cid)
 
     def _complete(self, session: FetchSession) -> None:

@@ -37,12 +37,14 @@ jitter with the same float operations as ``random.uniform``.
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the event set, its pending timers and
 messages; engines, the provider index and the kernel's own dial and
-departure timers hold the simulator through a weak reference, and engines
-keep only weak handles to their pending timers. A finished run is
-therefore freed by reference counting as soon as its last handle goes,
-without the cycle collector, and `run` switches the collector off while
-its loop runs (and restores its previous state afterwards): a collection
-there could only walk the run's live event set.
+departure timers hold the simulator through a weak reference. Only the
+event set holds a timer: no engine keeps a handle to one or cancels it, and
+a session's timers read its state when they fire, so those of a closed
+session fire as no-ops. A finished run is therefore freed by reference
+counting as soon as its last handle goes, without the cycle collector, and
+`run` switches the collector off while its loop runs (and restores its
+previous state afterwards): a collection there could only walk the run's
+live event set.
 """
 
 from __future__ import annotations
@@ -105,11 +107,12 @@ class WalkTag(NamedTuple):
 
 
 class Timer:
-    """A scheduled callback; the event set holds it until it fires or is
-    skipped. Engines keep only weak handles to it (`__weakref__`), so a
-    pending timer whose callback reaches its owner makes no cycle."""
+    """A scheduled callback; only the event set holds it, until it fires or
+    is skipped. Engines keep no handle to it: a session's timer checks the
+    session's state when it fires. `cancel` is for other callers of
+    `Simulator.schedule`."""
 
-    __slots__ = ("label", "fn", "cancelled", "__weakref__")
+    __slots__ = ("label", "fn", "cancelled")
 
     def __init__(self, label: str, fn: Callable[[], None]):
         self.label = label

@@ -168,9 +168,9 @@ class RawaEngine(HonestEngine):
     def _discover(self, session: RequesterSession) -> None:
         self._start_walk(session, fresh=False)
         cfg = self.config
-        self._arm(session, cfg.t0_ms, f"t0:{session.cid.short()}",
+        self._arm(cfg.t0_ms, f"t0:{session.cid.short()}",
                   lambda: self._t0_tick(session))
-        self._arm(session, cfg.u_ms, f"u:{session.cid.short()}",
+        self._arm(cfg.u_ms, f"u:{session.cid.short()}",
                   lambda: self._u_tick(session))
 
     def _start_walk(self, session: RequesterSession, fresh: bool) -> None:
@@ -191,7 +191,8 @@ class RawaEngine(HonestEngine):
                  WalkTag(session.walk_id(self.node), 1, retx))
 
     def _t0_tick(self, session: RequesterSession) -> None:
-        # completion and give-up cancel this timer; it runs only while open
+        if session.state is DONE or session.state is FAILED:
+            return
         if session.state is SEARCHING:
             if session.first_hop is not None and \
                     self._sim().reachable(self.node, session.first_hop):
@@ -199,14 +200,16 @@ class RawaEngine(HonestEngine):
                 self._send_want_forward(session, retx=session.retx_count)
             else:
                 self._start_walk(session, fresh=True)
-        self._arm(session, self.config.t0_ms, f"t0:{session.cid.short()}",
+        self._arm(self.config.t0_ms, f"t0:{session.cid.short()}",
                   lambda: self._t0_tick(session))
 
     def _u_tick(self, session: RequesterSession) -> None:
+        if session.state is DONE or session.state is FAILED:
+            return
         if session.state is SEARCHING:
             self.dht.lookup(session.cid, self.node,
                             lambda providers: self._offer(session, providers))
-        self._arm(session, self.config.u_ms, f"u:{session.cid.short()}",
+        self._arm(self.config.u_ms, f"u:{session.cid.short()}",
                   lambda: self._u_tick(session))
 
     def _attempt(self, session: RequesterSession, peer: PeerId) -> None:
@@ -309,7 +312,7 @@ class RawaEngine(HonestEngine):
             self._answer(session)
         elif not session.answer_pending:
             session.answer_pending = True
-            self._arm(session, window, f"proxy-agg:{session.cid.short()}",
+            self._arm(window, f"proxy-agg:{session.cid.short()}",
                       lambda: self._answer(session))
 
     def _answer(self, session: ProxySession) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -85,8 +86,9 @@ class ExperimentConfig:
             raise ValueError("dht_delay_spread must be in [0, 1)")
         if self.stagger_ms < 0:
             raise ValueError("stagger_ms must be >= 0")
-        if not self.give_up_ms > 0:
-            raise ValueError("give_up_ms must be > 0")
+        # an unresolvable request re-arms its ticks until it gives up
+        if not 0 < self.give_up_ms < math.inf:
+            raise ValueError("give_up_ms must be finite and > 0")
         if self.run_bound_ms is not None and not self.run_bound_ms > 0:
             raise ValueError("run_bound_ms must be > 0 (or null for no bound)")
         for entry in self.churn:

@@ -4,6 +4,8 @@ Discovery differs per protocol; the fetch does not, so each test here runs
 under both.
 """
 
+from collections import Counter
+
 import pytest
 
 from rawasim.core import Message, MessageType
@@ -60,32 +62,42 @@ def test_tampered_block_from_target_moves_to_next_provider(protocol):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_fired_timers_leave_the_session(protocol):
-    # the only provider departs early, so the request re-arms its
-    # discovery ticks until it gives up after 30 s
+def test_a_closed_session_arms_nothing(protocol):
+    # the only provider of one block departs early, so that request keeps
+    # re-arming its discovery ticks until it gives up after 30 s; a second
+    # request, for a block its neighbour stores, completes
     scn = Scenario(3, [(0, 1), (1, 2)], protocol=protocol,
                    rawa=RaWaConfig(p=1.0))
-    cid = scn.place_block(2, make_block(1025))
+    lost = scn.place_block(2, make_block(1025))
+    found = scn.place_block(1, make_block(1025, tag=2))
     scn.build_graphs()
     scn.sim.schedule_departure(2, at=350.0)
-    scn.request(0, cid)
+    scn.request(0, lost)
+    scn.request(0, found)
     engine = scn.engines[0]
-    held = []
+    trace = scn.observer.trace
+    # the trace length when each session closed
+    closed = {}
 
-    def probe():
-        session = engine.sessions.get(cid)
-        if session is not None:
-            held.append(len(session.timers))
-            if session.state in (DONE, FAILED):
-                return
-        scn.sim.schedule(50.0, "probe", probe)
-    scn.sim.schedule(0.0, "probe", probe)
-    scn.sim.run()
-    assert scn.observer.failures == {0}
-    assert len(held) > 500
-    # discovery ticks, give-up and at most one attempt
-    assert max(held) <= 4
-    assert held[-1] == 0
+    def closing(method):
+        def close(session):
+            closed.setdefault(session.cid, len(trace))
+            method(session)
+        return close
+    engine._close = closing(engine._close)
+    engine._give_up = closing(engine._give_up)
+    # a tick that re-arms after its session closed fails here, not at the
+    # livelock cap
+    scn.sim.run(until=40_000.0)
+    assert engine.sessions[lost].state is FAILED
+    assert engine.sessions[found].state is DONE
+    assert set(closed) == {lost, found}
+    for cid, at in closed.items():
+        labels = Counter(rec[5] for rec in trace[at:]
+                         if rec[2] == "timer" and rec[5].endswith(cid.short()))
+        assert all(count == 1 for count in labels.values()), labels
+    # the last ticks of both sessions fired as no-ops, and nothing is left
+    assert scn.sim.peek() is None
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

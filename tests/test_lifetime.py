@@ -1,11 +1,11 @@
 """Run lifetime: a finished run is freed by reference counting alone, and
 `Simulator.run` runs the event loop without the cycle collector.
 
-Engines and the provider index hold the simulator weakly, and sessions
-hold only weak handles to their pending timers, so a run holds no
-reference cycle however it ends: all requests settled, nodes departed with
-timers pending, or stopped by a run bound with events, dials and
-departures still queued.
+Engines and the provider index hold the simulator weakly, and only the
+event set holds a timer: sessions keep no handle to theirs, and a timer
+reads its session's state when it fires. So a run holds no reference cycle
+however it ends: all requests settled, nodes departed with timers pending,
+or stopped by a run bound with events, dials and departures still queued.
 """
 
 from __future__ import annotations

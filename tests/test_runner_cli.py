@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,7 @@ def test_config_validation_errors():
     {"dht_delay_spread": 1.0}, {"dht_delay_spread": 2.0},
     {"dht_delay_spread": -0.1}, {"dht_base_delay_ms": -1.0},
     {"stagger_ms": -5.0}, {"give_up_ms": 0.0}, {"give_up_ms": -1.0},
+    {"give_up_ms": math.inf},
     {"churn": ((15, 100.0),)}, {"churn": ((-1, 100.0),)},
     {"churn": ((2, -1.0),)}, {"churn": ((2,),)},
     {"run_bound_ms": -10.0}, {"run_bound_ms": 0.0},
@@ -282,7 +284,9 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("extra", [
     {"dht_delay_spread": 2}, {"stagger_ms": -1}, {"give_up_ms": -1},
     {"churn": [[99, 100.0]]},
-    # these loaded, then died mid-run (exit 2) or resolved nothing (exit 0)
+    # these loaded, then died mid-run (exit 2) or resolved nothing (exit 0);
+    # JSON Infinity ran an unresolvable request to the livelock cap
+    {"give_up_ms": math.inf},
     {"rawa": {"p": 0.5, "eta": 1, "t0_ms": -1}},
     {"rawa": {"p": 0.5, "eta": 1, "t1_ms": -5}},
     {"rawa": {"p": 0.5, "eta": 1, "u_ms": 0, "t0_ms": -2, "t1_ms": -3}},
