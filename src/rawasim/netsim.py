@@ -79,9 +79,9 @@ class LinkSpec:
     bandwidth_bytes_per_s: float = 1048576.0
 
     def __post_init__(self) -> None:
-        if not (self.latency_ms > self.jitter_ms >= 0):
-            raise ValueError("require latency > jitter >= 0")
-        if self.bandwidth_bytes_per_s <= 0:
+        if not (math.inf > self.latency_ms > self.jitter_ms >= 0):
+            raise ValueError("require finite latency > jitter >= 0")
+        if not self.bandwidth_bytes_per_s > 0:
             raise ValueError("bandwidth must be positive")
 
 

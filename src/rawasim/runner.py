@@ -80,12 +80,11 @@ class ExperimentConfig:
             raise ValueError("wfe wiring needs honest count divisible by 4")
         # anything that would schedule an event in the past fails here, not
         # mid-run
-        if self.dht_base_delay_ms < 0:
-            raise ValueError("dht_base_delay_ms must be >= 0")
+        for name in ("dht_base_delay_ms", "stagger_ms", "dial_rtt_multiplier"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not (0 <= self.dht_delay_spread < 1):
             raise ValueError("dht_delay_spread must be in [0, 1)")
-        if self.stagger_ms < 0:
-            raise ValueError("stagger_ms must be >= 0")
         # an unresolvable request re-arms its ticks until it gives up
         if not 0 < self.give_up_ms < math.inf:
             raise ValueError("give_up_ms must be finite and > 0")

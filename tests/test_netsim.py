@@ -1,4 +1,5 @@
 import hashlib
+import math
 from random import Random
 
 import pytest
@@ -58,6 +59,11 @@ def test_link_spec_validation():
         LinkSpec(latency_ms=5.0, jitter_ms=10.0)
     with pytest.raises(ValueError):
         LinkSpec(bandwidth_bytes_per_s=0)
+    for bad in (dict(latency_ms=math.inf), dict(latency_ms=math.nan),
+                dict(jitter_ms=math.nan), dict(bandwidth_bytes_per_s=math.nan),
+                dict(bandwidth_bytes_per_s=-math.inf)):
+        with pytest.raises(ValueError):
+            LinkSpec(**bad)
 
 
 def test_send_delivers_once():

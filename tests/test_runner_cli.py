@@ -52,6 +52,10 @@ def test_config_validation_errors():
     {"dht_delay_spread": -0.1}, {"dht_base_delay_ms": -1.0},
     {"stagger_ms": -5.0}, {"give_up_ms": 0.0}, {"give_up_ms": -1.0},
     {"give_up_ms": math.inf},
+    {"stagger_ms": math.inf}, {"stagger_ms": math.nan},
+    {"dht_base_delay_ms": math.inf}, {"dht_base_delay_ms": math.nan},
+    {"dial_rtt_multiplier": -1.0}, {"dial_rtt_multiplier": math.inf},
+    {"dial_rtt_multiplier": math.nan},
     {"churn": ((15, 100.0),)}, {"churn": ((-1, 100.0),)},
     {"churn": ((2, -1.0),)}, {"churn": ((2,),)},
     {"run_bound_ms": -10.0}, {"run_bound_ms": 0.0},
@@ -287,6 +291,14 @@ def test_cli_config_error_exit_code(tmp_path):
     # these loaded, then died mid-run (exit 2) or resolved nothing (exit 0);
     # JSON Infinity ran an unresolvable request to the livelock cap
     {"give_up_ms": math.inf},
+    # JSON Infinity and NaN: a stagger failed at build, a DHT delay mid-run,
+    # an infinite latency resolved nothing and a NaN bandwidth made the
+    # clock NaN
+    {"stagger_ms": math.inf}, {"stagger_ms": math.nan},
+    {"dht_base_delay_ms": math.inf}, {"dht_base_delay_ms": math.nan},
+    {"dial_rtt_multiplier": math.nan},
+    {"link": {"latency_ms": math.inf}},
+    {"link": {"bandwidth_bytes_per_s": math.nan}},
     {"rawa": {"p": 0.5, "eta": 1, "t0_ms": -1}},
     {"rawa": {"p": 0.5, "eta": 1, "t1_ms": -5}},
     {"rawa": {"p": 0.5, "eta": 1, "u_ms": 0, "t0_ms": -2, "t1_ms": -3}},
