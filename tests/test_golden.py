@@ -12,19 +12,28 @@ under churn and stagger, vanilla against exploiters, and a run bound that
 cuts requests off. A deliberate change of the draw order re-records the
 table and says why in CHANGES.md.
 
-Re-record with ``python tests/test_golden.py`` (prints the table).
+A second table pins the event order itself, which the result files see
+only through their aggregates: one SHA-256 per config over its runs with
+``keep_trace``, covering the full event trace (sends, deliveries and timer
+rows), the adversary's observation log, the drops, the walk records,
+every requester outcome, and the final clock, sequence number and RNG
+state.
+
+Re-record with ``python tests/test_golden.py`` (prints both tables).
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rawasim.rawa import RaWaConfig
-from rawasim.runner import ExperimentConfig, run_experiment, write_results
+from rawasim.runner import (ExperimentConfig, build_run, run_experiment,
+                            write_results)
 
 
 def _grid() -> dict[str, ExperimentConfig]:
@@ -89,6 +98,37 @@ GOLDEN = {
                    "9f68adadff1548569aac7db496ae47cbf65316b81fa8e3a16a6e4eee8f43f7ee"),
 }
 
+TRACE_GOLDEN = {
+    "rawa_churn":
+        "7f11913d72e22e48c2beb4c09c386364f9ac56950cb1b705b889370c2b0f23ec",
+    "rawa_fse":
+        "2ed475fe4f421fde32484b4ef3365934996906bb0a58782d5b55e83b5138c2e1",
+    "rawa_none":
+        "bb518617ece381b87782908f5b60b88b5cab95fcd579b3c15fe823880112cf43",
+    "rawa_sawfe":
+        "4261928dca190ed347cfd445099c2e7093d3bccee7d5005153dedf142347864f",
+    "rawa_wfe_aggdht":
+        "0f1820cd5227606235ac5b64c8931a3d9cb98341449449638161c412a06257c3",
+    "rawa_wfe_verify_fake0":
+        "fe9dfd7ed42fb921f59fc475ac3d194473f53f7b4c8cf81789f43e1c40903e9e",
+    "rawa_wfe_verify_fake1":
+        "df846d184d6562dcc8941261cd6dedee295040e0a1a7e031f3d41f99309e8924",
+    "rawa_window_churn":
+        "161d7c13c078dee72f58d673a629bab39ab825c6caadd87a753db3be298fa645",
+    "vanilla_bound":
+        "6c9987aa401eaa724501eee8fe6174e4ac72d8f48bb1804a6463115e5d0f1845",
+    "vanilla_churn":
+        "0232a81d4b3416aac886b3b5b4c57416edfc2bc18dcea378799bbed092be5e2b",
+    "vanilla_fse":
+        "debf1b1975479c57e29193dfc872c65665431a57aa0217b427d0acdf190b60b5",
+    "vanilla_none":
+        "0078a1d4243efec68652d6cdc6dff2b0b6219507e842a4532f768584c71910b7",
+    "vanilla_sawfe":
+        "172525bcffa282d445464f6f9ee8efcedee44e4f38bc69e71ce2977f11002911",
+    "vanilla_wfe":
+        "172525bcffa282d445464f6f9ee8efcedee44e4f38bc69e71ce2977f11002911",
+}
+
 
 def digests(name: str, config: ExperimentConfig, out: Path) -> tuple[str, str]:
     csv_path, json_path = write_results(config, run_experiment(config),
@@ -97,9 +137,33 @@ def digests(name: str, config: ExperimentConfig, out: Path) -> tuple[str, str]:
             hashlib.sha256(json_path.read_bytes()).hexdigest())
 
 
+def trace_digest(config: ExperimentConfig) -> str:
+    """SHA-256 over every run of `config` replayed with ``keep_trace``."""
+    config = replace(config, keep_trace=True)
+    digest = hashlib.sha256()
+    for run_index in range(config.runs):
+        handles = build_run(config, run_index)
+        sim = handles.sim
+        sim.run(until=config.run_bound_ms)
+        obs = sim.observer
+        lines = [*obs.trace_lines(), *handles.log.trace_lines(),
+                 repr(obs.drops), repr(obs.wf_sends), repr(obs.fh_sends),
+                 repr(obs.terminations), repr(list(obs.completions.items())),
+                 repr(sorted(obs.failures)), repr(obs.consumed),
+                 repr((sim.now, sim._seq, sim.rng.getstate()))]
+        digest.update("\n".join(lines).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(_grid()))
 def test_result_files_match_golden(name, tmp_path):
     assert digests(name, _grid()[name], tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_grid()))
+def test_full_trace_matches_golden(name):
+    assert trace_digest(_grid()[name]) == TRACE_GOLDEN[name]
 
 
 if __name__ == "__main__":
@@ -109,3 +173,7 @@ if __name__ == "__main__":
             csv_hash, json_hash = digests(name, config, Path(tmp))
             print(f'    "{name}": ("{csv_hash}",\n'
                   f'{" " * (len(name) + 8)}"{json_hash}"),', file=sys.stdout)
+    print()
+    for name, config in sorted(_grid().items()):
+        print(f'    "{name}":\n        "{trace_digest(config)}",',
+              file=sys.stdout)
