@@ -20,16 +20,12 @@ unreachable, and reports the whole fan-out to the `Observer` in one call.
 invalidate; edges disappear only when a node departs, which `departures`
 counts so engines can key their own reachability caches on it.
 
-The event set holds two event kinds as flat tuples, told apart by length:
-a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node
-(or of no node, -1) ``(at, seq, node, timer)``. It is a calendar of
-`BUCKET_MS`-wide buckets: a heap holds every entry whose bucket is at or
-before the current one, and each later entry is appended unsorted to its
-bucket, which is sorted when it becomes current. So the heap stays as
-shallow as one bucket however many messages are in flight. Buckets are
-monotone in time and ``seq`` is unique, so events still run in exact
-``(at, seq)`` order; the width changes speed only. A dial and a departure
-are kernel timers of the node that dials or departs, so a dial dies with
+The event set is one binary heap (`heapq`) of flat tuples, told apart by
+length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of
+a node (or of no node, -1) ``(at, seq, node, timer)``. ``seq`` is unique,
+so entries never compare beyond it and events run in exact ``(at, seq)``
+order; an event at infinity runs after every finite one. A dial and a
+departure are kernel timers of the node that dials or departs, so a dial dies with
 its dialler, as engine timers do. The link model is read once, at
 construction: `send`, `fan_out` and `dial` keep its numbers and draw
 jitter with the same float operations as ``random.uniform``.
@@ -61,12 +57,6 @@ from typing import Callable, Iterable, NamedTuple
 from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
 
 RngStream = random.Random
-
-# The calendar's bucket width: an entry's bucket is ``int(at / BUCKET_MS)``
-# (infinity for an event at infinity, which configs such as ``u_ms`` may
-# ask for). It sets how many entries one sort and one heap see, never the
-# order.
-BUCKET_MS = 1.0
 
 
 @dataclass(frozen=True)
@@ -233,13 +223,7 @@ class Simulator:
         self.observer = observer if observer is not None else Observer()
         self.dial_rtt_multiplier = dial_rtt_multiplier
         self.now = 0.0
-        # the event set: the heap `_near` holds every entry whose bucket is
-        # at or before `_bucket`; each later bucket's entries wait unsorted
-        # in `_later`, and `_keys` is the heap of those buckets
-        self._near: list[tuple] = []
-        self._bucket = 0
-        self._later: dict[int, list[tuple]] = {}
-        self._keys: list[int] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._adjacency: dict[PeerId, set[PeerId]] = {}
         self._sorted_neighbors: dict[PeerId, tuple[PeerId, ...]] = {}
@@ -309,33 +293,13 @@ class Simulator:
     def _push(self, time: float, node: PeerId, timer: Timer) -> None:
         assert time >= self.now, f"event at {time} scheduled before now={self.now}"
         self._seq += 1
-        self._enqueue((time, self._seq, node, timer))
-
-    def _enqueue(self, entry: tuple) -> None:
-        """Put `entry` in the event set: in the heap if its bucket is
-        current or past, else at the end of its bucket."""
-        try:
-            bucket = int(entry[0] / BUCKET_MS)
-        except OverflowError:  # at infinity: after every finite bucket
-            bucket = math.inf
-        if bucket <= self._bucket:
-            heapq.heappush(self._near, entry)
-        else:
-            later = self._later.get(bucket)
-            if later is None:
-                self._later[bucket] = [entry]
-                heapq.heappush(self._keys, bucket)
-            else:
-                later.append(entry)
+        heapq.heappush(self._heap, (time, self._seq, node, timer))
 
     def peek(self) -> tuple[float, int] | None:
-        """``(at, seq)`` of the next pending event, cancelled timers
-        included, or None when nothing is pending. Changes nothing."""
-        if self._near:
-            return self._near[0][:2]
-        if self._keys:
-            return min(self._later[self._keys[0]])[:2]
-        return None
+        """``(at, seq)`` of the head of the heap, the next pending event
+        (a cancelled timer included), or None when nothing is pending.
+        Changes nothing."""
+        return self._heap[0][:2] if self._heap else None
 
     def _one_way_ms(self) -> float:
         """Base latency plus one jitter draw: one leg of a dial."""
@@ -374,7 +338,7 @@ class Simulator:
         last[key] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
-        self._enqueue((at, seq, frm, to, msg, tag))
+        heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
         return True
 
     def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message) -> None:
@@ -394,9 +358,7 @@ class Simulator:
         rand = self._random
         tx_ms = msg.size / self._bandwidth * 1000.0
         last = self._last_delivery
-        near = self._near
-        current = self._bucket
-        later = self._later
+        heap = self._heap
         push = heapq.heappush
         first = seq = self._seq + 1
         recipients = []
@@ -409,21 +371,7 @@ class Simulator:
             if at < prev:
                 at = prev
             last[key] = at
-            # `_enqueue`, inlined
-            entry = (at, seq, frm, to, msg, None)
-            try:
-                bucket = int(at / BUCKET_MS)
-            except OverflowError:
-                bucket = math.inf
-            if bucket <= current:
-                push(near, entry)
-            else:
-                pending = later.get(bucket)
-                if pending is None:
-                    later[bucket] = [entry]
-                    push(self._keys, bucket)
-                else:
-                    pending.append(entry)
+            push(heap, (at, seq, frm, to, msg, None))
             recipients.append(to)
             seq += 1
         self._seq = seq - 1
@@ -461,9 +409,7 @@ class Simulator:
         the next one lies after `until`, which stays pending; returns the
         number executed. The cycle collector is off while the loop runs
         and gets its previous state back however the loop ends."""
-        near = self._near
-        later = self._later
-        keys = self._keys
+        heap = self._heap
         alive = self._alive
         adjacency = self._adjacency
         engines = self._engines
@@ -476,19 +422,11 @@ class Simulator:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            while True:
-                if not near:
-                    if not keys:
-                        break
-                    # the next bucket becomes current: sorted, it is a heap
-                    bucket = pop(keys)
-                    near = self._near = later.pop(bucket)
-                    near.sort()
-                    self._bucket = bucket
-                time = near[0][0]
+            while heap:
+                time = heap[0][0]
                 if time > limit:
                     break
-                event = pop(near)
+                event = pop(heap)
                 self.now = time
                 executed += 1
                 if executed > cap:

@@ -3,7 +3,8 @@ neighbor and successor views against a fresh computation, the relay index
 (one predecessor per CID and successor) against the relay entries it
 stands for, the fan-out against a `reachable`-guarded send loop, the
 per-run shared messages against fresh ones, the inlined send delay
-against `link_delay`, and the calendar event set against a plain heap."""
+against `link_delay`, and the event set's order, staged runs, `peek` and
+cancelled timers against a plain heap of ``(at, seq)``."""
 
 from __future__ import annotations
 
@@ -291,13 +292,13 @@ def test_send_delay_is_link_delay_with_the_same_draw(seed, jitter, payload):
     assert sim.rng.getstate() == oracle.getstate()
 
 
-# -- the calendar event set against a plain heap ------------------------------------
+# -- the event set against a plain heap of (at, seq) ----------------------------------
 
 # 1.5 ms latency and 0.25 ms of jitter: a CANCEL (44 B) arrives about
 # 1.94 ms after it leaves and a BLOCK (1,244 B) about 13.94 ms, so a small
 # message behind a big one on a link is clamped to its time, and
-# deliveries cross bucket boundaries all the time
-CALENDAR_LINK = LinkSpec(1.5, 0.25, 100_000.0)
+# deliveries interleave with timers at whole and fractional milliseconds
+EVENT_SET_LINK = LinkSpec(1.5, 0.25, 100_000.0)
 BIG = Message(MessageType.BLOCK, CID, payload=make_block(1200))
 SMALL = Message(MessageType.CANCEL, CID)
 TRIO = (0, 1, 2)
@@ -313,8 +314,8 @@ stop = st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0))
 
 
 def timer_delay(now: float, where: str, j: int) -> float:
-    """A delay that lands at `now`, inside the bucket of `now`, on a later
-    bucket boundary, just below one, or far in the future."""
+    """A delay that lands at `now`, before the next whole millisecond, on a
+    later whole millisecond, just below one, or far in the future."""
     if where == "now":
         return 0.0
     if where == "inside":
@@ -332,7 +333,7 @@ class EventSetCheck:
     cancelled timers as the kernel does."""
 
     def __init__(self, seed: int, script):
-        self.sim = Simulator(CALENDAR_LINK, Random(seed), Observer(keep_trace=True))
+        self.sim = Simulator(EVENT_SET_LINK, Random(seed), Observer(keep_trace=True))
         for v in TRIO:
             self.sim.add_node(v)
             self.sim.attach(v, self)
@@ -406,9 +407,9 @@ class EventSetCheck:
        script=st.lists(st.lists(push_op, max_size=4), max_size=60),
        stops=st.lists(st.tuples(stop, st.lists(push_op, max_size=3)), max_size=6))
 def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
-    """Random interleavings of pushes at `now`, inside the current bucket,
-    on and just below a bucket boundary, far ahead, FIFO-clamped equal
-    times and cancelled timers, run in stages by ``run(until=...)`` with
+    """Random interleavings of pushes at `now`, before the next whole
+    millisecond, on and just below a later one, far ahead, FIFO-clamped
+    equal times and cancelled timers, run in stages by ``run(until=...)`` with
     pushes between the stages, pop in the order a plain heap gives."""
     check = EventSetCheck(seed, script)
     check.push(first)
@@ -427,7 +428,7 @@ def test_peek_reads_the_next_event_without_running_it():
     sim.schedule(7.5, "late", lambda: None)
     assert sim.peek() == (7.5, 1)
     earlier = sim.schedule(7.25, "earlier", lambda: None)
-    assert sim.peek() == (7.25, 2)  # the least of a bucket, not its first
+    assert sim.peek() == (7.25, 2)  # the least pending, not the first pushed
     sim.schedule(0.25, "soon", lambda: None)
     assert sim.peek() == (0.25, 3)
     earlier.cancel()
@@ -437,8 +438,9 @@ def test_peek_reads_the_next_event_without_running_it():
 
 
 def test_an_event_at_infinity_runs_after_every_finite_one():
-    """A timer at infinity (say a ``u_ms`` of infinity) waits in its own
-    bucket; once it runs, what it sends is at infinity too."""
+    """A timer at infinity (say a ``u_ms`` of infinity) waits behind every
+    finite event, with no special case; once it runs, what it sends is at
+    infinity too."""
     sim, recorders = star(3)
     order = []
     sim.schedule(math.inf, "never", lambda: (
