@@ -25,9 +25,9 @@ length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of
 a node (or of no node, -1) ``(at, seq, node, timer)``. ``seq`` is unique,
 so entries never compare beyond it and events run in exact ``(at, seq)``
 order; an event at infinity runs after every finite one. A dial and a
-departure are kernel timers of the node that dials or departs, so a dial dies with
-its dialler, as engine timers do. The link model is read once, at
-construction: `send`, `fan_out` and `dial` keep its numbers and draw
+departure are kernel timers of the node that dials or departs, so a dial
+dies with its dialler, as engine timers do. The link model is read once,
+at construction: `send`, `fan_out` and `dial` keep its numbers and draw
 jitter with the same float operations as ``random.uniform``.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
