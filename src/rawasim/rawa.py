@@ -10,14 +10,14 @@ directly from one provider, which is the only peer that ever learns its
 interest; the fetch is the shared one in `rawasim.engine`, optionally
 preceded by a WANT-HAVE that verifies the provider.
 
-A relay decides once per ``(cid, predecessor)`` and keeps that relay entry
-for the whole run: a new walk step draws a successor (or the proxy role),
-and every later WANT-FORWARD from the same predecessor for the same CID
-follows the entry. Entries are written once; a collapse only clears the
-successor. Loop reduction never hands one CID's walks the same successor
-twice, so a second dict maps ``(cid, successor)`` to the one predecessor
-whose entry was made with that successor, and a returning FORWARD-HAVE
-finds the walk it goes back to with one lookup.
+A relay keeps one table per direction. Forward, ``entries`` maps
+``(cid, predecessor)`` to the successor a new walk step drew; every later
+WANT-FORWARD from that predecessor for that CID follows it until a collapse
+deletes it. Back, ``sent`` maps each CID's successors to the predecessor
+and tag of the step relayed to them (None for this node's own first hop);
+loop reduction never hands one CID's walks the same successor twice, so a
+returning FORWARD-HAVE finds its walk with one lookup. The proxy role is
+``cid in proxies`` and, once taken, ends every new walk step for that CID.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -32,6 +32,7 @@ a wire field, and no routing decision reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import (BLOCK, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
@@ -79,8 +80,8 @@ class RaWaConfig:
             raise ValueError("require u > t1 and u > t0")
         if not all(t > 0 for t in (self.t0_ms, self.t1_ms, self.u_ms)):
             raise ValueError("t0_ms, t1_ms and u_ms must be > 0")
-        if not self.forward_have_aggregation_ms >= 0:
-            raise ValueError("forward_have_aggregation_ms must be >= 0")
+        if not 0 <= self.forward_have_aggregation_ms < math.inf:
+            raise ValueError("forward_have_aggregation_ms must be finite and >= 0")
 
 
 def build_forward_graph(neighbors, eta: int | None,
@@ -92,12 +93,6 @@ def build_forward_graph(neighbors, eta: int | None,
         raise ValueError("need at least one neighbor")
     k = len(pool) if eta is None else min(eta, len(pool))
     return tuple(sorted(rng.sample(pool, k)))
-
-
-@dataclass
-class RelayEntry:
-    successor: PeerId | None  # None marks the proxy role for this predecessor
-    tag: WalkTag  # of the WANT-FORWARD that made the entry
 
 
 @dataclass
@@ -132,13 +127,13 @@ class RawaEngine(HonestEngine):
         self.config = config
         self.t1_ms = config.t1_ms
         self.graph: tuple[PeerId, ...] | None = None
-        # (graph, departures, its reachable successors at that count)
-        self._live: tuple = (None, -1, ())
-        # (cid, predecessor) -> its relay entry, written once
-        self.entries: dict[tuple[Cid, PeerId], RelayEntry] = {}
-        # (cid, successor) -> the one predecessor relayed to it
-        self.relayed: dict[tuple[Cid, PeerId], PeerId] = {}
-        self.sent_for_cid: dict[Cid, set[PeerId]] = {}
+        # (departures, the graph's reachable successors at that count)
+        self._live: tuple = (-1, ())
+        # (cid, predecessor) -> successor of a relayed step
+        self.entries: dict[tuple[Cid, PeerId], PeerId] = {}
+        # cid -> successor -> (predecessor, tag) of the step relayed to it,
+        # or None for the first hop of this node's own walk
+        self.sent: dict[Cid, dict[PeerId, tuple[PeerId, WalkTag] | None]] = {}
         self.proxies: dict[Cid, ProxySession] = {}
 
     # -- privacy subgraph ---------------------------------------------------
@@ -147,18 +142,17 @@ class RawaEngine(HonestEngine):
         sim = self._sim()
         self.graph = build_forward_graph(sim.neighbors(self.node),
                                          self.config.eta, sim.rng)
+        self._live = (-1, ())
 
     def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
-        if self.graph is None:
-            self.build_graph()
         sim = self._sim()
-        graph, departures = self.graph, sim.departures
-        cached, epoch, live = self._live
-        if cached is not graph or epoch != departures:
+        departures = sim.departures
+        epoch, live = self._live
+        if epoch != departures:
             # successors are neighbors when the graph is built; only a
             # departure can make one unreachable
-            live = tuple(s for s in graph if sim.reachable(self.node, s))
-            self._live = (graph, departures, live)
+            live = tuple(s for s in self.graph if sim.reachable(self.node, s))
+            self._live = (departures, live)
         if not exclude:
             return live
         return tuple(s for s in live if s not in exclude)
@@ -181,7 +175,7 @@ class RawaEngine(HonestEngine):
             session.first_hop = None
             return
         session.first_hop = candidates[self._sim().rng.randrange(len(candidates))]
-        self.sent_for_cid.setdefault(session.cid, set()).add(session.first_hop)
+        self.sent.setdefault(session.cid, {}).setdefault(session.first_hop)
         self._send_want_forward(session, retx=0)
 
     def _send_want_forward(self, session: RequesterSession, retx: int) -> None:
@@ -232,34 +226,32 @@ class RawaEngine(HonestEngine):
         entry, a new one draws its next hop; then relay or be the proxy."""
         sim = self._sim()
         key = (cid, frm)
-        entry = self.entries.get(key)
-        if entry is None:
+        successor = self.entries.get(key)
+        if successor is None:
             successor = self._next_hop(cid, frm)
-            self.entries[key] = RelayEntry(successor, tag)
             if successor is not None:
-                self.relayed[(cid, successor)] = frm
-        else:
-            successor = entry.successor
-            if successor is not None and not sim.reachable(self.node, successor):
-                # recorded successor is gone: collapse into the proxy role
-                successor = entry.successor = None
+                self.entries[key] = successor
+                self.sent.setdefault(cid, {})[successor] = (frm, tag)
+        elif not sim.reachable(self.node, successor):
+            # recorded successor is gone: collapse into the proxy role
+            del self.entries[key]
+            successor = None
         if successor is None:
             self._become_proxy(cid, frm, tag)
             return
-        self.sent_for_cid.setdefault(cid, set()).add(successor)
         sim.send(self.node, successor, sim.message(WANT_FORWARD, cid),
                  WalkTag(tag.walk, tag.hop + 1, tag.retx))
 
     def _next_hop(self, cid: Cid, frm: PeerId) -> PeerId | None:
         """The successor a new walk step from `frm` goes to, or None for
-        the proxy role."""
+        the proxy role, which a node keeps for a CID once it has it."""
         if cid in self.proxies:
             return None
         rng = self._sim().rng
-        sent = self.sent_for_cid.get(cid)
+        sent = self.sent.get(cid)
         if sent:
             # loop reduction: only successors that have not seen this cid yet
-            candidates = self._live_successors(exclude=sent | {frm})
+            candidates = self._live_successors(exclude=sent.keys() | {frm})
         elif rng.random() < self.config.p:
             return None
         else:
@@ -335,15 +327,15 @@ class RawaEngine(HonestEngine):
         cid = msg.cid
         sim = self._sim()
         handled = False
-        pred = self.relayed.get((cid, frm))
-        if pred is not None:
-            entry = self.entries[(cid, pred)]
-            # a collapsed entry (now the proxy role) names no successor
-            if entry.successor == frm:
+        back = self.sent.get(cid, {}).get(frm)
+        if back is not None:
+            pred, pred_tag = back
+            # a collapsed entry (now the proxy role) is gone from `entries`
+            if self.entries.get((cid, pred)) == frm:
                 handled = True
                 if sim.reachable(self.node, pred):
                     # the relayed copy is the received message itself
-                    sim.send(self.node, pred, msg, entry.tag)
+                    sim.send(self.node, pred, msg, pred_tag)
         session = self.sessions.get(cid)
         if session is not None and session.state not in (DONE, FAILED):
             handled = True

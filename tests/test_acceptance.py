@@ -15,7 +15,7 @@ import pytest
 
 from rawasim.metrics import aggregate
 from rawasim.netsim import LinkSpec, Simulator
-from rawasim.rawa import RaWaConfig, RelayEntry, build_forward_graph
+from rawasim.rawa import RaWaConfig, build_forward_graph
 from rawasim.runner import ExperimentConfig, build_run, run_experiment, write_results
 from rawasim.topology import build_honest_topology
 

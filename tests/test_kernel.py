@@ -1,8 +1,8 @@
 """The event kernel's shortcuts against what they stand in for: cached
-neighbor and successor views against a fresh computation, the relay index
-(one predecessor per CID and successor) against the relay entries it
-stands for, the fan-out against a `reachable`-guarded send loop, the
-per-run shared messages against fresh ones, the inlined send delay
+neighbor and successor views against a fresh computation, the relay table
+(one predecessor per CID and successor, a sticky proxy role) against the
+walks it was driven with, the fan-out against a `reachable`-guarded send
+loop, the per-run shared messages against fresh ones, the inlined send delay
 against `link_delay`, and the event set's order, staged runs, `peek` and
 cancelled timers against a plain heap of ``(at, seq)``."""
 
@@ -88,7 +88,7 @@ def test_neighbors_view_is_shared_until_an_edge_changes():
     assert scn.sim.neighbors(1) == ()
 
 
-# -- relay index -----------------------------------------------------------------
+# -- relay table -----------------------------------------------------------------
 
 RELAY = 4
 SUCCESSORS = (5, 6, 7, 8)
@@ -107,7 +107,9 @@ class Sink:
 def drive_relay(seed, ops):
     """A relay with predecessors 0-3 and successors 5-8 (sinks), after
     `ops`: WANT-FORWARDs from a predecessor for one of two CIDs, and
-    departures of successors."""
+    departures of successors. The proxy role is sticky: once the relay is
+    the proxy for a CID, `entries` gains no key for it, and a WANT-FORWARD
+    from a predecessor without an entry ends at the relay."""
     edges = [(pred, RELAY) for pred in range(4)] + [(RELAY, s) for s in SUCCESSORS]
     scn = Scenario(9, edges, rawa=RaWaConfig(p=0.3), seed=seed)
     sim = scn.sim
@@ -122,7 +124,15 @@ def drive_relay(seed, ops):
             cid = OTHER_CID if other else CID
             tag = WalkTag((a, cid, 0), 1, retx[(a, cid)])
             retx[(a, cid)] += 1
+            proxy, fresh = cid in engine.proxies, (cid, a) not in engine.entries
+            keys = {key for key in engine.entries if key[0] == cid}
+            forwarded = len(scn.observer.wf_sends)
             engine.handle_message(a, Message(MessageType.WANT_FORWARD, cid), tag)
+            if proxy:
+                assert {key for key in engine.entries if key[0] == cid} <= keys
+                if fresh:
+                    assert len(scn.observer.wf_sends) == forwarded
+                    assert a in engine.proxies[cid].preds
         elif sim.is_alive(a):
             sim.schedule_departure(a, sim.now)
             sim.run(until=sim.now)
@@ -133,16 +143,15 @@ def drive_relay(seed, ops):
 @given(seed=st.integers(0, 2**32), ops=st.lists(relay_op, max_size=30))
 def test_no_two_relay_entries_for_one_cid_share_a_successor(seed, ops):
     """Loop reduction gives each new walk step for a CID a successor no
-    earlier step for it got, so `relayed` can name one predecessor per
-    ``(cid, successor)``: the one whose entry was made with it."""
+    earlier step for it got, so `sent` can name one predecessor per
+    ``(cid, successor)``: the one whose entry was made with it, with the
+    tag of its first WANT-FORWARD, the only one that can make an entry."""
     _, engine = drive_relay(seed, ops)
     seen = set()
-    for (cid, pred), entry in engine.entries.items():
-        if entry.successor is None:
-            continue  # the proxy role, or collapsed into it
-        assert (cid, entry.successor) not in seen
-        seen.add((cid, entry.successor))
-        assert engine.relayed[(cid, entry.successor)] == pred
+    for (cid, pred), successor in engine.entries.items():
+        assert (cid, successor) not in seen
+        seen.add((cid, successor))
+        assert engine.sent[cid][successor] == (pred, WalkTag((pred, cid, 0), 1, 0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -155,9 +164,9 @@ def test_forward_have_returns_to_the_predecessors_relayed_to_its_sender(seed, op
     observer = scn.observer
     for cid in (CID, OTHER_CID):
         for s in SUCCESSORS:
-            expected = [(entry.tag.walk, RELAY, pred)
-                        for (c, pred), entry in engine.entries.items()
-                        if c == cid and entry.successor == s]
+            expected = [((pred, cid, 0), RELAY, pred)
+                        for (c, pred), successor in engine.entries.items()
+                        if c == cid and successor == s]
             sent, drops = len(observer.fh_sends), len(observer.drops)
             engine.handle_message(s, Message(MessageType.FORWARD_HAVE, cid,
                                              providers=(s,)), None)
@@ -172,12 +181,12 @@ def test_collapse_to_proxy_leaves_the_index():
     engine = scn.engines[1]
     tag = WalkTag((0, CID, 0), 1, 0)
     engine.handle_message(0, Message(MessageType.WANT_FORWARD, CID), tag)
-    assert engine.entries[(CID, 0)].successor == 2
+    assert engine.entries[(CID, 0)] == 2
     scn.sim.schedule_departure(2, 0.0)
     scn.sim.run()
     engine.handle_message(0, Message(MessageType.WANT_FORWARD, CID),
                           tag._replace(retx=1))
-    assert engine.entries[(CID, 0)].successor is None
+    assert (CID, 0) not in engine.entries
     assert CID in engine.proxies
     fh = Message(MessageType.FORWARD_HAVE, CID, providers=(2,))
     engine.handle_message(2, fh, None)

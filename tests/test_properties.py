@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from random import Random
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rawasim.adversary import fse_classify
 from rawasim.core import Block, MessageType, validate_block
 from rawasim.engine import DONE, HonestEngine
 from rawasim.netsim import Observer, Simulator
@@ -177,3 +181,45 @@ def test_every_completed_block_validates(config):
     for node, (cid, *_) in handles.sim.observer.completions.items():
         block = handles.engines[node].store.get(cid)
         assert block is not None and validate_block(cid, block), (node, cid)
+
+
+# -- closed form ---------------------------------------------------------------
+
+FIRST_HOP_SEEDS = 300  # per out_links; the first FULL_RUNS also run to the end
+FULL_RUNS = 30
+
+
+@pytest.mark.parametrize("out_links", [1, 2, 3, 4])
+def test_spy_is_a_first_hop_as_often_as_one_over_degree(out_links):
+    """With eta max a requester's successors are all its neighbours and its
+    first hop is uniform over them, so the fse spy, linked to every honest
+    node, gets walk 0's first WANT-FORWARD from requester v with
+    probability 1/deg(v), the spy counted in the degree. Over fixed seeds
+    the requesters it gets one from number within 3 sigma of the sum of
+    those probabilities. That WANT-FORWARD is the first request the spy
+    gets from v, so on a full run `fse_classify` links v correctly."""
+    mean = var = 0.0
+    hits = 0
+    for seed in range(FIRST_HOP_SEEDS):
+        config = ExperimentConfig(protocol="rawa", adversary="fse", n_peers=41,
+                                  out_links=out_links, runs=1, base_seed=seed,
+                                  rawa=RaWaConfig(eta=None))
+        handles = build_run(config, 0)
+        sim, spy = handles.sim, handles.adversaries[0]
+        for v in handles.honest:
+            p = 1 / len(sim.neighbors(v))
+            mean += p
+            var += p * (1 - p)
+        sim.run(until=1.0)  # every request fires at 0, before any dial
+        first_hop = {frm: to for walk, retx, hop, frm, to, _
+                     in sim.observer.wf_sends
+                     if walk[2] == 0 and retx == 0 and hop == 1}
+        assert sorted(first_hop) == handles.honest
+        linked = [v for v, to in first_hop.items() if to == spy]
+        hits += len(linked)
+        if seed < FULL_RUNS:
+            sim.run()
+            prediction = fse_classify(handles.log, handles.honest, Random(0))
+            for v in linked:
+                assert prediction.links[v] == handles.truth.interests[v], (seed, v)
+    assert abs(hits - mean) <= 3 * math.sqrt(var), (hits, mean, var)

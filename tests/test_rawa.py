@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from random import Random
 
@@ -46,7 +47,8 @@ def test_config_validation():
     # timers that would schedule into the past
     for overrides in ({"t0_ms": -1.0}, {"t0_ms": 0.0}, {"t1_ms": -5.0},
                       {"t1_ms": 0.0}, {"u_ms": 0.0, "t0_ms": -2.0, "t1_ms": -3.0},
-                      {"forward_have_aggregation_ms": -1.0}):
+                      {"forward_have_aggregation_ms": -1.0},
+                      {"forward_have_aggregation_ms": math.inf}):
         with pytest.raises(ValueError):
             RaWaConfig(**overrides)
 
@@ -203,11 +205,11 @@ def test_duplicate_from_same_predecessor_reuses_successor():
     engine = scn.engines[1]
     tag = WalkTag((0, cid, 0), 1, 0)
     engine.handle_message(0, Message(MessageType.WANT_FORWARD, cid), tag)
-    successor = engine.entries[(cid, 0)].successor
+    successor = engine.entries[(cid, 0)]
     assert successor in (2, 3)
     engine.handle_message(0, Message(MessageType.WANT_FORWARD, cid),
                           tag._replace(retx=1))
-    assert engine.entries[(cid, 0)].successor == successor
+    assert engine.entries[(cid, 0)] == successor
     forwards = [rec for rec in scn.observer.wf_sends if rec[3] == 1]
     assert [f[4] for f in forwards] == [successor, successor]
 
@@ -221,11 +223,11 @@ def test_loop_reduction_exhaustion_becomes_proxy():
     other = 0 if succ == 2 else 2
     engine.handle_message(other, Message(MessageType.WANT_FORWARD, cid),
                           WalkTag((other, cid, 0), 1, 0))
-    assert engine.entries[(cid, other)].successor == succ
+    assert engine.entries[(cid, other)] == succ
     # a second walk for the same cid finds no unused successor
     engine.handle_message(succ, Message(MessageType.WANT_FORWARD, cid),
                           WalkTag((succ, cid, 0), 1, 0))
-    assert engine.entries[(cid, succ)].successor is None
+    assert (cid, succ) not in engine.entries
     assert cid in engine.proxies
 
 
@@ -258,7 +260,7 @@ def test_repeat_a_minute_later_follows_the_recorded_successor():
     forward = Message(MessageType.WANT_FORWARD, cid)
     tag = WalkTag((0, cid, 0), 1, 0)
     engine.handle_message(0, forward, tag)
-    successor = engine.entries[(cid, 0)].successor
+    successor = engine.entries[(cid, 0)]
     assert successor in (2, 3)
     scn.sim.schedule(61_000.0, "repeat", lambda: engine.handle_message(
         0, forward, tag._replace(retx=1)))

@@ -303,6 +303,9 @@ def test_cli_config_error_exit_code(tmp_path):
     {"rawa": {"p": 0.5, "eta": 1, "t1_ms": -5}},
     {"rawa": {"p": 0.5, "eta": 1, "u_ms": 0, "t0_ms": -2, "t1_ms": -3}},
     {"rawa": {"p": 0.5, "eta": 1, "forward_have_aggregation_ms": -5}},
+    # JSON Infinity: the proxy's window timer ran after every finite event,
+    # so the run's clock ended at inf
+    {"rawa": {"p": 0.5, "eta": 1, "forward_have_aggregation_ms": math.inf}},
     {"run_bound_ms": -10}, {"run_bound_ms": 0},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
