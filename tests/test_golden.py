@@ -8,8 +8,10 @@ invalidate the cached neighbor and successor views. The extra configs
 cover the requester and proxy paths the base grid misses: provider
 verification against active exploiters (with and without fake HAVEs), the
 proxy's provider-index aggregation, the FORWARD-HAVE aggregation window
-under churn and stagger, vanilla against exploiters, and a run bound that
-cuts requests off. A deliberate change of the draw order re-records the
+under churn and stagger, vanilla against exploiters, a run bound that
+cuts requests off, and 150 KiB blocks for both protocols, whose payloads
+take the large-block generator (the full trace carries every CID sent, so
+it pins the payload bytes). A deliberate change of the draw order re-records the
 table and says why in CHANGES.md.
 
 A second table pins the event order itself, which the result files see
@@ -64,10 +66,16 @@ def _grid() -> dict[str, ExperimentConfig]:
         protocol="rawa", adversary="fse", n_peers=50, runs=2, base_seed=23,
         stagger_ms=40.0, churn=((3, 150.0), (17, 900.0), (30, 2500.0)),
         rawa=RaWaConfig(p=0.2, eta=None, forward_have_aggregation_ms=300.0))
+    for protocol in ("vanilla", "rawa"):
+        configs[f"{protocol}_b150k"] = ExperimentConfig(
+            protocol=protocol, n_peers=50, runs=2, base_seed=11,
+            block_size=153_600, rawa=RaWaConfig(p=0.2, eta=2))
     return configs
 
 
 GOLDEN = {
+    "rawa_b150k": ("380e49d185283f35381aca54b069ba60b4a8da6baf27ad7fe2eea8c2b2a8573f",
+                  "16d15b907a7e4bdd72cc23919a77a1b3f88348e48d53f5d7a8d0b379366a8a6f"),
     "rawa_churn": ("3df6874f64630cd81069963f55ac8ac4d6357ffd86cf7a464ed9de6cbf332756",
                   "fbd986ccd3dd7732dcadf0fd21b456b8e1e3b5ba0fe8b1c7e4e368a6213e7945"),
     "rawa_fse": ("079af41fef9577d3041743957871edd261dbbb971be8cb33e6de141617fc57a2",
@@ -84,6 +92,8 @@ GOLDEN = {
                              "ff1fc811c1d2af84cec29553306aea916945fc38ce02809b2f5a12e7edcec4fa"),
     "rawa_window_churn": ("5c9de0b6a72cb41bf75bdb09d3cea7340d6730652eec5ad9625dcee7e37e8d8f",
                          "ec0b8c9cf30f90de9ac9a7fcaf9f96690f867e7cc0fec37b8b3fa56ec07b6db4"),
+    "vanilla_b150k": ("e9f8952c49fd7b09a8ca9cf672b58c65c0a82395fb7fd0a49c8ebaf028a0a620",
+                     "a57ceb3a3ebb4e72865a7b7553d69e82f7e7443347feb77837a77b056dfc9ca3"),
     "vanilla_bound": ("6909354e10405cd517466aeb56a2953173833eb1abe6fdc8e6e04c959539d401",
                      "6ef326c4199fc4dc321059f0c3aa6ec4322ade4583aeece3da61bc84639a293d"),
     "vanilla_churn": ("0436608dfaaebcaba320b851a2dce3cf7bbedf092faaa761b8596bd3ff4660a6",
@@ -99,6 +109,8 @@ GOLDEN = {
 }
 
 TRACE_GOLDEN = {
+    "rawa_b150k":
+        "ed55145299a27033b367f69f8b58150a41879d0fa43a4a067a2524f41600e207",
     "rawa_churn":
         "7f11913d72e22e48c2beb4c09c386364f9ac56950cb1b705b889370c2b0f23ec",
     "rawa_fse":
@@ -115,6 +127,8 @@ TRACE_GOLDEN = {
         "df846d184d6562dcc8941261cd6dedee295040e0a1a7e031f3d41f99309e8924",
     "rawa_window_churn":
         "161d7c13c078dee72f58d673a629bab39ab825c6caadd87a753db3be298fa645",
+    "vanilla_b150k":
+        "3e0f875dffb301067323a7b0ac53d14fabfe9636015c174629aef52e1aa1aab8",
     "vanilla_bound":
         "6c9987aa401eaa724501eee8fe6174e4ac72d8f48bb1804a6463115e5d0f1845",
     "vanilla_churn":
