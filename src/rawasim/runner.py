@@ -73,6 +73,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown adversary {self.adversary!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # an empty payload fails the block build, and fewer than one link
+        # fails the topology draw
+        for name in ("block_size", "out_links"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         if self.n_honest <= self.out_links:
             raise ValueError("need more honest peers than out_links")
         if self.adversary in (ADVERSARY_WFE, ADVERSARY_SAWFE) and \

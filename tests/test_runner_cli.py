@@ -59,6 +59,9 @@ def test_config_validation_errors():
     {"churn": ((15, 100.0),)}, {"churn": ((-1, 100.0),)},
     {"churn": ((2, -1.0),)}, {"churn": ((2,),)},
     {"run_bound_ms": -10.0}, {"run_bound_ms": 0.0},
+    {"block_size": 0}, {"block_size": -1}, {"block_size": 1.5},
+    {"block_size": True}, {"out_links": 0}, {"out_links": -1},
+    {"out_links": 2.0}, {"out_links": True},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
     with pytest.raises(ValueError):
@@ -307,6 +310,10 @@ def test_cli_config_error_exit_code(tmp_path):
     # so the run's clock ended at inf
     {"rawa": {"p": 0.5, "eta": 1, "forward_have_aggregation_ms": math.inf}},
     {"run_bound_ms": -10}, {"run_bound_ms": 0},
+    # an empty payload failed at block build, zero links found no neighbor
+    # and negative links failed the topology's sample
+    {"block_size": 0}, {"block_size": "1025"}, {"out_links": 0},
+    {"out_links": -1}, {"out_links": True},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
