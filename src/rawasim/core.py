@@ -100,7 +100,10 @@ BLOCK = MessageType.BLOCK
 WANT_FORWARD = MessageType.WANT_FORWARD
 FORWARD_HAVE = MessageType.FORWARD_HAVE
 
-REQUEST_TYPES = frozenset({WANT_HAVE, WANT_BLOCK, WANT_FORWARD})
+# A tuple, not a set: `in` then compares identities in C, where a set would
+# call Enum's Python-level __hash__ on every test (once per log record when
+# a classifier scans the adversary's log).
+REQUEST_TYPES = (WANT_HAVE, WANT_BLOCK, WANT_FORWARD)
 
 
 @dataclass(frozen=True)
