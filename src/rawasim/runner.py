@@ -20,7 +20,7 @@ from random import Random
 
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
-from .core import Block, Cid, PeerId
+from .core import Block, Cid, PeerId, random_payload
 from .dht import DummyDht
 from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
@@ -218,9 +218,8 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     # size-sweep comparisons paired.
     owners: dict[PeerId, Cid] = {}
     for node in honest:
-        payload_rng = Random(rng.getrandbits(64))
         owners[node] = engines[node].store_block(
-            Block(payload_rng.randbytes(config.block_size)))
+            Block(random_payload(rng.getrandbits(64), config.block_size)))
 
     # privacy subgraphs (the passive spy participates like an honest node)
     subgraph_oracle: dict[PeerId, tuple] = {}

@@ -60,6 +60,28 @@ def test_a_run_hashes_each_stored_block_once(protocol, monkeypatch):
     assert hashed == Counter({id(block.payload): 1 for block in stored.values()})
 
 
+# random_payload must equal the Python call it replaces, kept here as the
+# reference: seeds at the 32- and 64-bit key-length edges, and every residue
+# mod 4 just below and at or above the crossover to numpy's generator
+PAYLOAD_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+PAYLOAD_SIZES = tuple(size for base in (1, core.LARGE_PAYLOAD_BYTES - 4,
+                                        core.LARGE_PAYLOAD_BYTES, 153_600)
+                      for size in range(base, base + 4))
+
+
+@pytest.mark.parametrize("seed", PAYLOAD_SEEDS)
+def test_random_payload_is_randbytes_at_the_edges(seed):
+    for size in PAYLOAD_SIZES:
+        assert core.random_payload(seed, size) == Random(seed).randbytes(size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from(PAYLOAD_SEEDS), st.integers(0, 2**64 - 1)),
+       size=st.one_of(st.sampled_from(PAYLOAD_SIZES), st.integers(1, 160_000)))
+def test_random_payload_is_randbytes(seed, size):
+    assert core.random_payload(seed, size) == Random(seed).randbytes(size)
+
+
 def test_empty_block_rejected():
     with pytest.raises(ValueError):
         Block(b"")
