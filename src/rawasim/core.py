@@ -90,8 +90,8 @@ _mt_lock = threading.Lock()
 
 @cache
 def _numpy_mt():
-    # Imported on first use, not with this module: numpy.random costs about
-    # 2.2 MiB of RSS and 10 ms, which runs with small blocks never pay.
+    # Imported on first use, not with this module: numpy.random costs
+    # 10-15 ms and a few MiB of RSS, which runs with small blocks never pay.
     from numpy.random import MT19937, RandomState
     return RandomState(MT19937())
 
@@ -101,8 +101,10 @@ def random_payload(seed: int, size: int) -> bytes:
 
     Large payloads are drawn from numpy's MT19937 seeded with the key CPython
     derives from an int seed: its 32-bit words, least significant first (a
-    list, so numpy runs the same init_by_array). `randbytes` emits the words
-    little-endian, and a last partial word as its high bytes."""
+    list, so numpy runs the same init_by_array; a scalar would take another
+    seeding). `randint` over the full 32-bit range returns the generator's
+    raw words. `randbytes` emits them little-endian, and a last partial word
+    as its high bytes."""
     if size < LARGE_PAYLOAD_BYTES:
         return Random(seed).randbytes(size)
     key = [(seed >> shift) & 0xFFFFFFFF

@@ -10,9 +10,9 @@ verification against active exploiters (with and without fake HAVEs), the
 proxy's provider-index aggregation, the FORWARD-HAVE aggregation window
 under churn and stagger, vanilla against exploiters, a run bound that
 cuts requests off, and 150 KiB blocks for both protocols, whose payloads
-take the large-block generator (the full trace carries every CID sent, so
-it pins the payload bytes). A deliberate change of the draw order re-records the
-table and says why in CHANGES.md.
+come from numpy's generator (the full trace carries the CID of every block
+sent, which pins those payloads byte for byte). A deliberate change of the
+draw order re-records the table and says why in CHANGES.md.
 
 A second table pins the event order itself, which the result files see
 only through their aggregates: one SHA-256 per config over its runs with
