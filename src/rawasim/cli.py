@@ -9,39 +9,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .metrics import aggregate
-from .runner import (ExperimentConfig, run_experiment, sweep, write_results)
+from .runner import (ExperimentConfig, overlay, refuse_existing, result_paths,
+                     run_experiment, sweep, write_results)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
-def _apply_overrides(data: dict, args) -> dict:
-    for key in ("protocol", "adversary", "n_peers", "block_size", "runs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if args.seed is not None:
-        data["base_seed"] = args.seed
-    rawa = dict(data.get("rawa", {}))
-    if args.p is not None:
-        rawa["p"] = args.p
-    if args.eta is not None:
-        rawa["eta"] = None if args.eta == "max" else int(args.eta)
-    if rawa:
-        data["rawa"] = rawa
-    return data
+def _config(args) -> ExperimentConfig:
+    """The --config file with the flags on top; only --eta needs decoding."""
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    flags = {key: getattr(args, key) for key in ("protocol", "adversary",
+             "n_peers", "block_size", "runs", "base_seed", "p")}
+    flags["eta"] = args.eta if args.eta in (None, "max") else int(args.eta)
+    return overlay(data, {k: v for k, v in flags.items() if v is not None})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="base seed override")
+    parser.add_argument("--seed", dest="base_seed", type=int, help="base seed override")
     parser.add_argument("--runs", type=int, help="number of runs override")
     parser.add_argument("--protocol", choices=["vanilla", "rawa"])
     parser.add_argument("--adversary", choices=["none", "fse", "wfe", "sawfe"])
@@ -75,14 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_dict(_apply_overrides(_load_config(args.config), args))
+    config = _config(args)
     out = Path(args.out)
     _check_writable(out)
-    if not args.force:
-        for suffix in (".csv", "_summary.json"):
-            path = out / f"{config.label()}{suffix}"
-            if path.exists():
-                raise FileExistsError(f"{path} exists; use --force")
+    if not args.force:  # before the runs, not after them
+        refuse_existing(result_paths(config, out))
     results = run_experiment(config, workers=args.workers)
     csv_path, json_path = write_results(config, results, out, force=args.force)
     summary = aggregate([r.metrics for r in results])
@@ -92,7 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_dict(_apply_overrides(_load_config(args.config), args))
+    config = _config(args)
     grid = json.loads(Path(args.grid).read_text())
     _check_writable(Path(args.out))
     report = sweep(config, grid, args.out, force=args.force, workers=args.workers)
@@ -114,15 +97,11 @@ def _cmd_report(args) -> int:
         lines = path.read_text().strip().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        def mean_of(column):
-            values = [float(r[column]) for r in rows if r[column]]
-            return sum(values) / len(values) if values else None
-        stats = {c: mean_of(c) for c in
-                 ("precision", "recall", "resolved_fraction", "ttfb_mean_ms")}
         parts = [f"{path.stem}: runs={len(rows)}"]
-        for key, value in stats.items():
-            if value is not None:
-                parts.append(f"{key}={value:.4f}")
+        for column in ("precision", "recall", "resolved_fraction", "ttfb_mean_ms"):
+            values = [float(r[column]) for r in rows if r[column]]
+            if values:
+                parts.append(f"{column}={sum(values) / len(values):.4f}")
         print("  ".join(parts))
     return 0
 
@@ -154,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_report(args)
-    except (ValueError, FileExistsError, FileNotFoundError,
-            json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, FileExistsError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure

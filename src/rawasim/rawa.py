@@ -74,8 +74,11 @@ class RaWaConfig:
     def __post_init__(self) -> None:
         if not (0 < self.p <= 1):
             raise ValueError("p must be in (0, 1]")
-        if self.eta is not None and self.eta < 1:
-            raise ValueError("eta must be >= 1 (or None for all neighbors)")
+        eta = self.eta
+        if eta is not None and (isinstance(eta, bool) or not isinstance(eta, int)
+                                or eta < 1):
+            raise ValueError("eta must be an integer >= 1 (or None for all "
+                             f"neighbors), not {eta!r}")
         if not (self.u_ms > self.t1_ms and self.u_ms > self.t0_ms):
             raise ValueError("require u > t1 and u > t0")
         if not all(t > 0 for t in (self.t0_ms, self.t1_ms, self.u_ms)):

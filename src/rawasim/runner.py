@@ -17,6 +17,7 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
@@ -71,11 +72,9 @@ class ExperimentConfig:
         if self.adversary not in (ADVERSARY_NONE, ADVERSARY_FSE,
                                   ADVERSARY_WFE, ADVERSARY_SAWFE):
             raise ValueError(f"unknown adversary {self.adversary!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        # an empty payload fails the block build, and fewer than one link
-        # fails the topology draw
-        for name in ("block_size", "out_links"):
+        # an empty payload fails the block build, fewer than one link fails
+        # the topology draw, and a float or bool count fails inside the run
+        for name in ("n_peers", "runs", "block_size", "out_links"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
@@ -353,15 +352,24 @@ def result_rows(config: ExperimentConfig, results: list[RunResult]):
         ])
 
 
+def result_paths(config: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
+    """The CSV and the summary JSON that `write_results` writes for `config`."""
+    out = Path(out_dir)
+    return out / f"{config.label()}.csv", out / f"{config.label()}_summary.json"
+
+
+def refuse_existing(paths) -> None:
+    for path in paths:
+        if path.exists():
+            raise FileExistsError(f"{path} exists; pass force to overwrite")
+
+
 def write_results(config: ExperimentConfig, results: list[RunResult],
                   out_dir: str | Path, force: bool = False) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{config.label()}.csv"
-    json_path = out / f"{config.label()}_summary.json"
-    for path in (csv_path, json_path):
-        if path.exists() and not force:
-            raise FileExistsError(f"{path} exists; pass force to overwrite")
+    csv_path, json_path = result_paths(config, out_dir)
+    if not force:
+        refuse_existing((csv_path, json_path))
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER, *result_rows(config, results)]
     csv_path.write_text("\n".join(lines) + "\n")
     summary = {
@@ -373,51 +381,68 @@ def write_results(config: ExperimentConfig, results: list[RunResult],
     return csv_path, json_path
 
 
-def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
-          force: bool = False, workers: int | None = None) -> dict:
-    """Run the cross product of the grid axes over the base config.
+class SweepCell(NamedTuple):
+    combo: dict
+    config: ExperimentConfig
+    repeat: bool
 
-    Recognized axes: p, eta, adversary, block_size, protocol. Failures are
-    isolated per combination; the sweep continues and reports them. The
-    walk-only axes (p, eta) do not change a vanilla run, so a vanilla
-    combination that differs from an earlier one only there is listed under
-    ``skipped`` with the label it shares instead of being run again.
-    """
-    axes = sorted(grid)
-    allowed = {"p", "eta", "adversary", "block_size", "protocol"}
-    unknown = set(axes) - allowed
+
+def overlay(data: dict, overrides: dict) -> ExperimentConfig:
+    """The config of `data` with `overrides` on top. `p` and `eta` go into
+    `rawa`, so `from_dict` decodes every value, `eta: "max"` included."""
+    walk = {key: overrides[key] for key in ("p", "eta") if key in overrides}
+    data = {**data, **overrides, "rawa": {**data.get("rawa", {}), **walk}}
+    return ExperimentConfig.from_dict({k: v for k, v in data.items() if k not in walk})
+
+
+def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
+    """Every combination of the grid's axes over `base`, in sorted-axis
+    order, each built as a config; a bad axis or value raises ValueError.
+    The walk-only axes (p, eta) do not change a vanilla run, so a vanilla
+    cell that differs from an earlier one only there is a repeat."""
+    unknown = set(grid) - {"p", "eta", "adversary", "block_size", "protocol"}
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
-
     combos: list[dict] = [{}]
-    for axis in axes:
-        values = grid[axis]
-        if not values:
+    for axis in sorted(grid):
+        if not grid[axis]:
             raise ValueError(f"empty grid axis {axis!r}")
-        combos = [dict(c, **{axis: v}) for c in combos for v in values]
-
-    report: dict = {"combinations": [], "errors": [], "skipped": []}
-    ran: list[ExperimentConfig] = []
+        combos = [dict(c, **{axis: v}) for c in combos for v in grid[axis]]
+    data = base.to_dict()
+    cells, runs = [], set()
     for combo in combos:
         try:
-            overrides = dict(combo)
-            rawa_over = {}
-            if "p" in overrides:
-                rawa_over["p"] = overrides.pop("p")
-            if "eta" in overrides:
-                eta = overrides.pop("eta")
-                rawa_over["eta"] = None if eta in (None, "max") else int(eta)
-            config = replace(base, **overrides)
-            if rawa_over:
-                config = replace(config, rawa=replace(config.rawa, **rawa_over))
-            same_run = (replace(config, rawa=base.rawa)
-                        if config.protocol == PROTOCOL_VANILLA else config)
-            if same_run in ran:
-                report["skipped"].append({"combo": combo, "label": config.label()})
-                continue
+            config = overlay(data, combo)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"grid cell {combo}: {exc}") from exc
+        run = (replace(config, rawa=base.rawa)
+               if config.protocol == PROTOCOL_VANILLA else config)
+        cells.append(SweepCell(combo, config, run in runs))
+        runs.add(run)
+    return cells
+
+
+def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
+          force: bool = False, workers: int | None = None) -> dict:
+    """Run each cell of `sweep_cells(base, grid)`; repeats go under ``skipped``.
+    Cells that share result files and, unless `force`, existing outputs
+    raise before the first run; a run-time failure is reported per cell."""
+    cells = sweep_cells(base, grid)
+    combined = Path(out_dir) / "sweep_summary.json"
+    paths = [path for cell in cells if not cell.repeat
+             for path in result_paths(cell.config, out_dir)]
+    if len(set(paths)) < len(paths):
+        raise ValueError("two grid cells would write the same result files")
+    if not force:
+        refuse_existing([combined, *paths])
+    report: dict = {"combinations": [], "errors": [], "skipped": []}
+    for combo, config, repeat in cells:
+        if repeat:
+            report["skipped"].append({"combo": combo, "label": config.label()})
+            continue
+        try:
             results = run_experiment(config, workers=workers)
             csv_path, json_path = write_results(config, results, out_dir, force)
-            ran.append(same_run)
             report["combinations"].append({
                 "combo": combo, "label": config.label(),
                 "csv": str(csv_path), "summary": str(json_path),
@@ -425,8 +450,5 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
             })
         except Exception as exc:  # isolate per combination
             report["errors"].append({"combo": combo, "error": str(exc)})
-    combined = Path(out_dir) / "sweep_summary.json"
-    if combined.exists() and not force:
-        raise FileExistsError(f"{combined} exists; pass force to overwrite")
     combined.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -7,6 +7,7 @@ module takes a few minutes of CPU.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from random import Random
@@ -40,6 +41,13 @@ def checks(title: str):
 
 def eta_name(eta) -> str:
     return "max" if eta is None else str(eta)
+
+
+def mean_ci(stats: dict) -> str:
+    """The mean with 1.96 standard errors (SE = std / sqrt(n)): its normal
+    95 % interval over the runs."""
+    se = stats["std"] / math.sqrt(stats["n"])
+    return f"{stats['mean']:.4f} +/- {1.96 * se:.4f}"
 
 
 def experiment(key, **kwargs) -> dict:
@@ -89,10 +97,12 @@ def test_criterion_2_walk_discovery_degrades_spy():
         agg = fse_grid(p, eta)
         for metric in ("precision", "recall"):
             value = agg[metric]["mean"]
-            label = f"rawa+fse p={p} eta={eta_name(eta)} mean {metric} {value:.4f}"
+            label = (f"rawa+fse p={p} eta={eta_name(eta)} mean {metric} "
+                     f"{mean_ci(agg[metric])}")
             check(0.30 <= value <= 0.65, f"{label} in [0.30, 0.65]")
             check(baseline - value >= 0.30,
-                  f"{label} below vanilla {baseline:.4f} by >= 0.30")
+                  f"{label} below vanilla {mean_ci(vanilla['precision'])} "
+                  "by >= 0.30")
     assert not failures
 
 
@@ -104,16 +114,16 @@ def test_criterion_3_active_exploiters():
             fse = fse_grid(p, eta)
             for metric in ("precision", "recall"):
                 value = agg[metric]["mean"]
-                label = f"rawa+{kind} p={p} eta={eta_name(eta)} mean {metric} {value:.4f}"
+                label = (f"rawa+{kind} p={p} eta={eta_name(eta)} mean {metric} "
+                         f"{mean_ci(agg[metric])}")
                 check(0.50 <= value <= 0.90, f"{label} in [0.50, 0.90]")
                 check(value > fse[metric]["mean"],
-                      f"{label} above fse {fse[metric]['mean']:.4f}")
+                      f"{label} above fse {mean_ci(fse[metric])}")
     # diagnostic: the provider-list-merging proxy variant (not asserted)
     for kind in ("wfe", "sawfe"):
         agg = exploiter_grid(kind, 0.2, None, runs=50, aggregate_dht=True)
         print(f"  [diag] criterion 3: rawa+{kind} p=0.2 eta=max with "
-              f"merged provider lists: precision "
-              f"{agg['precision']['mean']:.4f}")
+              f"merged provider lists: precision {mean_ci(agg['precision'])}")
     assert not failures
 
 

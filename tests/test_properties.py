@@ -183,6 +183,32 @@ def test_every_completed_block_validates(config):
         assert block is not None and validate_block(cid, block), (node, cid)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_configs(), st.sampled_from([None, 1500.0]))
+def test_every_message_event_and_byte_is_accounted_for(config, bound):
+    """Run to quiescence or to a bound, then:
+    - messages: send rows = the per-variant counts = deliver rows +
+      in-flight-loss and no-engine drops + deliveries still pending;
+    - events: executed = deliver rows + timer rows + those two drop kinds +
+      the timers that fired for a departed node, which leave no row; there
+      are none without churn;
+    - bytes: the total = the per-variant bytes = the sizes of the send rows."""
+    handles = build_run(config, 0)
+    sim = handles.sim
+    executed = sim.run(until=bound)
+    observer = sim.observer
+    rows = Counter(row[2] for row in observer.trace)
+    drops = Counter(drop[5] for drop in observer.drops)
+    lost = drops["in-flight-loss"] + drops["no-engine"]
+    pending = sum(len(event) == 6 for event in sim._heap)
+    assert rows["send"] == sum(observer.msg_counts.values()) \
+        == rows["deliver"] + lost + pending
+    departed_timers = executed - rows["deliver"] - rows["timer"] - lost
+    assert departed_timers >= 0 if config.churn else departed_timers == 0
+    assert observer.bytes_total == sum(observer.bytes_by_variant.values()) \
+        == sum(row[7] for row in observer.trace if row[2] == "send")
+
+
 # -- closed form ---------------------------------------------------------------
 
 FIRST_HOP_SEEDS = 300  # per out_links; the first FULL_RUNS also run to the end

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+from rawasim import runner
 from rawasim.cli import main
 from rawasim.core import wire_size
 from rawasim.netsim import LinkSpec
 from rawasim.rawa import RaWaConfig
-from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run,
-                            run_experiment, run_single, sweep, write_results)
+from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run, overlay,
+                            run_experiment, run_single, sweep, sweep_cells,
+                            write_results)
 
 
 def small_config(**overrides):
@@ -62,10 +64,15 @@ def test_config_validation_errors():
     {"block_size": 0}, {"block_size": -1}, {"block_size": 1.5},
     {"block_size": True}, {"out_links": 0}, {"out_links": -1},
     {"out_links": 2.0}, {"out_links": True},
+    # these loaded, then failed inside the run's build, or (eta true) ran
+    # as eta 1 under the label etaTrue
+    {"n_peers": 16.0}, {"n_peers": True}, {"runs": 2.0}, {"runs": True},
+    {"eta": 2.5}, {"eta": True}, {"eta": "2"},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
+    # the loader's path: fse at n=16, so honest indices are 0..14
     with pytest.raises(ValueError):
-        small_config(**overrides)  # fse at n=16: honest indices 0..14
+        overlay(small_config().to_dict(), overrides)
 
 
 def test_wfe_split_is_four_to_one():
@@ -216,11 +223,59 @@ def test_sweep_cross_product(tmp_path):
     assert (tmp_path / "sweep_summary.json").exists()
 
 
-def test_sweep_isolates_failures(tmp_path):
-    config = small_config(runs=1)
-    report = sweep(config, {"eta": [1, 0]}, tmp_path)  # eta 0 is invalid
-    assert len(report["combinations"]) == 1
-    assert len(report["errors"]) == 1
+def counted_runs(monkeypatch, failing=None):
+    """Count the calls of `runner.run_experiment`, and make it raise for the
+    config labelled `failing`; returns the labels of every call."""
+    calls = []
+    real = runner.run_experiment
+
+    def run(config, workers=None):
+        calls.append(config.label())
+        if config.label() == failing:
+            raise RuntimeError("disk on fire")
+        return real(config, workers=workers)
+    monkeypatch.setattr(runner, "run_experiment", run)
+    return calls
+
+
+def test_sweep_isolates_failures(tmp_path, monkeypatch):
+    counted_runs(monkeypatch, "rawa_fse_p0.5_eta1_b1025")
+    report = sweep(small_config(runs=1), {"eta": [1, 2]}, tmp_path)
+    assert [c["label"] for c in report["combinations"]] == [
+        "rawa_fse_p0.5_eta2_b1025"]
+    assert report["errors"] == [{"combo": {"eta": 1}, "error": "disk on fire"}]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rawa_fse_p0.5_eta2_b1025.csv", "rawa_fse_p0.5_eta2_b1025_summary.json",
+        "sweep_summary.json"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"eta": [1, 0]}, {"block_size": [1025, 0]}, {"eta": [2.5]},
+    {"eta": [1, True]}, {"p": [0.5, 2.0]}, {"adversary": ["fse", "mitm"]},
+    {"p": []},
+    # one label, so the second cell's files would overwrite the first's
+    {"p": [0.2, 0.2000001]},
+])
+def test_sweep_checks_every_cell_before_the_first_run(tmp_path, monkeypatch,
+                                                      grid):
+    calls = counted_runs(monkeypatch)
+    with pytest.raises(ValueError):
+        sweep(small_config(runs=1), grid, tmp_path)
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_sweep_cells_build_every_combination_in_sorted_axis_order():
+    base = small_config(runs=1)
+    cells = sweep_cells(base, {"protocol": ["vanilla", "rawa"],
+                               "eta": [1, "max"]})
+    assert [cell.combo for cell in cells] == [
+        {"eta": 1, "protocol": "vanilla"}, {"eta": 1, "protocol": "rawa"},
+        {"eta": "max", "protocol": "vanilla"}, {"eta": "max", "protocol": "rawa"}]
+    assert [cell.config.label() for cell in cells] == [
+        "vanilla_fse_b1025", "rawa_fse_p0.5_eta1_b1025",
+        "vanilla_fse_b1025", "rawa_fse_p0.5_etamax_b1025"]
+    assert [cell.repeat for cell in cells] == [False, False, True, False]
+    assert cells[3].config == replace(base, rawa=replace(base.rawa, eta=None))
 
 
 def test_sweep_runs_vanilla_once_across_walk_only_axes(tmp_path):
@@ -314,6 +369,10 @@ def test_cli_config_error_exit_code(tmp_path):
     # and negative links failed the topology's sample
     {"block_size": 0}, {"block_size": "1025"}, {"out_links": 0},
     {"out_links": -1}, {"out_links": True},
+    # a float count failed inside the run's build; eta 2.5 failed in the
+    # subgraph draw and eta true ran as eta 1 under the label etaTrue
+    {"n_peers": 20.0}, {"runs": 2.0}, {"runs": True},
+    {"rawa": {"p": 0.5, "eta": 2.5}}, {"rawa": {"p": 0.5, "eta": True}},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
@@ -332,10 +391,50 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(list(out.glob("*.csv"))) == 2
 
 
-def test_cli_sweep_partial_failure_exit_code(tmp_path):
+def sweep_args(tmp_path, grid):
     config_path = write_config(tmp_path, runs=1)
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"eta": [1, 0]}))
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    return ["sweep", "--config", str(config_path), "--grid", str(grid_path),
+            "--out", str(tmp_path / "sweep")]
+
+
+def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch):
+    calls = counted_runs(monkeypatch, "rawa_fse_p0.5_eta1_b1025")
+    assert main(sweep_args(tmp_path, {"eta": [1, 2, 3]})) == 2
+    assert len(calls) == 3
+    assert sorted(p.name for p in (tmp_path / "sweep").glob("*.csv")) == [
+        "rawa_fse_p0.5_eta2_b1025.csv", "rawa_fse_p0.5_eta3_b1025.csv"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"block_size": [1025, 0]}, {"eta": [2.5]}, {"latency": [1]},
+])
+def test_cli_sweep_rejects_a_bad_grid_before_any_run(tmp_path, monkeypatch, grid):
+    calls = counted_runs(monkeypatch)
+    assert main(sweep_args(tmp_path, grid)) == 1
+    assert calls == [] and not list((tmp_path / "sweep").glob("*"))
+
+
+def test_cli_sweep_refuses_existing_outputs_before_any_run(tmp_path, monkeypatch):
+    calls = counted_runs(monkeypatch)
+    args = sweep_args(tmp_path, {"adversary": ["none", "fse"]})
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(config_path), "--grid", str(grid),
-                 "--out", str(out)]) == 2
+    assert main(args) == 0 and len(calls) == 2
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls.clear()
+    assert main(args) == 1 and calls == []
+    # the combined summary alone is enough to refuse
+    for path in out.glob("*_b1025*"):
+        path.unlink()
+    assert main(args) == 1 and calls == []
+    assert main(args + ["--force"]) == 0 and len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+@pytest.mark.parametrize("eta", ["2.5", "two", "0"])
+def test_cli_rejects_a_bad_eta_flag(tmp_path, eta):
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--eta", eta,
+                 "--out", str(out)]) == 1
+    assert not list(out.glob("*.csv"))
