@@ -28,6 +28,20 @@ def peer_name(peer: PeerId) -> str:
     return f"P{peer}"
 
 
+def check_field_types(config, numbers=(), flags=()) -> None:
+    """Refuse a bool for each numeric field in `numbers` (JSON ``true``
+    compares as 1) and anything but a bool for each flag in `flags` (the
+    string ``"no"`` is truthy)."""
+    for name in numbers:
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, not {value!r}")
+    for name in flags:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, not {value!r}")
+
+
 class Cid(bytes):
     """Self-verifying content identifier: SHA-256 digest of the block payload.
 

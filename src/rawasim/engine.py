@@ -1,8 +1,8 @@
 """Shared honest-node machinery: block storage, storage-query answering,
 the baseline neighbour discovery and the requester's fetch state machine.
 
-Both protocol engines answer WANT-HAVE / WANT-BLOCK / CANCEL the same way
-and fetch the same way; they differ only in how a requester discovers
+Both protocol engines answer WANT-HAVE (`reply_presence`) and WANT-BLOCK
+(`serve_block`) the same way, ignore CANCEL, and fetch the same way; they differ only in how a requester discovers
 providers. The baseline engine additionally serves blocks at or below
 ``immediate_block_limit`` straight in response to a WANT-HAVE; the
 walk-based engine disables that path because the asking peer there is
@@ -134,22 +134,14 @@ class HonestEngine:
             reply = sim.message(DONT_HAVE, cid)
         sim.send(self.node, frm, reply)
 
-    def handle_storage_query(self, frm: PeerId, msg: Message) -> bool:
-        """Shared handling for presence/retrieval/cancel messages; returns
-        True when the message was consumed."""
-        variant = msg.variant
-        if variant is WANT_HAVE:
-            self.reply_presence(frm, msg.cid)
-            return True
-        if variant is WANT_BLOCK:
-            sim = self._sim()
-            block = self.store.get(msg.cid)
-            if block is not None:
-                sim.send(self.node, frm, Message(BLOCK, msg.cid, payload=block))
-            else:
-                sim.send(self.node, frm, sim.message(DONT_HAVE, msg.cid))
-            return True
-        return variant is CANCEL
+    def serve_block(self, frm: PeerId, cid: Cid) -> None:
+        """Answer a WANT-BLOCK with the block, or DONT-HAVE without it."""
+        sim = self._sim()
+        block = self.store.get(cid)
+        if block is not None:
+            sim.send(self.node, frm, Message(BLOCK, cid, payload=block))
+        else:
+            sim.send(self.node, frm, sim.message(DONT_HAVE, cid))
 
     # -- requester: session and timers --------------------------------------
 

@@ -18,7 +18,13 @@ message to many peers in one pass, silently skips those already
 unreachable, and reports the whole fan-out to the `Observer` in one call.
 `neighbors` hands out a cached sorted tuple that `add_edge` and departures
 invalidate; edges disappear only when a node departs, which `departures`
-counts so engines can key their own reachability caches on it.
+counts so engines can key their own reachability caches on it. For the same
+reason `run` checks a delivery's edge and endpoints only once `departures`
+is non-zero: before the first departure every queued delivery was sent over
+a live edge that is still there. The `Observer`'s per-variant counters are
+`Tally` dicts, which read an absent key as 0 without inserting it and keep
+the order of each variant's first send, with the C-level item assignment
+that `collections.Counter` gives up.
 
 The event set is one binary heap (`heapq`) of flat tuples, told apart by
 length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of
@@ -50,11 +56,11 @@ import heapq
 import math
 import random
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .core import Cid, Message, MessageType, PeerId, peer_name, wire_size
+from .core import (Cid, Message, MessageType, PeerId, check_field_types,
+                   peer_name, wire_size)
 
 RngStream = random.Random
 
@@ -69,6 +75,8 @@ class LinkSpec:
     bandwidth_bytes_per_s: float = 1048576.0
 
     def __post_init__(self) -> None:
+        check_field_types(self, ("latency_ms", "jitter_ms",
+                                 "bandwidth_bytes_per_s"))
         if not (math.inf > self.latency_ms > self.jitter_ms >= 0):
             raise ValueError("require finite latency > jitter >= 0")
         if not self.bandwidth_bytes_per_s > 0:
@@ -113,6 +121,17 @@ class Timer:
         self.cancelled = True
 
 
+class Tally(dict):
+    """A counter: an absent key reads as 0 and is not inserted. Unlike
+    `collections.Counter`, it defines no Python-level ``__delitem__``, so
+    ``tally[key] += n`` stays in C."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        return 0
+
+
 @dataclass
 class Observer:
     """Run-level bookkeeping fed by the simulator and the engines.
@@ -124,8 +143,9 @@ class Observer:
 
     keep_trace: bool = False
     trace: list[tuple] = field(default_factory=list)
-    msg_counts: Counter = field(default_factory=Counter)
-    bytes_by_variant: Counter = field(default_factory=Counter)
+    # per variant value, in the order of each variant's first send
+    msg_counts: Tally = field(default_factory=Tally)
+    bytes_by_variant: Tally = field(default_factory=Tally)
     bytes_total: int = 0
     drops: list[tuple] = field(default_factory=list)
     # (walk_id, retx, hop, frm, to, time) for every WANT-FORWARD send
@@ -433,7 +453,10 @@ class Simulator:
                     raise RuntimeError(f"livelock: more than {cap} events")
                 if len(event) == 6:
                     _, seq, frm, to, msg, tag = event
-                    if to not in alive or frm not in alive or to not in adjacency[frm]:
+                    # only a departure removes a node or an edge, and every
+                    # delivery was sent over a live edge
+                    if self.departures and (to not in alive or frm not in alive
+                                            or to not in adjacency[frm]):
                         observer.record_drop(time, frm, to, msg, "in-flight-loss")
                         continue
                     engine = engines.get(to)

@@ -16,8 +16,12 @@ WANT-FORWARD from that predecessor for that CID follows it until a collapse
 deletes it. Back, ``sent`` maps each CID's successors to the predecessor
 and tag of the step relayed to them (None for this node's own first hop);
 loop reduction never hands one CID's walks the same successor twice, so a
-returning FORWARD-HAVE finds its walk with one lookup. The proxy role is
-``cid in proxies`` and, once taken, ends every new walk step for that CID.
+returning FORWARD-HAVE finds its walk with one lookup. Loop reduction draws
+uniformly over the live successors not yet used for the CID
+(`draw_successor`), without building that filtered set: one ``randrange``
+over its size, mapped onto the sorted successors by skipping the excluded
+ones. The proxy role is ``cid in proxies`` and, once taken, ends every new
+walk step for that CID.
 
 Churn handling: the requester re-transmits on ``t0``; relays route repeat
 requests to the recorded successor and collapse into the proxy role when
@@ -33,10 +37,12 @@ a wire field, and no routing decision reads it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .core import (BLOCK, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_FORWARD,
-                   WANT_HAVE, Cid, Message, PeerId)
+from .core import (BLOCK, CANCEL, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_BLOCK,
+                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
+                   check_field_types)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine, Search)
 from .netsim import RngStream, WalkTag
@@ -72,6 +78,9 @@ class RaWaConfig:
     proxy_aggregate_dht: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self, ("p", "t0_ms", "t1_ms", "u_ms", "rebuild_ms",
+                                 "forward_have_aggregation_ms"),
+                          ("verify_provider", "proxy_aggregate_dht"))
         if not (0 < self.p <= 1):
             raise ValueError("p must be in (0, 1]")
         eta = self.eta
@@ -96,6 +105,31 @@ def build_forward_graph(neighbors, eta: int | None,
         raise ValueError("need at least one neighbor")
     k = len(pool) if eta is None else min(eta, len(pool))
     return tuple(sorted(rng.sample(pool, k)))
+
+
+def draw_successor(live: tuple[PeerId, ...], exclude,
+                   rng: RngStream) -> PeerId | None:
+    """A uniform pick from the sorted `live` successors that are not in
+    `exclude`, or None, with no draw, when none is left. It makes the one
+    ``randrange`` of indexing the filtered tuple and picks the same peer,
+    without building that tuple: excluded peers that are not live are
+    ignored and duplicates count once."""
+    size = len(live)
+    skip = set()
+    for peer in exclude:
+        i = bisect_left(live, peer)
+        if i < size and live[i] == peer:
+            skip.add(i)
+    size -= len(skip)
+    if not size:
+        return None
+    k = rng.randrange(size)
+    # the k-th kept successor: step over every excluded index at or below it
+    for i in sorted(skip):
+        if i > k:
+            break
+        k += 1
+    return live[k]
 
 
 @dataclass
@@ -147,7 +181,7 @@ class RawaEngine(HonestEngine):
                                          self.config.eta, sim.rng)
         self._live = (-1, ())
 
-    def _live_successors(self, exclude: set[PeerId] = frozenset()) -> tuple[PeerId, ...]:
+    def _live_successors(self) -> tuple[PeerId, ...]:
         sim = self._sim()
         departures = sim.departures
         epoch, live = self._live
@@ -156,9 +190,7 @@ class RawaEngine(HonestEngine):
             # departure can make one unreachable
             live = tuple(s for s in self.graph if sim.reachable(self.node, s))
             self._live = (departures, live)
-        if not exclude:
-            return live
-        return tuple(s for s in live if s not in exclude)
+        return live
 
     # -- requester ----------------------------------------------------------
 
@@ -254,15 +286,15 @@ class RawaEngine(HonestEngine):
         sent = self.sent.get(cid)
         if sent:
             # loop reduction: only successors that have not seen this cid yet
-            candidates = self._live_successors(exclude=sent.keys() | {frm})
-        elif rng.random() < self.config.p:
+            return draw_successor(self._live_successors(), (*sent, frm), rng)
+        if rng.random() < self.config.p:
             return None
-        else:
-            candidates = (self._live_successors(exclude={frm})
-                          or self._live_successors())
-        if not candidates:
-            return None
-        return candidates[rng.randrange(len(candidates))]
+        live = self._live_successors()
+        successor = draw_successor(live, (frm,), rng)
+        # peer ids start at 0: test for None, never truthiness
+        if successor is None:
+            successor = draw_successor(live, (), rng)
+        return successor
 
     # -- proxy --------------------------------------------------------------
 
@@ -354,13 +386,19 @@ class RawaEngine(HonestEngine):
     def handle_message(self, frm: PeerId, msg: Message,
                        tag: WalkTag | None = None) -> None:
         variant = msg.variant
+        if variant is CANCEL:
+            return
+        if variant is WANT_HAVE:
+            self.reply_presence(frm, msg.cid)
+            return
         if variant is WANT_FORWARD:
             self._on_want_forward(frm, msg.cid, tag)
             return
         if variant is FORWARD_HAVE:
             self._route_back(frm, msg, tag)
             return
-        if self.handle_storage_query(frm, msg):
+        if variant is WANT_BLOCK:
+            self.serve_block(frm, msg.cid)
             return
         # HAVE / DONT-HAVE / BLOCK: requester attempt first, then proxy
         session = self.sessions.get(msg.cid)

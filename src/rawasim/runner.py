@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
-from .core import Block, Cid, PeerId, random_payload
+from .core import Block, Cid, PeerId, check_field_types, random_payload
 from .dht import DummyDht
 from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
@@ -78,6 +78,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        check_field_types(
+            self, ("base_seed", "dht_base_delay_ms", "dht_delay_spread",
+                   "stagger_ms", "dial_rtt_multiplier", "give_up_ms",
+                   "run_bound_ms"),
+            ("fixed_topology", "wfe_fake_have", "unique_interests", "keep_trace"))
         if self.n_honest <= self.out_links:
             raise ValueError("need more honest peers than out_links")
         if self.adversary in (ADVERSARY_WFE, ADVERSARY_SAWFE) and \
@@ -100,10 +105,11 @@ class ExperimentConfig:
                 raise ValueError(f"churn entry {list(entry)} is not "
                                  "[honest index, departure ms]")
             index, depart_ms = entry
-            if not (isinstance(index, int) and 0 <= index < self.n_honest):
+            if isinstance(index, bool) or not (isinstance(index, int)
+                                               and 0 <= index < self.n_honest):
                 raise ValueError(f"churn index {index!r} is not one of the "
                                  f"{self.n_honest} honest nodes")
-            if not depart_ms >= 0:
+            if isinstance(depart_ms, bool) or not depart_ms >= 0:
                 raise ValueError(f"churn departure time {depart_ms!r} must be >= 0")
 
     @property

@@ -10,7 +10,8 @@ WANT-HAVE. The fetch itself is the shared one in `rawasim.engine`.
 
 from __future__ import annotations
 
-from .core import BLOCK, HAVE, Message, PeerId
+from .core import (BLOCK, CANCEL, HAVE, WANT_BLOCK, WANT_HAVE, Message,
+                   PeerId)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine)
 from .netsim import WalkTag
@@ -40,23 +41,30 @@ class VanillaEngine(HonestEngine):
 
     def handle_message(self, frm: PeerId, msg: Message,
                        tag: WalkTag | None = None) -> None:
-        if self.handle_storage_query(frm, msg):
+        variant = msg.variant
+        if variant is CANCEL:
+            return
+        if variant is WANT_HAVE:
+            self.reply_presence(frm, msg.cid)
+            return
+        if variant is WANT_BLOCK:
+            self.serve_block(frm, msg.cid)
             return
         sim = self._sim()
         session = self.sessions.get(msg.cid)
         if session is None or session.state in (DONE, FAILED):
-            if msg.variant is BLOCK:
+            if variant is BLOCK:
                 sim.observer.record_drop(sim.now, frm, self.node, msg,
                                          "unsolicited-block")
             return
         session.last_activity = sim.now
-        if msg.variant is HAVE:
+        if variant is HAVE:
             self._merge(session, (frm,))
             if session.state is SEARCHING and frm not in session.tried:
                 self._attempt(session, frm)
         elif session.state is FETCHING and frm == session.target:
             self._on_answer(session, msg)
-        elif msg.variant is BLOCK:
+        elif variant is BLOCK:
             # a small block sent for the WANT-HAVE, or a late answer to an
             # earlier attempt
             self._on_block(session, msg)

@@ -1,7 +1,8 @@
 """The event kernel's shortcuts against what they stand in for: cached
 neighbor and successor views against a fresh computation, the relay table
 (one predecessor per CID and successor, a sticky proxy role) against the
-walks it was driven with, the fan-out against a `reachable`-guarded send
+walks it was driven with, the walk-step draw against indexing the filtered
+successors, the fan-out against a `reachable`-guarded send
 loop, the per-run shared messages against fresh ones, the inlined send delay
 against `link_delay`, and the event set's order, staged runs, `peek` and
 cancelled timers against a plain heap of ``(at, seq)``."""
@@ -14,12 +15,12 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rawasim.core import Message, MessageType, derive_cid, wire_size
 from rawasim.netsim import LinkSpec, Observer, Simulator, WalkTag, link_delay
-from rawasim.rawa import RaWaConfig
+from rawasim.rawa import RaWaConfig, draw_successor
 from rawasim.runner import ExperimentConfig, build_run
 
 from conftest import ZERO_JITTER, Scenario, make_block
@@ -48,9 +49,6 @@ def assert_views_fresh(scn: Scenario) -> None:
             continue
         live = tuple(s for s in engine.graph if sim.reachable(v, s))
         assert engine._live_successors() == live
-        exclude = set(engine.graph[:1])
-        assert engine._live_successors(exclude) == tuple(
-            s for s in live if s not in exclude)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -191,6 +189,60 @@ def test_collapse_to_proxy_leaves_the_index():
     fh = Message(MessageType.FORWARD_HAVE, CID, providers=(2,))
     engine.handle_message(2, fh, None)
     assert scn.observer.drops[-1][5] == "stray-forward-have"
+
+
+# -- the walk-step draw ----------------------------------------------------------
+
+
+def filtered_draw(live, excluded, rng):
+    """The reference: index the filtered successors, or None with no draw."""
+    candidates = tuple(s for s in live if s not in excluded)
+    return candidates[rng.randrange(len(candidates))] if candidates else None
+
+
+def filtered_next_hop(live, sent, frm, p, rng):
+    """`RawaEngine._next_hop` of a node that is not the CID's proxy, by
+    building the filtered successors."""
+    if sent:
+        candidates = tuple(s for s in live if s not in set(sent) | {frm})
+    elif rng.random() < p:
+        return None
+    else:
+        candidates = tuple(s for s in live if s != frm) or live
+    return candidates[rng.randrange(len(candidates))] if candidates else None
+
+
+WALKER = 9  # the relay drawing; its successors are among peers 0-8
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), live=st.sets(st.integers(0, 8), max_size=6),
+       sent=st.lists(st.integers(0, 12), max_size=5), frm=st.integers(0, 8))
+@example(seed=2, live={0}, sent=[], frm=5)          # peer 0 is the pick
+@example(seed=2, live={0, 4}, sent=[11, 12], frm=4)  # excluded peers not live
+@example(seed=3, live={0, 1, 2}, sent=[1, 2], frm=1)  # frm also in sent
+@example(seed=4, live={1, 2}, sent=[1], frm=2)      # everything excluded
+@example(seed=5, live={3}, sent=[], frm=3)          # fresh-step fallback
+def test_walk_step_draw_equals_indexing_the_filtered_successors(seed, live, sent, frm):
+    """`draw_successor` and both branches of `_next_hop` pick what indexing
+    the filtered successors picks, with the same draws: the RNG state
+    afterwards matches too."""
+    live = tuple(sorted(live))
+    rng, ref = Random(seed), Random(seed)
+    assert draw_successor(live, (*sent, frm), rng) == \
+        filtered_draw(live, set(sent) | {frm}, ref)
+    assert rng.getstate() == ref.getstate()
+
+    p = 0.3
+    scn = Scenario(WALKER + 1, [(WALKER, s) for s in range(WALKER)],
+                   rawa=RaWaConfig(p=p), seed=seed, keep_trace=False)
+    engine = scn.engines[WALKER]
+    engine.graph = live
+    if sent:
+        engine.sent[CID] = dict.fromkeys(sent)
+    ref = Random(seed)
+    assert engine._next_hop(CID, frm) == filtered_next_hop(live, sent, frm, p, ref)
+    assert scn.rng.getstate() == ref.getstate()
 
 
 # -- fan-out and scheduling ------------------------------------------------------

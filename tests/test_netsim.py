@@ -1,11 +1,14 @@
 import hashlib
 import math
+from collections import Counter
 from random import Random
 
 import pytest
 
 from rawasim.core import Block, Message, MessageType, derive_cid
 from rawasim.netsim import LinkSpec, Observer, Simulator, link_delay
+from rawasim.rawa import RaWaConfig
+from rawasim.runner import ExperimentConfig, build_run
 
 from conftest import ZERO_JITTER, leg_ms
 
@@ -259,3 +262,30 @@ def test_livelock_cap():
     rearm()
     with pytest.raises(RuntimeError, match="livelock"):
         sim.run()
+
+
+def test_observer_counters_read_absent_as_zero_and_keep_first_send_order():
+    """Reading an absent variant gives 0 and adds no key; after a run both
+    counters equal a `Counter` rebuilt from the send rows, key order
+    included (the order of each variant's first send)."""
+    observer = Observer()
+    for counter in (observer.msg_counts, observer.bytes_by_variant):
+        assert counter["WANT-HAVE"] == 0
+        assert counter.get("BLOCK") is None and "WANT-HAVE" not in counter
+        assert list(counter) == []
+    config = ExperimentConfig(protocol="rawa", adversary="fse", n_peers=16,
+                              runs=1, base_seed=5, keep_trace=True,
+                              rawa=RaWaConfig(p=0.5, eta=2))
+    handles = build_run(config, 0)
+    handles.sim.run()
+    observer = handles.sim.observer
+    counts, sizes = Counter(), Counter()
+    for rec in observer.trace:
+        if rec[2] == "send":
+            counts[rec[5]] += 1
+            sizes[rec[5]] += rec[7]
+    assert len(counts) >= 5
+    assert list(observer.msg_counts.items()) == list(counts.items())
+    assert list(observer.bytes_by_variant.items()) == list(sizes.items())
+    assert observer.msg_counts["no-such-variant"] == 0
+    assert list(observer.msg_counts) == list(counts)

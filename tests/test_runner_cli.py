@@ -68,11 +68,31 @@ def test_config_validation_errors():
     # as eta 1 under the label etaTrue
     {"n_peers": 16.0}, {"n_peers": True}, {"runs": 2.0}, {"runs": True},
     {"eta": 2.5}, {"eta": True}, {"eta": "2"},
+    # these loaded: a bool ran as 1 or 0, and a string flag ran as true
+    {"p": True}, {"stagger_ms": True}, {"give_up_ms": True},
+    {"dht_delay_spread": False}, {"dht_base_delay_ms": False},
+    {"dial_rtt_multiplier": True}, {"run_bound_ms": True},
+    {"base_seed": True}, {"churn": ((True, 100.0),)}, {"churn": ((2, True),)},
+    {"rawa": {"t0_ms": True}}, {"rawa": {"forward_have_aggregation_ms": True}},
+    {"rawa": {"forward_have_aggregation_ms": False}},
+    {"link": {"latency_ms": True, "jitter_ms": 0.0}},
+    {"link": {"jitter_ms": True}}, {"link": {"bandwidth_bytes_per_s": True}},
+    {"rawa": {"verify_provider": "no"}}, {"rawa": {"proxy_aggregate_dht": 1}},
+    {"keep_trace": "yes"}, {"fixed_topology": 1}, {"wfe_fake_have": "no"},
+    {"unique_interests": None},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
-    # the loader's path: fse at n=16, so honest indices are 0..14
+    # the loader's path: fse at n=16, so honest indices are 0..14; a "rawa"
+    # or "link" entry goes into the base's
+    data = small_config().to_dict()
+    top = {}
+    for key, value in overrides.items():
+        if key in ("rawa", "link"):
+            data[key] = {**data[key], **value}
+        else:
+            top[key] = value
     with pytest.raises(ValueError):
-        overlay(small_config().to_dict(), overrides)
+        overlay(data, top)
 
 
 def test_wfe_split_is_four_to_one():
@@ -373,6 +393,14 @@ def test_cli_config_error_exit_code(tmp_path):
     # subgraph draw and eta true ran as eta 1 under the label etaTrue
     {"n_peers": 20.0}, {"runs": 2.0}, {"runs": True},
     {"rawa": {"p": 0.5, "eta": 2.5}}, {"rawa": {"p": 0.5, "eta": True}},
+    # these ran: a bool as 1 or 0, and a string flag as true
+    {"rawa": {"p": True, "eta": 1}}, {"stagger_ms": True}, {"give_up_ms": True},
+    {"dht_delay_spread": False}, {"run_bound_ms": True},
+    {"rawa": {"p": 0.5, "eta": 1, "t0_ms": True}},
+    {"rawa": {"p": 0.5, "eta": 1, "forward_have_aggregation_ms": False}},
+    {"link": {"latency_ms": True, "jitter_ms": 0}},
+    {"rawa": {"p": 0.5, "eta": 1, "verify_provider": "no"}},
+    {"keep_trace": "yes"}, {"churn": [[2, True]]},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
