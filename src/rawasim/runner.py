@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
-from .core import Block, Cid, PeerId, check_field_types, random_payload
+from .core import Cid, PeerId, check_field_types, make_blocks
 from .dht import DummyDht
 from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
@@ -37,6 +37,12 @@ PROTOCOL_RAWA = "rawa"
 CSV_HEADER = ("run,seed,protocol,adversary,p,eta,block_size,precision,recall,"
               "resolved_fraction,ttfb_mean_ms,ttfb_median_ms,ttfb_p95_ms,"
               "mean_walk_hops,msgs_total,bytes_total")
+
+
+def _refuse_unknown_keys(cls, data: dict, what: str) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _refuse_unknown_keys(cls, data, "config")
         if "link" in data and isinstance(data["link"], dict):
+            _refuse_unknown_keys(LinkSpec, data["link"], "link")
             data["link"] = LinkSpec(**data["link"])
         if "rawa" in data and isinstance(data["rawa"], dict):
+            _refuse_unknown_keys(RaWaConfig, data["rawa"], "rawa")
             rawa = dict(data["rawa"])
             if rawa.get("eta") == "max":
                 rawa["eta"] = None
@@ -220,11 +225,9 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     # Payloads come from per-node sub-seeds so the main stream's consumption
     # is independent of block_size: runs with different sizes share the same
     # topology, interests and early event randomness, which keeps
-    # size-sweep comparisons paired.
-    owners: dict[PeerId, Cid] = {}
-    for node in honest:
-        owners[node] = engines[node].store_block(
-            Block(random_payload(rng.getrandbits(64), config.block_size)))
+    # size-sweep comparisons paired. Large blocks are built on a thread pool
+    # while the subgraphs and interests are drawn, and stored after.
+    blocks = make_blocks([rng.getrandbits(64) for _ in honest], config.block_size)
 
     # privacy subgraphs (the passive spy participates like an honest node)
     subgraph_oracle: dict[PeerId, tuple] = {}
@@ -238,22 +241,26 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
                 engine.inner.build_graph()
                 subgraph_oracle[node] = engine.inner.graph
 
-    # each honest node wants another honest node's block
-    interests: dict[PeerId, Cid] = {}
+    # each honest node wants another honest node's block, drawn as its
+    # owner and resolved to its CID once the blocks are stored
     if config.unique_interests:
         # Sattolo shuffle: uniform cyclic permutation, never a fixed point
         ring = list(honest)
         for i in range(len(ring) - 1, 0, -1):
             j = rng.randrange(i)
             ring[i], ring[j] = ring[j], ring[i]
-        for node, owner in zip(honest, ring):
-            interests[node] = owners[owner]
+        wanted = dict(zip(honest, ring))
     else:
         # honest ids are 0 .. n - 1, so the j-th of the others is j or j + 1
         last = len(honest) - 1
+        wanted = {}
         for node in honest:
             j = rng.randrange(last)
-            interests[node] = owners[j if j < node else j + 1]
+            wanted[node] = j if j < node else j + 1
+
+    owners: dict[PeerId, Cid] = {node: engines[node].store_block(block)
+                                 for node, block in zip(honest, blocks)}
+    interests = {node: owners[owner] for node, owner in wanted.items()}
     truth = GroundTruth(interests=interests)
 
     for depart_index, depart_ms in config.churn:
@@ -394,10 +401,15 @@ class SweepCell(NamedTuple):
 
 
 def overlay(data: dict, overrides: dict) -> ExperimentConfig:
-    """The config of `data` with `overrides` on top. `p` and `eta` go into
-    `rawa`, so `from_dict` decodes every value, `eta: "max"` included."""
+    """The config of `data` with `overrides` on top. A `rawa` or `link`
+    entry of `overrides` goes over the base's key by key, then `p` and `eta`
+    go into `rawa`, so `from_dict` decodes every value, `eta: "max"`
+    included."""
     walk = {key: overrides[key] for key in ("p", "eta") if key in overrides}
-    data = {**data, **overrides, "rawa": {**data.get("rawa", {}), **walk}}
+    nested = {key: {**data.get(key, {}), **overrides.get(key, {})}
+              for key in ("rawa", "link")}
+    nested["rawa"].update(walk)
+    data = {**data, **overrides, **nested}
     return ExperimentConfig.from_dict({k: v for k, v in data.items() if k not in walk})
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import pickle
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from random import Random
 from types import SimpleNamespace
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawasim import core
+from rawasim import core, runner
 from rawasim.core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES,
                           Block, Cid, Message, MessageType, derive_cid,
                           peer_name, validate_block, wire_size)
@@ -39,10 +42,13 @@ def test_validate_rejects_other_payload():
     assert not validate_block(cid, Block(b"payload!"))
 
 
-@pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
-def test_a_run_hashes_each_stored_block_once(protocol, monkeypatch):
+@pytest.mark.parametrize("protocol, block_size", [
+    ("vanilla", 1025), ("rawa", 1025), ("vanilla", 153_600), ("rawa", 153_600),
+], ids=["vanilla", "rawa", "vanilla-153600", "rawa-153600"])
+def test_a_run_hashes_each_stored_block_once(protocol, block_size, monkeypatch):
     """A received block is the sender's stored object, whose CID is kept on
-    it, so validating it on receipt hashes nothing."""
+    it, so validating it on receipt hashes nothing; at 153,600 B the blocks
+    are built on the block pool, and each is still hashed once."""
     hashed = Counter()
 
     def sha256(data):
@@ -50,7 +56,7 @@ def test_a_run_hashes_each_stored_block_once(protocol, monkeypatch):
         return hashlib.sha256(data)
     monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
     config = ExperimentConfig(protocol=protocol, n_peers=20, out_links=3,
-                              runs=1, base_seed=3)
+                              runs=1, base_seed=3, block_size=block_size)
     handles = build_run(config, 0)
     handles.sim.run()
     assert len(handles.sim.observer.completions) == len(handles.honest)
@@ -80,6 +86,61 @@ def test_random_payload_is_randbytes_at_the_edges(seed):
        size=st.one_of(st.sampled_from(PAYLOAD_SIZES), st.integers(1, 160_000)))
 def test_random_payload_is_randbytes(seed, size):
     assert core.random_payload(seed, size) == Random(seed).randbytes(size)
+
+
+def test_random_payload_is_randbytes_across_threads():
+    """Each thread reseeds and draws from its own generator, so payloads
+    drawn on several threads at once are still randbytes."""
+    sizes = (core.LARGE_PAYLOAD_BYTES - 1, core.LARGE_PAYLOAD_BYTES,
+             core.LARGE_PAYLOAD_BYTES + 3, 153_600)
+    jobs = [(seed, size) for seed in (*PAYLOAD_SEEDS, *range(1, 13))
+            for size in sizes]
+    threads = 4
+    parts = [jobs[i::threads] for i in range(threads)]
+    start = threading.Barrier(threads, timeout=30)
+
+    def draw(part):
+        start.wait()
+        return [core.random_payload(seed, size) for seed, size in part]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            drawn = list(pool.map(draw, parts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for part, payloads in zip(parts, drawn):
+        for (seed, size), payload in zip(part, payloads):
+            assert payload == Random(seed).randbytes(size), (seed, size)
+
+
+@pytest.mark.parametrize("block_size", [1025, 153_600])
+@pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
+def test_build_run_blocks_equal_a_serial_oracle(protocol, block_size,
+                                                monkeypatch):
+    """The blocks a run stores, on the block pool or not, are the serial
+    `Block(randbytes)` of the seeds it draws, stored in node order."""
+    drawn = []
+
+    def make_blocks(seeds, size):
+        drawn.extend(seeds)
+        return core.make_blocks(seeds, size)
+    monkeypatch.setattr(runner, "make_blocks", make_blocks)
+    config = ExperimentConfig(protocol=protocol, n_peers=20, out_links=3,
+                              runs=1, base_seed=3, block_size=block_size)
+    handles = build_run(config, 0)
+    oracle = [Block(Random(seed).randbytes(block_size)) for seed in drawn]
+    cids = [Cid(hashlib.sha256(block.payload).digest()) for block in oracle]
+    assert len(oracle) == len(handles.honest)
+    for node, block, cid in zip(handles.honest, oracle, cids):
+        assert block.cid == cid
+        store = handles.engines[node].store
+        assert list(store) == [cid] and store[cid] == block
+        assert store[cid].cid == cid
+    assert handles.dht.table == {cid: {node}
+                                 for node, cid in zip(handles.honest, cids)}
+    assert list(handles.dht.table) == cids
+    assert set(handles.truth.interests.values()) <= set(cids)
 
 
 def test_empty_block_rejected():

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +15,8 @@ from rawasim.core import wire_size
 from rawasim.netsim import LinkSpec
 from rawasim.rawa import RaWaConfig
 from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run, overlay,
-                            run_experiment, run_single, sweep, sweep_cells,
-                            write_results)
+                            result_rows, run_experiment, run_single, sweep,
+                            sweep_cells, write_results)
 
 
 def small_config(**overrides):
@@ -82,17 +87,25 @@ def test_config_validation_errors():
     {"unique_interests": None},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
-    # the loader's path: fse at n=16, so honest indices are 0..14; a "rawa"
-    # or "link" entry goes into the base's
-    data = small_config().to_dict()
-    top = {}
-    for key, value in overrides.items():
-        if key in ("rawa", "link"):
-            data[key] = {**data[key], **value}
-        else:
-            top[key] = value
+    # the loader's path: fse at n=16, so honest indices are 0..14
     with pytest.raises(ValueError):
-        overlay(data, top)
+        overlay(small_config().to_dict(), overrides)
+
+
+def test_overlay_merges_rawa_and_link_entries_under_p_and_eta():
+    base = small_config(link=LinkSpec(latency_ms=50.0))
+    data = base.to_dict()
+    config = overlay(data, {"rawa": {"t0_ms": 5.0, "p": 0.9}, "eta": "max",
+                            "link": {"jitter_ms": 2.0}})
+    assert config.rawa == replace(base.rawa, t0_ms=5.0, p=0.9, eta=None)
+    assert config.link == LinkSpec(latency_ms=50.0, jitter_ms=2.0)
+    assert overlay(data, {"rawa": {"p": 0.9}, "p": 0.3}).rawa.p == 0.3
+
+
+@pytest.mark.parametrize("entry", ["rawa", "link"])
+def test_overlay_rejects_an_unknown_nested_key(entry):
+    with pytest.raises(ValueError, match=f"unknown {entry} keys"):
+        overlay(small_config().to_dict(), {entry: {"t0": 5.0}})
 
 
 def test_wfe_split_is_four_to_one():
@@ -132,6 +145,38 @@ def test_worker_pool_matches_serial():
         assert a.seed == b.seed
         assert a.metrics.ttfb_ms == b.metrics.ttfb_ms
         assert a.metrics.precision == b.metrics.precision
+
+
+FORK_AFTER_LARGE_BLOCKS = """
+from rawasim.runner import (ExperimentConfig, build_run, result_rows,
+                            run_experiment)
+config = ExperimentConfig(n_peers=16, runs=3, block_size=153_600)
+build_run(config, 0).sim.run()  # starts the block pool in this process
+print(*result_rows(config, run_experiment(config, workers=2)), sep="\\n")
+"""
+
+
+def test_worker_pool_after_large_blocks_in_process():
+    """Forked workers inherit the parent's block pool but not its threads;
+    each must build its own rather than wait on the dead one forever."""
+    src = str(Path(runner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    # a session of its own, so a hang kills the pool's workers too
+    with subprocess.Popen([sys.executable, "-c", FORK_AFTER_LARGE_BLOCKS],
+                          env=env, stdout=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_experiment(workers=2) hung after an in-process "
+                        "150 KiB run")
+    assert proc.returncode == 0
+    config = ExperimentConfig(n_peers=16, runs=3, block_size=153_600)
+    serial = result_rows(config, run_experiment(config, workers=1))
+    assert out.splitlines() == list(serial)
 
 
 def test_byte_accounting_matches_trace():
