@@ -62,7 +62,7 @@ class Cid(bytes):
         return bytes(self)
 
     def short(self) -> str:
-        return self.hex()[:8]
+        return self[:4].hex()
 
     def __repr__(self) -> str:
         return f"Cid({self.short()})"

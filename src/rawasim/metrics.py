@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -61,9 +62,10 @@ class RunMetrics:
         """(mean, median, p95) over resolved requests, or Nones."""
         if not self.ttfb_ms:
             return None, None, None
-        values = np.fromiter(self.ttfb_ms.values(), dtype=float)
-        return (float(values.mean()), float(np.median(values)),
-                float(np.percentile(values, 95)))
+        values = [float(v) for v in self.ttfb_ms.values()]
+        ordered = sorted(values)
+        return (float(np.array(values).mean()), _median(ordered),
+                _percentile(ordered, 95))
 
     @property
     def mean_walk_hops(self) -> float | None:
@@ -72,17 +74,50 @@ class RunMetrics:
         return sum(self.walk_lengths) / len(self.walk_lengths)
 
 
+# Order statistics over a sorted list of floats, written out because numpy's
+# fixed cost per median or percentile call (about 35 us) outweighs the
+# work on the few to few hundred values of a run or a sweep cell. Each gives
+# numpy's result bit for bit (tests/test_metrics.py checks it). The mean and
+# std stay numpy's: numpy sums pairwise, so a plain Python sum would move
+# their last bits.
+
+
+def _median(ordered: list[float]) -> float:
+    """numpy's median: the middle value, or the mean of the two middle values."""
+    half, odd = divmod(len(ordered), 2)
+    if odd:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """numpy.percentile(ordered, q) by its default linear method (Hyndman and
+    Fan's type 7), including numpy's lerp, which counts down from the upper
+    neighbour when the fraction is at least one half."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return ordered[-1]
+    i = math.floor(virtual)
+    t = virtual - i
+    a, b = ordered[i], ordered[i + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def _stats(values) -> dict:
-    arr = np.asarray([v for v in values if v is not None], dtype=float)
-    if arr.size == 0:
+    values = [float(v) for v in values if v is not None]
+    if not values:
         return {"n": 0}
+    arr = np.array(values)
+    ordered = sorted(values)
     return {
-        "n": int(arr.size),
+        "n": len(values),
         "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
+        "median": _median(ordered),
         "std": float(arr.std(ddof=0)),
-        "p5": float(np.percentile(arr, 5)),
-        "p95": float(np.percentile(arr, 95)),
+        "p5": _percentile(ordered, 5),
+        "p95": _percentile(ordered, 95),
     }
 
 

@@ -153,8 +153,16 @@ class ExperimentConfig:
         return cls(**data)
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        """The first 16 hex digits of SHA-256 over the sorted-key config
+        JSON. Computed on the first call and kept on the instance, as
+        `Block.cid` is; it is no field, so `to_dict`, equality, hashing,
+        repr and `replace` do not see it."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True)
+            cached = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     def label(self) -> str:
         parts = [self.protocol, self.adversary]

@@ -212,6 +212,13 @@ def test_cid_digest_short_repr_and_pickle():
     assert type(derive_cid(Block(b"x"))) is Cid
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(min_size=32, max_size=32))
+def test_cid_short_is_the_first_eight_hex_digits(digest):
+    cid = Cid(digest)
+    assert cid.short() == cid.hex()[:8] == digest.hex()[:8]
+
+
 PAYLOAD_FREE = [t for t in MessageType
                 if t not in (MessageType.BLOCK, MessageType.FORWARD_HAVE)]
 

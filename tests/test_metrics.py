@@ -1,8 +1,14 @@
+from random import Random
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rawasim.adversary import Prediction
 from rawasim.core import Block, derive_cid
-from rawasim.metrics import GroundTruth, RunMetrics, aggregate, precision_recall
+from rawasim.metrics import (GroundTruth, RunMetrics, _stats, aggregate,
+                             precision_recall)
 
 
 def cids(n):
@@ -103,3 +109,85 @@ def test_walk_histogram_conserves_total():
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+# -- summary statistics against numpy -----------------------------------------
+#
+# Every summary statistic must equal numpy's to the last bit, so result files
+# stay byte-identical to those numpy's own median and percentile wrote. The
+# values are nonnegative and finite, like every metric (NaN is refused at
+# load), so the sign of a zero cannot differ.
+
+FRACTIONS = (0.0, 0.1, 0.2, 1 / 3, 1.0)
+
+
+def numpy_stats(values):
+    arr = np.asarray(values, dtype=float)
+    return {"n": arr.size, "mean": arr.mean(), "median": np.median(arr),
+            "std": arr.std(ddof=0), "p5": np.percentile(arr, 5),
+            "p95": np.percentile(arr, 95)}
+
+
+def assert_bitwise(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    assert got["n"] == want["n"]
+    for key in got.keys() - {"n"}:
+        assert type(got[key]) is float, key
+        assert got[key].hex() == float(want[key]).hex(), (key, got, want)
+
+
+def assert_ttfb_bitwise(values):
+    metrics = RunMetrics(n_requesters=len(values), ttfb_ms=dict(enumerate(values)))
+    want = numpy_stats(values)
+    got = metrics.ttfb_stats()
+    assert [type(v) for v in got] == [float] * 3
+    assert [v.hex() for v in got] == [
+        float(want[key]).hex() for key in ("mean", "median", "p95")]
+
+
+def samples(n: int):
+    """Lists of n nonnegative floats: arbitrary, drawn from a few values (so
+    with ties), or runs of 0.1, 0.2 and 1/3."""
+    return st.one_of(
+        st.lists(st.floats(0, 1e9), min_size=n, max_size=n),
+        st.lists(st.floats(0, 1e9), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+        st.lists(st.sampled_from(FRACTIONS), min_size=n, max_size=n),
+    )
+
+
+VALUES = st.integers(1, 300).flatmap(samples)
+
+
+# numpy's lerp and the plain a + (b - a) * t differ on these: at p95 of two
+# values, and at p5 of eleven, where the fraction is exactly one half
+@example([1 / 3, 1.0])
+@example([0.2] + [1.0] * 10)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(VALUES)
+def test_stats_equal_numpy(values):
+    assert_bitwise(_stats(values), numpy_stats(values))
+    assert_bitwise(_stats([None, *values, None]), numpy_stats(values))
+
+
+@example([1 / 3, 1.0])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(VALUES)
+def test_ttfb_stats_equal_numpy(values):
+    assert_ttfb_bitwise(values)
+
+
+def test_stats_equal_numpy_over_seeded_lists():
+    rng = Random(20)
+    for n in range(1, 301):
+        for values in ([rng.expovariate(1 / 700) for _ in range(n)],
+                       [rng.choice(FRACTIONS) * rng.randint(1, 3)
+                        for _ in range(n)],
+                       sorted(rng.random() for _ in range(n))):
+            assert_bitwise(_stats(values), numpy_stats(values))
+            assert_ttfb_bitwise(values)
+
+
+def test_stats_of_no_values():
+    assert _stats([]) == _stats([None, None]) == {"n": 0}
+    assert RunMetrics(n_requesters=1).ttfb_stats() == (None, None, None)

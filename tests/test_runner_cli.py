@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -127,6 +129,25 @@ def test_fingerprint_tracks_every_field():
         config, rawa=replace(config.rawa, p=0.25)).fingerprint()
     assert config.fingerprint() != replace(
         config, link=LinkSpec(latency_ms=50.0)).fingerprint()
+
+
+def test_cached_fingerprint_is_invisible():
+    cached, fresh = small_config(), small_config()
+    digest = cached.fingerprint()
+    assert digest == cached.fingerprint() == fresh.fingerprint()
+    canonical = json.dumps(fresh.to_dict(), sort_keys=True)
+    assert digest == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    assert cached.to_dict() == fresh.to_dict()
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    back = pickle.loads(pickle.dumps(cached))
+    assert back == fresh and hash(back) == hash(fresh)
+    assert back.to_dict() == fresh.to_dict()
+    assert back.fingerprint() == digest
+    changed = replace(cached, block_size=2048)
+    assert changed == replace(fresh, block_size=2048)
+    assert changed.fingerprint() == replace(fresh, block_size=2048).fingerprint()
+    assert changed.fingerprint() != digest
 
 
 def test_seed_derivation():
