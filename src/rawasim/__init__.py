@@ -7,7 +7,7 @@ from .core import (Block, Cid, Message, MessageType, derive_cid,
 from .netsim import LinkSpec, Observer, RngStream, Simulator, link_delay
 from .rawa import RaWaConfig, build_forward_graph, path_length_probability
 from .runner import (ExperimentConfig, RunResult, build_run, run_experiment,
-                     run_single, sweep, write_results)
+                     run_shared, sweep, write_results)
 from .topology import build_honest_topology, wire_adversary
 
 __version__ = "0.1.0"
@@ -18,7 +18,7 @@ __all__ = [
     "LinkSpec", "Observer", "RngStream", "Simulator", "link_delay",
     "RaWaConfig", "build_forward_graph", "path_length_probability",
     "ExperimentConfig", "RunResult", "build_run", "run_experiment",
-    "run_single", "sweep", "write_results",
+    "run_shared", "sweep", "write_results",
     "build_honest_topology", "wire_adversary",
     "__version__",
 ]

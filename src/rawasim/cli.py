@@ -11,9 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-from .metrics import aggregate
 from .runner import (ExperimentConfig, overlay, refuse_existing, result_paths,
                      run_experiment, sweep, write_results)
+from .topology import WIRING
 
 
 def _config(args) -> ExperimentConfig:
@@ -30,7 +30,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="base_seed", type=int, help="base seed override")
     parser.add_argument("--runs", type=int, help="number of runs override")
     parser.add_argument("--protocol", choices=["vanilla", "rawa"])
-    parser.add_argument("--adversary", choices=["none", "fse", "wfe", "sawfe"])
+    parser.add_argument("--adversary", choices=list(WIRING))
     parser.add_argument("--n-peers", dest="n_peers", type=int)
     parser.add_argument("--block-size", dest="block_size", type=int)
     parser.add_argument("--p", type=float, help="proxy transition probability")
@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
         refuse_existing(result_paths(config, out))
     results = run_experiment(config, workers=args.workers)
     csv_path, json_path = write_results(config, results, out, force=args.force)
-    summary = aggregate([r.metrics for r in results])
+    summary = json.loads(json_path.read_text())["aggregate"]  # computed once
     print(f"wrote {csv_path} and {json_path}")
     _print_aggregate(config.label(), summary)
     return 0

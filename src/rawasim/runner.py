@@ -27,8 +27,8 @@ from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
 from .netsim import LinkSpec, Observer, Simulator
 from .rawa import RaWaConfig, RawaEngine
-from .topology import (ADVERSARY_FSE, ADVERSARY_NONE, ADVERSARY_SAWFE,
-                       ADVERSARY_WFE, build_honest_topology, wire_adversary)
+from .topology import (ADVERSARY_FSE, ADVERSARY_NONE, ADVERSARY_WFE, WIRING,
+                       build_honest_topology, wire_adversary)
 from .vanilla import VanillaEngine
 
 PROTOCOL_VANILLA = "vanilla"
@@ -75,8 +75,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.protocol not in (PROTOCOL_VANILLA, PROTOCOL_RAWA):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.adversary not in (ADVERSARY_NONE, ADVERSARY_FSE,
-                                  ADVERSARY_WFE, ADVERSARY_SAWFE):
+        if self.adversary not in WIRING:
             raise ValueError(f"unknown adversary {self.adversary!r}")
         # an empty payload fails the block build, fewer than one link fails
         # the topology draw, and a float or bool count fails inside the run
@@ -91,9 +90,6 @@ class ExperimentConfig:
             ("fixed_topology", "wfe_fake_have", "unique_interests", "keep_trace"))
         if self.n_honest <= self.out_links:
             raise ValueError("need more honest peers than out_links")
-        if self.adversary in (ADVERSARY_WFE, ADVERSARY_SAWFE) and \
-                self.n_honest % 4 != 0:
-            raise ValueError("wfe wiring needs honest count divisible by 4")
         # anything that would schedule an event in the past fails here, not
         # mid-run
         for name in ("dht_base_delay_ms", "stagger_ms", "dial_rtt_multiplier"):
@@ -120,9 +116,9 @@ class ExperimentConfig:
 
     @property
     def n_honest(self) -> int:
-        if self.adversary == ADVERSARY_FSE:
+        if WIRING[self.adversary] == ADVERSARY_FSE:
             return self.n_peers - 1
-        if self.adversary in (ADVERSARY_WFE, ADVERSARY_SAWFE):
+        if WIRING[self.adversary] == ADVERSARY_WFE:
             # one adversary node per four honest nodes
             honest = self.n_peers * 4 // 5
             if honest + honest // 4 != self.n_peers:
@@ -163,6 +159,12 @@ class ExperimentConfig:
             cached = hashlib.sha256(canonical.encode()).hexdigest()[:16]
             object.__setattr__(self, "_fingerprint", cached)
         return cached
+
+    def run_key(self) -> "ExperimentConfig":
+        """This config with its adversary's wiring and, if vanilla, unread
+        walk parameters reset: configs with one key share every run."""
+        rawa = self.rawa if self.protocol == PROTOCOL_RAWA else RaWaConfig()
+        return replace(self, adversary=WIRING[self.adversary], rawa=rawa)
 
     def label(self) -> str:
         parts = [self.protocol, self.adversary]
@@ -210,7 +212,6 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     dht = DummyDht(sim, config.dht_base_delay_ms, config.dht_delay_spread)
 
     log = ObservationLog()
-    engines: dict[PeerId, object] = {}
 
     def honest_engine(node: PeerId):
         if config.protocol == PROTOCOL_RAWA:
@@ -218,11 +219,13 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
                               give_up_ms=config.give_up_ms)
         return VanillaEngine(node, sim, dht, give_up_ms=config.give_up_ms)
 
-    for node in honest:
-        engines[node] = honest_engine(node)
+    # the protocol engines: one per honest node, and the passive spy's
+    protocol = {node: honest_engine(node) for node in honest}
+    engines: dict[PeerId, object] = dict(protocol)
     for node in adversaries:
-        if config.adversary == ADVERSARY_FSE:
-            engines[node] = SpyTap(node, honest_engine(node), log)
+        if WIRING[config.adversary] == ADVERSARY_FSE:
+            protocol[node] = honest_engine(node)
+            engines[node] = SpyTap(node, protocol[node], log)
         else:
             engines[node] = ExploiterNode(node, sim, log,
                                           fake_have=config.wfe_fake_have)
@@ -240,14 +243,9 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     # privacy subgraphs (the passive spy participates like an honest node)
     subgraph_oracle: dict[PeerId, tuple] = {}
     if config.protocol == PROTOCOL_RAWA:
-        for node in honest:
-            engines[node].build_graph()
-            subgraph_oracle[node] = engines[node].graph
-        for node in adversaries:
-            engine = engines[node]
-            if isinstance(engine, SpyTap):
-                engine.inner.build_graph()
-                subgraph_oracle[node] = engine.inner.graph
+        for node, engine in protocol.items():
+            engine.build_graph()
+            subgraph_oracle[node] = engine.graph
 
     # each honest node wants another honest node's block, drawn as its
     # owner and resolved to its CID once the blocks are stored
@@ -320,30 +318,34 @@ def collect_metrics(handles: RunHandles) -> RunMetrics:
     return metrics
 
 
-def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
-    """Build, run and measure one run."""
-    handles = build_run(config, run_index)
-    handles.sim.run(until=config.run_bound_ms)
-    return RunResult(run=run_index, seed=handles.seed,
-                     fingerprint=config.fingerprint(),
-                     metrics=collect_metrics(handles))
+def _run_once(configs: list[ExperimentConfig], run_index: int) -> list[RunResult]:
+    """Build and run run `run_index` once; score every config from it."""
+    handles = build_run(configs[0], run_index)
+    handles.sim.run(until=configs[0].run_bound_ms)
+    return [RunResult(run=run_index, seed=handles.seed,
+                      fingerprint=config.fingerprint(),
+                      metrics=collect_metrics(replace(handles, config=config)))
+            for config in configs]
 
 
-def _worker(args) -> RunResult:
-    config_dict, run_index = args
-    return run_single(ExperimentConfig.from_dict(config_dict), run_index)
+def run_shared(configs: list[ExperimentConfig],
+               workers: int | None = None) -> list[list[RunResult]]:
+    """Each config's results in run order, from one build and run of each
+    run scored for every config; the configs must share one `run_key`."""
+    if any(config.run_key() != configs[0].run_key() for config in configs):
+        raise ValueError("the configs do not share their runs")
+    jobs = [(configs, i) for i in range(configs[0].runs)]
+    if (workers or 1) <= 1 or len(jobs) == 1:
+        per_run = [_run_once(*job) for job in jobs]
+    else:
+        with multiprocessing.Pool(processes=workers) as pool:
+            per_run = pool.starmap(_run_once, jobs)
+    return [list(results) for results in zip(*per_run)]
 
 
 def run_experiment(config: ExperimentConfig,
                    workers: int | None = None) -> list[RunResult]:
-    if workers is None:
-        workers = 1
-    if workers <= 1 or config.runs == 1:
-        return [run_single(config, i) for i in range(config.runs)]
-    jobs = [(config.to_dict(), i) for i in range(config.runs)]
-    with multiprocessing.Pool(processes=workers) as pool:
-        results = pool.map(_worker, jobs)
-    return sorted(results, key=lambda r: r.run)
+    return run_shared([config], workers)[0]
 
 
 # -- result files -------------------------------------------------------------
@@ -405,6 +407,7 @@ def write_results(config: ExperimentConfig, results: list[RunResult],
 class SweepCell(NamedTuple):
     combo: dict
     config: ExperimentConfig
+    twins: list[ExperimentConfig]  # every config scored from its runs
     repeat: bool
 
 
@@ -424,8 +427,8 @@ def overlay(data: dict, overrides: dict) -> ExperimentConfig:
 def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
     """Every combination of the grid's axes over `base`, in sorted-axis
     order, each built as a config; a bad axis or value raises ValueError.
-    The walk-only axes (p, eta) do not change a vanilla run, so a vanilla
-    cell that differs from an earlier one only there is a repeat."""
+    A cell is the twin of the earlier cells with its `run_key`, or their
+    repeat if one has its label too (vanilla across p or eta)."""
     unknown = set(grid) - {"p", "eta", "adversary", "block_size", "protocol"}
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
@@ -435,24 +438,27 @@ def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
             raise ValueError(f"empty grid axis {axis!r}")
         combos = [dict(c, **{axis: v}) for c in combos for v in grid[axis]]
     data = base.to_dict()
-    cells, runs = [], set()
+    cells, runs = [], {}
     for combo in combos:
         try:
             config = overlay(data, combo)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"grid cell {combo}: {exc}") from exc
-        run = (replace(config, rawa=base.rawa)
-               if config.protocol == PROTOCOL_VANILLA else config)
-        cells.append(SweepCell(combo, config, run in runs))
-        runs.add(run)
+        twins = runs.setdefault(config.run_key(), [])
+        repeat = config.label() in [twin.label() for twin in twins]
+        if not repeat:
+            twins.append(config)
+        cells.append(SweepCell(combo, config, twins, repeat))
     return cells
 
 
 def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
           force: bool = False, workers: int | None = None) -> dict:
-    """Run each cell of `sweep_cells(base, grid)`; repeats go under ``skipped``.
-    Cells that share result files and, unless `force`, existing outputs
-    raise before the first run; a run-time failure is reported per cell."""
+    """Run each cell of `sweep_cells(base, grid)`, twins on shared runs and
+    repeats under ``skipped``; a cell's aggregate is read back from its
+    summary. Cells that share result files and, unless `force`, existing
+    outputs raise before the first run; a run-time failure is reported per
+    cell."""
     cells = sweep_cells(base, grid)
     combined = Path(out_dir) / "sweep_summary.json"
     paths = [path for cell in cells if not cell.repeat
@@ -462,17 +468,25 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
     if not force:
         refuse_existing([combined, *paths])
     report: dict = {"combinations": [], "errors": [], "skipped": []}
-    for combo, config, repeat in cells:
+    results: dict = {}  # each config's results, or the failure of its runs
+    for combo, config, twins, repeat in cells:
         if repeat:
             report["skipped"].append({"combo": combo, "label": config.label()})
             continue
+        if config not in results:
+            try:
+                results.update(zip(twins, run_shared(twins, workers)))
+            except Exception as exc:  # fails every twin
+                results.update(dict.fromkeys(twins, exc))
+        outcome = results.pop(config)
         try:
-            results = run_experiment(config, workers=workers)
-            csv_path, json_path = write_results(config, results, out_dir, force)
+            if isinstance(outcome, Exception):
+                raise outcome
+            csv_path, json_path = write_results(config, outcome, out_dir, force)
             report["combinations"].append({
                 "combo": combo, "label": config.label(),
                 "csv": str(csv_path), "summary": str(json_path),
-                "aggregate": aggregate([r.metrics for r in results]),
+                "aggregate": json.loads(json_path.read_text())["aggregate"],
             })
         except Exception as exc:  # isolate per combination
             report["errors"].append({"combo": combo, "error": str(exc)})

@@ -21,6 +21,11 @@ ADVERSARY_FSE = "fse"
 ADVERSARY_WFE = "wfe"
 ADVERSARY_SAWFE = "sawfe"
 
+# The wiring each adversary runs: its nodes, links and messages. sawfe is a
+# wfe team that only classifies differently, so one run serves both.
+WIRING = {ADVERSARY_NONE: ADVERSARY_NONE, ADVERSARY_FSE: ADVERSARY_FSE,
+          ADVERSARY_WFE: ADVERSARY_WFE, ADVERSARY_SAWFE: ADVERSARY_WFE}
+
 
 class _Untaken(Sequence):
     """The ids ``0 .. n - 1`` in ascending order, less the ascending ids in
@@ -69,26 +74,26 @@ def wire_adversary(sim: Simulator, honest: list[PeerId], kind: str,
     """Add the adversary nodes of `kind` to `sim`, numbered after the honest
     ones, and return their ids.
 
-    fse: one node linked to every honest node. wfe/sawfe: one node per four
-    honest nodes, links assigned by a random partition of the honest set.
+    fse: one node linked to every honest node. wfe: one node per four honest
+    nodes, links assigned by a random partition of the honest set.
     """
-    if kind == ADVERSARY_NONE:
+    if kind not in WIRING:
+        raise ValueError(f"unknown adversary kind: {kind!r}")
+    if WIRING[kind] == ADVERSARY_NONE:
         return []
     next_id = len(honest)
-    if kind == ADVERSARY_FSE:
+    if WIRING[kind] == ADVERSARY_FSE:
         sim.add_node(next_id)
         for node in honest:
             sim.add_edge(next_id, node)
         return [next_id]
-    if kind in (ADVERSARY_WFE, ADVERSARY_SAWFE):
-        if len(honest) % 4 != 0:
-            raise ValueError("wfe wiring needs honest count divisible by 4")
-        shuffled = list(honest)
-        rng.shuffle(shuffled)
-        adversaries = list(range(next_id, next_id + len(honest) // 4))
-        for i, adv in enumerate(adversaries):
-            sim.add_node(adv)
-            for node in shuffled[4 * i:4 * i + 4]:
-                sim.add_edge(adv, node)
-        return adversaries
-    raise ValueError(f"unknown adversary kind: {kind!r}")
+    if len(honest) % 4 != 0:
+        raise ValueError("wfe wiring needs honest count divisible by 4")
+    shuffled = list(honest)
+    rng.shuffle(shuffled)
+    adversaries = list(range(next_id, next_id + len(honest) // 4))
+    for i, adv in enumerate(adversaries):
+        sim.add_node(adv)
+        for node in shuffled[4 * i:4 * i + 4]:
+            sim.add_edge(adv, node)
+    return adversaries

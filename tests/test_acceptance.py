@@ -17,7 +17,8 @@ import pytest
 from rawasim.metrics import aggregate
 from rawasim.netsim import LinkSpec, Simulator
 from rawasim.rawa import RaWaConfig, build_forward_graph
-from rawasim.runner import ExperimentConfig, build_run, run_experiment, write_results
+from rawasim.runner import (ExperimentConfig, build_run, run_experiment,
+                            run_shared, write_results)
 from rawasim.topology import build_honest_topology
 
 from conftest import Scenario, leg_ms, make_block
@@ -65,10 +66,18 @@ def fse_grid(p, eta, runs=100) -> dict:
 
 
 def exploiter_grid(kind, p, eta, runs=100, aggregate_dht=False) -> dict:
-    return experiment((kind, p, eta, runs, aggregate_dht), protocol="rawa",
-                      adversary=kind, n_peers=50, runs=runs, base_seed=30_000,
-                      rawa=RaWaConfig(p=p, eta=eta,
-                                      proxy_aggregate_dht=aggregate_dht))
+    """wfe and sawfe differ only in their classifier, so both are scored
+    from one set of runs."""
+    if (kind, p, eta, runs, aggregate_dht) not in _cache:
+        twins = [ExperimentConfig(protocol="rawa", adversary=twin, n_peers=50,
+                                  runs=runs, base_seed=30_000,
+                                  rawa=RaWaConfig(p=p, eta=eta,
+                                                  proxy_aggregate_dht=aggregate_dht))
+                 for twin in ("wfe", "sawfe")]
+        for config, results in zip(twins, run_shared(twins, workers=WORKERS)):
+            _cache[(config.adversary, p, eta, runs, aggregate_dht)] = aggregate(
+                [r.metrics for r in results])
+    return _cache[(kind, p, eta, runs, aggregate_dht)]
 
 
 def ttfb_experiment(protocol, block_size) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from random import Random
 from unittest.mock import patch
 
@@ -14,16 +15,24 @@ from hypothesis import strategies as st
 from rawasim.adversary import fse_classify
 from rawasim.core import Block, MessageType, validate_block
 from rawasim.engine import DONE, HonestEngine
+from rawasim.metrics import aggregate
 from rawasim.netsim import Observer, Simulator
 from rawasim.rawa import RaWaConfig, RawaEngine
-from rawasim.runner import ExperimentConfig, build_run
+from rawasim.runner import (ExperimentConfig, build_run, result_rows,
+                            run_experiment, run_shared)
 
 
 @st.composite
-def small_configs(draw):
-    adversary = draw(st.sampled_from(["none", "fse"]))
-    n_peers = draw(st.integers(5, 14))
-    n_honest = n_peers - (adversary == "fse")
+def small_configs(draw, adversaries=("none", "fse", "wfe")):
+    """A one-run config; a wfe config has 5, 10 or 15 peers, so that it
+    splits 4:1 into honest and adversary nodes, and draws `wfe_fake_have`."""
+    adversary = draw(st.sampled_from(adversaries))
+    if adversary == "wfe":
+        n_peers = 5 * draw(st.integers(1, 3))
+    else:
+        n_peers = draw(st.integers(5, 14))
+    n_honest = ExperimentConfig(adversary=adversary, n_peers=n_peers,
+                                out_links=1).n_honest
     churn = draw(st.lists(
         st.tuples(st.integers(0, n_honest - 1),
                   st.floats(0.0, 3000.0, allow_nan=False)),
@@ -36,6 +45,7 @@ def small_configs(draw):
         churn=tuple(churn), stagger_ms=draw(st.sampled_from([0.0, 150.0])),
         give_up_ms=draw(st.sampled_from([2500.0, 6000.0])),
         keep_trace=True,
+        wfe_fake_have=draw(st.booleans()) if adversary == "wfe" else True,
         rawa=RaWaConfig(p=draw(st.sampled_from([0.2, 0.5, 1.0])),
                         eta=draw(st.sampled_from([1, 2, None])),
                         verify_provider=draw(st.booleans())))
@@ -207,6 +217,27 @@ def test_every_message_event_and_byte_is_accounted_for(config, bound):
     assert departed_timers >= 0 if config.churn else departed_timers == 0
     assert observer.bytes_total == sum(observer.bytes_by_variant.values()) \
         == sum(row[7] for row in observer.trace if row[2] == "send")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs(adversaries=("wfe",)), st.integers(1, 2), st.booleans())
+def test_sawfe_scored_from_its_wfe_twin_equals_a_sawfe_run(config, runs,
+                                                           sawfe_builds):
+    """sawfe only classifies differently from wfe, so a sawfe config run on
+    its own gives the CSV rows and the summary that scoring it from its wfe
+    twin's runs gives, whichever of the two builds the runs."""
+    wfe = replace(config, runs=runs)
+    sawfe = replace(wfe, adversary="sawfe")
+    twins = [sawfe, wfe] if sawfe_builds else [wfe, sawfe]
+    shared = dict(zip(twins, run_shared(twins)))
+    for alone in (sawfe, wfe):
+        results = run_experiment(alone)
+        assert list(result_rows(alone, shared[alone])) == \
+            list(result_rows(alone, results))
+        assert aggregate([r.metrics for r in shared[alone]]) == \
+            aggregate([r.metrics for r in results])
+        assert [r.fingerprint for r in shared[alone]] == \
+            [alone.fingerprint()] * runs
 
 
 # -- closed form ---------------------------------------------------------------

@@ -17,8 +17,8 @@ from rawasim.core import wire_size
 from rawasim.netsim import LinkSpec
 from rawasim.rawa import RaWaConfig
 from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run, overlay,
-                            result_rows, run_experiment, run_single, sweep,
-                            sweep_cells, write_results)
+                            result_rows, run_experiment, sweep, sweep_cells,
+                            write_results)
 
 
 def small_config(**overrides):
@@ -236,8 +236,8 @@ def test_stagger_delays_requests():
 def test_run_bound_stops_the_run(protocol):
     bound = 1500.0
     config = small_config(protocol=protocol, runs=1)
-    full = run_single(config, 0).metrics
-    bounded = run_single(replace(config, run_bound_ms=bound), 0).metrics
+    full = run_experiment(config)[0].metrics
+    bounded = run_experiment(replace(config, run_bound_ms=bound))[0].metrics
     # the same run, cut off: what finished by the bound, and nothing else
     assert bounded.ttfb_ms == {node: ttfb for node, ttfb in full.ttfb_ms.items()
                                if ttfb <= bound}
@@ -310,17 +310,19 @@ def test_sweep_cross_product(tmp_path):
 
 
 def counted_runs(monkeypatch, failing=None):
-    """Count the calls of `runner.run_experiment`, and make it raise for the
-    config labelled `failing`; returns the labels of every call."""
+    """Record the label of every config that `runner.run_shared` is asked to
+    score, and make a call raise that scores the config labelled `failing`;
+    returns the labels, in call order."""
     calls = []
-    real = runner.run_experiment
+    real = runner.run_shared
 
-    def run(config, workers=None):
-        calls.append(config.label())
-        if config.label() == failing:
+    def run(configs, workers=None):
+        labels = [config.label() for config in configs]
+        calls.extend(labels)
+        if failing in labels:
             raise RuntimeError("disk on fire")
-        return real(config, workers=workers)
-    monkeypatch.setattr(runner, "run_experiment", run)
+        return real(configs, workers=workers)
+    monkeypatch.setattr(runner, "run_shared", run)
     return calls
 
 
@@ -362,6 +364,79 @@ def test_sweep_cells_build_every_combination_in_sorted_axis_order():
         "vanilla_fse_b1025", "rawa_fse_p0.5_etamax_b1025"]
     assert [cell.repeat for cell in cells] == [False, False, True, False]
     assert cells[3].config == replace(base, rawa=replace(base.rawa, eta=None))
+    # a vanilla cell's run key drops the walk parameters it never reads
+    assert cells[0].config.run_key() == cells[2].config.run_key() == replace(
+        base, protocol="vanilla", rawa=RaWaConfig())
+    assert cells[0].twins is cells[2].twins
+    assert [cell.twins for cell in cells] == [
+        [cells[0].config], [cells[1].config], [cells[0].config], [cells[3].config]]
+
+
+TWIN_GRID = {"adversary": ["wfe", "sawfe"], "p": [0.2, 0.5]}
+
+
+def counted_builds(monkeypatch, tmp_path, failing_p=None):
+    """Append the run index of every `runner.build_run` call to a file, so
+    the calls of forked workers count too, and make a build raise for the
+    config with walk probability `failing_p`; returns the file."""
+    log = tmp_path / "builds.txt"
+    log.write_text("")
+    real = runner.build_run
+
+    def build(config, run_index):
+        with log.open("a") as f:
+            f.write(f"{run_index}\n")
+        if config.rawa.p == failing_p:
+            raise RuntimeError("disk on fire")
+        return real(config, run_index)
+    monkeypatch.setattr(runner, "build_run", build)
+    return log
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_scores_sawfe_from_its_wfe_twin(tmp_path, monkeypatch, workers):
+    """Each run of a wfe cell is built once and scored for its sawfe twin
+    too, and every file equals that of the cell run on its own."""
+    base = small_config(n_peers=20, runs=2)
+    cells = sweep_cells(base, TWIN_GRID)
+    assert [cell.repeat for cell in cells] == [False] * 4
+    assert cells[0].twins is cells[2].twins
+    assert cells[1].twins == [cells[1].config, cells[3].config]
+    alone = tmp_path / "alone"
+    for cell in cells:
+        write_results(cell.config, run_experiment(cell.config), alone)
+    builds = counted_builds(monkeypatch, tmp_path)
+    report = sweep(base, TWIN_GRID, tmp_path / "sweep", workers=workers)
+    assert sorted(builds.read_text().split()) == ["0", "0", "1", "1"]
+    assert report["errors"] == [] and report["skipped"] == []
+    assert [c["label"] for c in report["combinations"]] == [
+        "rawa_wfe_p0.2_eta2_b1025", "rawa_wfe_p0.5_eta2_b1025",
+        "rawa_sawfe_p0.2_eta2_b1025", "rawa_sawfe_p0.5_eta2_b1025"]
+    written = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()
+               if p.name != "sweep_summary.json"}
+    assert written == {p.name: p.read_bytes() for p in alone.iterdir()}
+    assert len(written) == 8
+
+
+def test_sweep_reports_a_failed_shared_run_for_both_twins(tmp_path, monkeypatch):
+    builds = counted_builds(monkeypatch, tmp_path, failing_p=0.2)
+    report = sweep(small_config(n_peers=20, runs=1), TWIN_GRID, tmp_path / "sweep")
+    assert builds.read_text().split() == ["0", "0"]  # the failed run is not retried
+    assert [c["label"] for c in report["combinations"]] == [
+        "rawa_wfe_p0.5_eta2_b1025", "rawa_sawfe_p0.5_eta2_b1025"]
+    assert report["errors"] == [
+        {"combo": {"adversary": "wfe", "p": 0.2}, "error": "disk on fire"},
+        {"combo": {"adversary": "sawfe", "p": 0.2}, "error": "disk on fire"}]
+    assert sorted(p.name for p in (tmp_path / "sweep").glob("*.csv")) == [
+        "rawa_sawfe_p0.5_eta2_b1025.csv", "rawa_wfe_p0.5_eta2_b1025.csv"]
+
+
+def test_run_shared_refuses_configs_that_do_not_share_their_runs():
+    config = small_config(n_peers=20, adversary="wfe")
+    with pytest.raises(ValueError):
+        runner.run_shared([config, replace(config, adversary="fse", n_peers=21)])
+    with pytest.raises(ValueError):
+        runner.run_shared([config, replace(config, base_seed=78)])
 
 
 def test_sweep_runs_vanilla_once_across_walk_only_axes(tmp_path):
