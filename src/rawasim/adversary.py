@@ -6,9 +6,8 @@ runs an unmodified honest engine underneath and stores no blocks; the active
 exploiter (wfe) answers walk requests with a provider list naming only
 itself so that deceived requesters reveal themselves with a WANT-BLOCK; the
 subgraph-aware variant (sawfe) behaves identically on the wire and only
-classifies differently, using the privacy subgraph as an oracle input. So
-sawfe runs wfe's wiring (`rawasim.topology.WIRING`), and a sweep scores
-each sawfe cell from its wfe twin's runs, as it runs vanilla repeats once.
+classifies differently, using the privacy subgraph as an oracle input, so
+it runs wfe's wiring (`rawasim.topology.WIRING`) and one run can score both.
 
 Classifiers are pure functions of the log, the oracle inputs, and a
 dedicated analysis RNG, so a replay with the same seed reproduces the same

@@ -330,8 +330,8 @@ def _run_once(configs: list[ExperimentConfig], run_index: int) -> list[RunResult
 
 def run_shared(configs: list[ExperimentConfig],
                workers: int | None = None) -> list[list[RunResult]]:
-    """Each config's results in run order, from one build and run of each
-    run scored for every config; the configs must share one `run_key`."""
+    """Each config's results in run order, each run built once and scored for
+    every config (all of one `run_key`); one failed scoring fails them all."""
     if any(config.run_key() != configs[0].run_key() for config in configs):
         raise ValueError("the configs do not share their runs")
     jobs = [(configs, i) for i in range(configs[0].runs)]
@@ -407,7 +407,6 @@ def write_results(config: ExperimentConfig, results: list[RunResult],
 class SweepCell(NamedTuple):
     combo: dict
     config: ExperimentConfig
-    twins: list[ExperimentConfig]  # every config scored from its runs
     repeat: bool
 
 
@@ -427,8 +426,8 @@ def overlay(data: dict, overrides: dict) -> ExperimentConfig:
 def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
     """Every combination of the grid's axes over `base`, in sorted-axis
     order, each built as a config; a bad axis or value raises ValueError.
-    A cell is the twin of the earlier cells with its `run_key`, or their
-    repeat if one has its label too (vanilla across p or eta)."""
+    A cell with an earlier cell's `run_key` and label is a repeat: the
+    walk-only axes (p, eta) do not change a vanilla run."""
     unknown = set(grid) - {"p", "eta", "adversary", "block_size", "protocol"}
     if unknown:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
@@ -438,27 +437,23 @@ def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
             raise ValueError(f"empty grid axis {axis!r}")
         combos = [dict(c, **{axis: v}) for c in combos for v in grid[axis]]
     data = base.to_dict()
-    cells, runs = [], {}
+    cells, runs = [], set()
     for combo in combos:
         try:
             config = overlay(data, combo)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"grid cell {combo}: {exc}") from exc
-        twins = runs.setdefault(config.run_key(), [])
-        repeat = config.label() in [twin.label() for twin in twins]
-        if not repeat:
-            twins.append(config)
-        cells.append(SweepCell(combo, config, twins, repeat))
+        run = (config.run_key(), config.label())
+        cells.append(SweepCell(combo, config, run in runs))
+        runs.add(run)
     return cells
 
 
 def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
           force: bool = False, workers: int | None = None) -> dict:
-    """Run each cell of `sweep_cells(base, grid)`, twins on shared runs and
-    repeats under ``skipped``; a cell's aggregate is read back from its
-    summary. Cells that share result files and, unless `force`, existing
-    outputs raise before the first run; a run-time failure is reported per
-    cell."""
+    """Run each cell of `sweep_cells(base, grid)`; repeats go under ``skipped``.
+    Cells that share result files and, unless `force`, existing outputs
+    raise before the first run; a run-time failure is reported per cell."""
     cells = sweep_cells(base, grid)
     combined = Path(out_dir) / "sweep_summary.json"
     paths = [path for cell in cells if not cell.repeat
@@ -468,21 +463,13 @@ def sweep(base: ExperimentConfig, grid: dict, out_dir: str | Path,
     if not force:
         refuse_existing([combined, *paths])
     report: dict = {"combinations": [], "errors": [], "skipped": []}
-    results: dict = {}  # each config's results, or the failure of its runs
-    for combo, config, twins, repeat in cells:
+    for combo, config, repeat in cells:
         if repeat:
             report["skipped"].append({"combo": combo, "label": config.label()})
             continue
-        if config not in results:
-            try:
-                results.update(zip(twins, run_shared(twins, workers)))
-            except Exception as exc:  # fails every twin
-                results.update(dict.fromkeys(twins, exc))
-        outcome = results.pop(config)
         try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            csv_path, json_path = write_results(config, outcome, out_dir, force)
+            results = run_experiment(config, workers=workers)
+            csv_path, json_path = write_results(config, results, out_dir, force)
             report["combinations"].append({
                 "combo": combo, "label": config.label(),
                 "csv": str(csv_path), "summary": str(json_path),

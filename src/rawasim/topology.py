@@ -21,8 +21,7 @@ ADVERSARY_FSE = "fse"
 ADVERSARY_WFE = "wfe"
 ADVERSARY_SAWFE = "sawfe"
 
-# The wiring each adversary runs: its nodes, links and messages. sawfe is a
-# wfe team that only classifies differently, so one run serves both.
+# The wiring (nodes, links, messages) each adversary runs; sawfe runs wfe's.
 WIRING = {ADVERSARY_NONE: ADVERSARY_NONE, ADVERSARY_FSE: ADVERSARY_FSE,
           ADVERSARY_WFE: ADVERSARY_WFE, ADVERSARY_SAWFE: ADVERSARY_WFE}
 

@@ -310,19 +310,17 @@ def test_sweep_cross_product(tmp_path):
 
 
 def counted_runs(monkeypatch, failing=None):
-    """Record the label of every config that `runner.run_shared` is asked to
-    score, and make a call raise that scores the config labelled `failing`;
-    returns the labels, in call order."""
+    """Count the calls of `runner.run_experiment`, and make it raise for the
+    config labelled `failing`; returns the labels of every call."""
     calls = []
-    real = runner.run_shared
+    real = runner.run_experiment
 
-    def run(configs, workers=None):
-        labels = [config.label() for config in configs]
-        calls.extend(labels)
-        if failing in labels:
+    def run(config, workers=None):
+        calls.append(config.label())
+        if config.label() == failing:
             raise RuntimeError("disk on fire")
-        return real(configs, workers=workers)
-    monkeypatch.setattr(runner, "run_shared", run)
+        return real(config, workers=workers)
+    monkeypatch.setattr(runner, "run_experiment", run)
     return calls
 
 
@@ -367,9 +365,6 @@ def test_sweep_cells_build_every_combination_in_sorted_axis_order():
     # a vanilla cell's run key drops the walk parameters it never reads
     assert cells[0].config.run_key() == cells[2].config.run_key() == replace(
         base, protocol="vanilla", rawa=RaWaConfig())
-    assert cells[0].twins is cells[2].twins
-    assert [cell.twins for cell in cells] == [
-        [cells[0].config], [cells[1].config], [cells[0].config], [cells[3].config]]
 
 
 TWIN_GRID = {"adversary": ["wfe", "sawfe"], "p": [0.2, 0.5]}
@@ -393,35 +388,45 @@ def counted_builds(monkeypatch, tmp_path, failing_p=None):
     return log
 
 
+def result_files(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()
+            if p.name != "sweep_summary.json"}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_scores_sawfe_from_its_wfe_twin(tmp_path, monkeypatch, workers):
-    """Each run of a wfe cell is built once and scored for its sawfe twin
-    too, and every file equals that of the cell run on its own."""
+def test_run_shared_builds_each_run_once_for_wfe_and_sawfe(tmp_path, monkeypatch,
+                                                           workers):
+    """`run_shared` builds each run of a wfe config once and scores its
+    sawfe twin from it too; every file equals that of the config run on its
+    own, and those a sweep of the same grid writes."""
     base = small_config(n_peers=20, runs=2)
     cells = sweep_cells(base, TWIN_GRID)
     assert [cell.repeat for cell in cells] == [False] * 4
-    assert cells[0].twins is cells[2].twins
-    assert cells[1].twins == [cells[1].config, cells[3].config]
+    keys = [cell.config.run_key() for cell in cells]
+    assert keys[0] == keys[2] != keys[1] == keys[3]
     alone = tmp_path / "alone"
     for cell in cells:
         write_results(cell.config, run_experiment(cell.config), alone)
-    builds = counted_builds(monkeypatch, tmp_path)
     report = sweep(base, TWIN_GRID, tmp_path / "sweep", workers=workers)
-    assert sorted(builds.read_text().split()) == ["0", "0", "1", "1"]
     assert report["errors"] == [] and report["skipped"] == []
     assert [c["label"] for c in report["combinations"]] == [
         "rawa_wfe_p0.2_eta2_b1025", "rawa_wfe_p0.5_eta2_b1025",
         "rawa_sawfe_p0.2_eta2_b1025", "rawa_sawfe_p0.5_eta2_b1025"]
-    written = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()
-               if p.name != "sweep_summary.json"}
-    assert written == {p.name: p.read_bytes() for p in alone.iterdir()}
-    assert len(written) == 8
+    builds = counted_builds(monkeypatch, tmp_path)
+    for twins in ([cells[0].config, cells[2].config],
+                  [cells[1].config, cells[3].config]):
+        for config, results in zip(twins, runner.run_shared(twins, workers)):
+            write_results(config, results, tmp_path / "shared")
+    assert sorted(builds.read_text().split()) == ["0", "0", "1", "1"]
+    assert result_files(tmp_path / "shared") == result_files(alone) == \
+        result_files(tmp_path / "sweep")
+    assert len(result_files(alone)) == 8
 
 
-def test_sweep_reports_a_failed_shared_run_for_both_twins(tmp_path, monkeypatch):
+def test_sweep_reports_a_failed_run_for_each_cell(tmp_path, monkeypatch):
     builds = counted_builds(monkeypatch, tmp_path, failing_p=0.2)
     report = sweep(small_config(n_peers=20, runs=1), TWIN_GRID, tmp_path / "sweep")
-    assert builds.read_text().split() == ["0", "0"]  # the failed run is not retried
+    assert builds.read_text().split() == ["0"] * 4
     assert [c["label"] for c in report["combinations"]] == [
         "rawa_wfe_p0.5_eta2_b1025", "rawa_sawfe_p0.5_eta2_b1025"]
     assert report["errors"] == [
@@ -429,6 +434,27 @@ def test_sweep_reports_a_failed_shared_run_for_both_twins(tmp_path, monkeypatch)
         {"combo": {"adversary": "sawfe", "p": 0.2}, "error": "disk on fire"}]
     assert sorted(p.name for p in (tmp_path / "sweep").glob("*.csv")) == [
         "rawa_sawfe_p0.5_eta2_b1025.csv", "rawa_wfe_p0.5_eta2_b1025.csv"]
+
+
+def test_a_failed_scoring_fails_its_own_cell_and_every_shared_config(
+        tmp_path, monkeypatch):
+    """A sweep runs each cell on its own, so a sawfe classifier that raises
+    fails the sawfe cell alone; `run_shared` scores every config from one
+    run, so there it fails the wfe twin too."""
+    def classify(*args):
+        raise RuntimeError("oracle lost")
+    monkeypatch.setattr(runner, "sawfe_classify", classify)
+    base = small_config(n_peers=20, runs=1)
+    report = sweep(base, {"adversary": ["wfe", "sawfe"]}, tmp_path)
+    assert [c["label"] for c in report["combinations"]] == [
+        "rawa_wfe_p0.5_eta2_b1025"]
+    assert report["errors"] == [{"combo": {"adversary": "sawfe"},
+                                 "error": "oracle lost"}]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "rawa_wfe_p0.5_eta2_b1025.csv"]
+    with pytest.raises(RuntimeError, match="oracle lost"):
+        runner.run_shared([replace(base, adversary=kind)
+                           for kind in ("wfe", "sawfe")])
 
 
 def test_run_shared_refuses_configs_that_do_not_share_their_runs():
