@@ -1,7 +1,7 @@
 """Experiment orchestration: config, seeded runs, sweeps, result files.
 
 A run is fully determined by ``(config, base_seed + run_index)``: topology,
-block payloads, interest assignment, link jitter, protocol choices and the
+block keys, interest assignment, link jitter, protocol choices and the
 classifier's tie-breaking all draw from streams derived from that seed.
 Runs are isolated, so an experiment can fan out over a process pool without
 changing any result; rows are ordered by run index regardless of completion
@@ -77,8 +77,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.adversary not in WIRING:
             raise ValueError(f"unknown adversary {self.adversary!r}")
-        # an empty payload fails the block build, fewer than one link fails
-        # the topology draw, and a float or bool count fails inside the run
+        # a block of no bytes fails the block build, fewer than one link
+        # fails the topology draw, and a float or bool count fails inside
+        # the run
         for name in ("n_peers", "runs", "block_size", "out_links"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -232,12 +233,10 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     for node, engine in engines.items():
         sim.attach(node, engine)
 
-    # One unique random block per honest node, registered before requests.
-    # Payloads come from per-node sub-seeds so the main stream's consumption
-    # is independent of block_size: runs with different sizes share the same
-    # topology, interests and early event randomness, which keeps
-    # size-sweep comparisons paired. Large blocks are built on a thread pool
-    # while the subgraphs and interests are drawn, and stored after.
+    # One unique block per honest node, registered before requests. Each is
+    # keyed by a per-node sub-seed, one draw whatever the block_size, so
+    # runs with different sizes share the same topology, interests and
+    # early event randomness, which keeps size-sweep comparisons paired.
     blocks = make_blocks([rng.getrandbits(64) for _ in honest], config.block_size)
 
     # privacy subgraphs (the passive spy participates like an honest node)

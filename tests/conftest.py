@@ -33,7 +33,7 @@ def leg_ms(size: int, latency: float = 100.0) -> float:
 
 def make_block(size: int, tag: int = 0) -> Block:
     payload = bytes([tag % 256]) * size
-    return Block(payload)
+    return Block(payload, size)
 
 
 class Scenario:

@@ -14,7 +14,7 @@ from conftest import Scenario, make_block
 
 
 def cids(n):
-    return [derive_cid(Block(bytes([i + 1]))) for i in range(n)]
+    return [derive_cid(Block(bytes([i + 1]), 1)) for i in range(n)]
 
 
 def obs_log(entries):

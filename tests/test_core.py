@@ -1,9 +1,6 @@
 import hashlib
 import pickle
-import sys
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from random import Random
 from types import SimpleNamespace
 
@@ -19,8 +16,8 @@ from rawasim.runner import ExperimentConfig, build_run
 
 
 def test_cid_deterministic():
-    block = Block(b"hello world")
-    assert derive_cid(block) == derive_cid(Block(b"hello world"))
+    block = Block(b"hello world", 11)
+    assert derive_cid(block) == derive_cid(Block(b"hello world", 11))
 
 
 def test_cid_collision_free_over_random_blocks():
@@ -28,18 +25,19 @@ def test_cid_collision_free_over_random_blocks():
     rng = Random(1234)
     seen = set()
     for _ in range(100_000):
-        seen.add(derive_cid(Block(rng.randbytes(rng.randint(1, 64)) + rng.randbytes(8))))
+        payload = rng.randbytes(rng.randint(1, 64)) + rng.randbytes(8)
+        seen.add(derive_cid(Block(payload, len(payload))))
     assert len(seen) == 100_000
 
 
 def test_validate_round_trip():
-    block = Block(b"payload")
+    block = Block(b"payload", 7)
     assert validate_block(derive_cid(block), block)
 
 
 def test_validate_rejects_other_payload():
-    cid = derive_cid(Block(b"payload"))
-    assert not validate_block(cid, Block(b"payload!"))
+    cid = derive_cid(Block(b"payload", 7))
+    assert not validate_block(cid, Block(b"payload!", 7))
 
 
 @pytest.mark.parametrize("protocol, block_size", [
@@ -47,8 +45,8 @@ def test_validate_rejects_other_payload():
 ], ids=["vanilla", "rawa", "vanilla-153600", "rawa-153600"])
 def test_a_run_hashes_each_stored_block_once(protocol, block_size, monkeypatch):
     """A received block is the sender's stored object, whose CID is kept on
-    it, so validating it on receipt hashes nothing; at 153,600 B the blocks
-    are built on the block pool, and each is still hashed once."""
+    it, so validating it on receipt hashes nothing: each block's key is
+    hashed once, whatever the block's size."""
     hashed = Counter()
 
     def sha256(data):
@@ -66,60 +64,13 @@ def test_a_run_hashes_each_stored_block_once(protocol, block_size, monkeypatch):
     assert hashed == Counter({id(block.payload): 1 for block in stored.values()})
 
 
-# random_payload must equal the Python call it replaces, kept here as the
-# reference: seeds at the 32- and 64-bit key-length edges, and every residue
-# mod 4 just below and at or above the crossover to numpy's generator
-PAYLOAD_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
-PAYLOAD_SIZES = tuple(size for base in (1, core.LARGE_PAYLOAD_BYTES - 4,
-                                        core.LARGE_PAYLOAD_BYTES, 153_600)
-                      for size in range(base, base + 4))
-
-
-@pytest.mark.parametrize("seed", PAYLOAD_SEEDS)
-def test_random_payload_is_randbytes_at_the_edges(seed):
-    for size in PAYLOAD_SIZES:
-        assert core.random_payload(seed, size) == Random(seed).randbytes(size)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.one_of(st.sampled_from(PAYLOAD_SEEDS), st.integers(0, 2**64 - 1)),
-       size=st.one_of(st.sampled_from(PAYLOAD_SIZES), st.integers(1, 160_000)))
-def test_random_payload_is_randbytes(seed, size):
-    assert core.random_payload(seed, size) == Random(seed).randbytes(size)
-
-
-def test_random_payload_is_randbytes_across_threads():
-    """Each thread reseeds and draws from its own generator, so payloads
-    drawn on several threads at once are still randbytes."""
-    sizes = (core.LARGE_PAYLOAD_BYTES - 1, core.LARGE_PAYLOAD_BYTES,
-             core.LARGE_PAYLOAD_BYTES + 3, 153_600)
-    jobs = [(seed, size) for seed in (*PAYLOAD_SEEDS, *range(1, 13))
-            for size in sizes]
-    threads = 4
-    parts = [jobs[i::threads] for i in range(threads)]
-    start = threading.Barrier(threads, timeout=30)
-
-    def draw(part):
-        start.wait()
-        return [core.random_payload(seed, size) for seed, size in part]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(threads) as pool:
-            drawn = list(pool.map(draw, parts, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    for part, payloads in zip(parts, drawn):
-        for (seed, size), payload in zip(part, payloads):
-            assert payload == Random(seed).randbytes(size), (seed, size)
-
-
-@pytest.mark.parametrize("block_size", [1025, 153_600])
+@pytest.mark.parametrize("block_size", [1, 1025, 153_600, 2**64 + 1])
 @pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
 def test_build_run_blocks_equal_a_serial_oracle(protocol, block_size,
                                                 monkeypatch):
-    """The blocks a run stores, on the block pool or not, are the serial
-    `Block(randbytes)` of the seeds it draws, stored in node order."""
+    """The blocks a run stores are `Block(b"<seed>:<size>", size)` of the
+    sub-seeds it draws, stored in node order and indexed in that order;
+    every interest is one of their CIDs."""
     drawn = []
 
     def make_blocks(seeds, size):
@@ -129,14 +80,15 @@ def test_build_run_blocks_equal_a_serial_oracle(protocol, block_size,
     config = ExperimentConfig(protocol=protocol, n_peers=20, out_links=3,
                               runs=1, base_seed=3, block_size=block_size)
     handles = build_run(config, 0)
-    oracle = [Block(Random(seed).randbytes(block_size)) for seed in drawn]
+    oracle = [Block(f"{seed}:{block_size}".encode(), block_size)
+              for seed in drawn]
     cids = [Cid(hashlib.sha256(block.payload).digest()) for block in oracle]
     assert len(oracle) == len(handles.honest)
     for node, block, cid in zip(handles.honest, oracle, cids):
         assert block.cid == cid
         store = handles.engines[node].store
         assert list(store) == [cid] and store[cid] == block
-        assert store[cid].cid == cid
+        assert store[cid].cid == cid and store[cid].size == block_size
     assert handles.dht.table == {cid: {node}
                                  for node, cid in zip(handles.honest, cids)}
     assert list(handles.dht.table) == cids
@@ -145,13 +97,19 @@ def test_build_run_blocks_equal_a_serial_oracle(protocol, block_size,
 
 def test_empty_block_rejected():
     with pytest.raises(ValueError):
-        Block(b"")
+        Block(b"", 1)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_block_without_bytes_rejected(size):
+    with pytest.raises(ValueError, match="size"):
+        Block(b"x", size)
 
 
 def test_message_field_invariants():
-    cid = derive_cid(Block(b"x"))
+    cid = derive_cid(Block(b"x", 1))
     with pytest.raises(ValueError):
-        Message(MessageType.WANT_HAVE, cid, payload=Block(b"x"))
+        Message(MessageType.WANT_HAVE, cid, payload=Block(b"x", 1))
     with pytest.raises(ValueError):
         Message(MessageType.BLOCK, cid)
     with pytest.raises(ValueError):
@@ -161,25 +119,25 @@ def test_message_field_invariants():
     for variant in MessageType:
         if variant is not MessageType.BLOCK:
             with pytest.raises(ValueError, match="payload"):
-                Message(variant, cid, payload=Block(b"x"))
+                Message(variant, cid, payload=Block(b"x", 1))
         if variant is not MessageType.FORWARD_HAVE:
-            payload = Block(b"x") if variant is MessageType.BLOCK else None
+            payload = Block(b"x", 1) if variant is MessageType.BLOCK else None
             with pytest.raises(ValueError, match="providers"):
                 Message(variant, cid, payload, (1,))
 
 
 def test_wire_size_table():
-    cid = derive_cid(Block(b"x"))
+    cid = derive_cid(Block(b"x", 1))
     assert wire_size(Message(MessageType.WANT_HAVE, cid)) == 44
     assert wire_size(Message(MessageType.CANCEL, cid)) == 44
     assert wire_size(Message(MessageType.FORWARD_HAVE, cid, providers=(1, 2))) == 120
-    assert wire_size(Message(MessageType.BLOCK, cid, payload=Block(b"a" * 1025))) == 1069
+    assert wire_size(Message(MessageType.BLOCK, cid, payload=Block(b"a" * 1025, 1025))) == 1069
 
 
 def test_wire_size_monotone_in_payload():
     sizes = []
     for n in (1, 2, 17, 1024, 1025, 153_600):
-        block = Block(b"b" * n)
+        block = Block(b"b" * n, n)
         sizes.append(wire_size(Message(MessageType.BLOCK, derive_cid(block),
                                        payload=block)))
     assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
@@ -209,7 +167,7 @@ def test_cid_digest_short_repr_and_pickle():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(cid, protocol))
         assert type(back) is Cid and back == cid and hash(back) == hash(cid)
-    assert type(derive_cid(Block(b"x"))) is Cid
+    assert type(derive_cid(Block(b"x", 1))) is Cid
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -226,11 +184,12 @@ PAYLOAD_FREE = [t for t in MessageType
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(payload=st.integers(1, 200_000), providers=st.integers(1, 40))
 def test_wire_size_follows_the_table(payload, providers):
-    cid = derive_cid(Block(b"s"))
+    cid = derive_cid(Block(b"s", 1))
     base = ENVELOPE_BYTES + CID_ENTRY_BYTES
     for variant in PAYLOAD_FREE:
         assert wire_size(Message(variant, cid)) == base
-    block = Message(MessageType.BLOCK, cid, payload=Block(b"b" * payload))
+    # the wire carries the block's size, not its payload's length
+    block = Message(MessageType.BLOCK, cid, payload=Block(b"b", payload))
     assert wire_size(block) == base + payload
     forward = Message(MessageType.FORWARD_HAVE, cid,
                       providers=tuple(range(providers)))

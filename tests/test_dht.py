@@ -25,7 +25,7 @@ def lookup_now(sim, dht, cid, node=0):
 
 def test_provide_then_lookup():
     sim, dht = make_dht()
-    cid = derive_cid(Block(b"a"))
+    cid = derive_cid(Block(b"a", 1))
     dht.provide(cid, 1)
     providers, at = lookup_now(sim, dht, cid)
     assert providers == [1]
@@ -33,7 +33,7 @@ def test_provide_then_lookup():
 
 def test_provide_idempotent():
     sim, dht = make_dht()
-    cid = derive_cid(Block(b"a"))
+    cid = derive_cid(Block(b"a", 1))
     dht.provide(cid, 1)
     dht.provide(cid, 1)
     providers, _ = lookup_now(sim, dht, cid)
@@ -42,7 +42,7 @@ def test_provide_idempotent():
 
 def test_multiple_providers_returned():
     sim, dht = make_dht()
-    cid = derive_cid(Block(b"a"))
+    cid = derive_cid(Block(b"a", 1))
     dht.provide(cid, 2)
     dht.provide(cid, 1)
     providers, _ = lookup_now(sim, dht, cid)
@@ -51,7 +51,7 @@ def test_multiple_providers_returned():
 
 def test_unknown_cid_empty_after_same_delay():
     sim, dht = make_dht()
-    providers, at = lookup_now(sim, dht, derive_cid(Block(b"nope")))
+    providers, at = lookup_now(sim, dht, derive_cid(Block(b"nope", 4)))
     assert providers == []
     assert 559.8 <= at <= 684.2
 
@@ -66,7 +66,7 @@ def test_delay_bounds_and_mean():
 
 def test_departed_provider_filtered_at_delivery():
     sim, dht = make_dht()
-    cid = derive_cid(Block(b"a"))
+    cid = derive_cid(Block(b"a", 1))
     dht.provide(cid, 1)
     dht.provide(cid, 2)
     sim.schedule_departure(2, at=100.0)  # departs while the query is pending
@@ -76,7 +76,7 @@ def test_departed_provider_filtered_at_delivery():
 
 def test_never_returns_unregistered_peer():
     sim, dht = make_dht()
-    cid = derive_cid(Block(b"a"))
+    cid = derive_cid(Block(b"a", 1))
     dht.provide(cid, 3)
     providers, _ = lookup_now(sim, dht, cid)
     assert all(p == 3 for p in providers)

@@ -9,17 +9,19 @@ cover the requester and proxy paths the base grid misses: provider
 verification against active exploiters (with and without fake HAVEs), the
 proxy's provider-index aggregation, the FORWARD-HAVE aggregation window
 under churn and stagger, vanilla against exploiters, a run bound that
-cuts requests off, and 150 KiB blocks for both protocols, whose payloads
-come from numpy's generator (the full trace carries the CID of every block
-sent, which pins those payloads byte for byte). A deliberate change of the
-draw order re-records the table and says why in CHANGES.md.
+cuts requests off, and 150 KiB blocks for both protocols, whose size
+reaches the results only through the wire size and serialization delay.
+A deliberate change of the draw order re-records the table and says why
+in CHANGES.md.
 
 A second table pins the event order itself, which the result files see
 only through their aggregates: one SHA-256 per config over its runs with
 ``keep_trace``, covering the full event trace (sends, deliveries and timer
 rows), the adversary's observation log, the drops, the walk records,
 every requester outcome, and the final clock, sequence number and RNG
-state.
+state. Trace rows carry each block's short CID, so a change of the block
+key moves this table only; `tests/test_properties.py` checks that such a
+change renames CIDs and moves nothing else.
 
 Re-record with ``python tests/test_golden.py`` (prints both tables).
 """
@@ -110,37 +112,37 @@ GOLDEN = {
 
 TRACE_GOLDEN = {
     "rawa_b150k":
-        "ed55145299a27033b367f69f8b58150a41879d0fa43a4a067a2524f41600e207",
+        "d5c3da8df1b12e2dca18c948d9e57a6cd4830eb4a5b866ac6acd30df1ebb0c79",
     "rawa_churn":
-        "7f11913d72e22e48c2beb4c09c386364f9ac56950cb1b705b889370c2b0f23ec",
+        "c8dccd614b2d84d387c237cfd6d9d88a3714fe0371bb26d1190e9a421aa91d81",
     "rawa_fse":
-        "2ed475fe4f421fde32484b4ef3365934996906bb0a58782d5b55e83b5138c2e1",
+        "9c88f259cd46a005947bde9f32b6cbc686b1fcca81eb3f195d7f1fd451976aa8",
     "rawa_none":
-        "bb518617ece381b87782908f5b60b88b5cab95fcd579b3c15fe823880112cf43",
+        "a68794b7755872d80325efe250f09a15e83a3bb679f504b71a0d47c729c71f79",
     "rawa_sawfe":
-        "4261928dca190ed347cfd445099c2e7093d3bccee7d5005153dedf142347864f",
+        "4eaa92b0117bcc3c4fa733aebe657f405aee7964193e1dcd21e82a353d2f45be",
     "rawa_wfe_aggdht":
-        "0f1820cd5227606235ac5b64c8931a3d9cb98341449449638161c412a06257c3",
+        "0374ba6f1f3198fdc0776fef1b26ba8d175355e63ac1308fd3035625401486d3",
     "rawa_wfe_verify_fake0":
-        "fe9dfd7ed42fb921f59fc475ac3d194473f53f7b4c8cf81789f43e1c40903e9e",
+        "60b891824c91463b5ce87015623e50d7d59ec49312093bd2e7006127c5e38a23",
     "rawa_wfe_verify_fake1":
-        "df846d184d6562dcc8941261cd6dedee295040e0a1a7e031f3d41f99309e8924",
+        "043e1c0f5882b43377d98cb450adb5db0004f2cf831b76f3ac70f4664d72b15d",
     "rawa_window_churn":
-        "161d7c13c078dee72f58d673a629bab39ab825c6caadd87a753db3be298fa645",
+        "f269f01e140ae6f9eb8a123cfe19b0e0ad1aaba3562168822995090af7f6f818",
     "vanilla_b150k":
-        "3e0f875dffb301067323a7b0ac53d14fabfe9636015c174629aef52e1aa1aab8",
+        "d8f05d644e89baaa960c8e40344536109d82ee6004360551c2673eb29b5f683a",
     "vanilla_bound":
-        "6c9987aa401eaa724501eee8fe6174e4ac72d8f48bb1804a6463115e5d0f1845",
+        "dcbea7581906d17c763db613e50dd19bdae7b662d30e6db2a7bc4d8ac23d9b98",
     "vanilla_churn":
-        "0232a81d4b3416aac886b3b5b4c57416edfc2bc18dcea378799bbed092be5e2b",
+        "f09ca64c12c3a955b8c5b8ae29ac2ff82e8985dd9f356f343c70c03aa5496166",
     "vanilla_fse":
-        "debf1b1975479c57e29193dfc872c65665431a57aa0217b427d0acdf190b60b5",
+        "8701cd6f116626fc8cb6d26930805de3edb2007d4dbc646bb11d6e1f703c52b5",
     "vanilla_none":
-        "0078a1d4243efec68652d6cdc6dff2b0b6219507e842a4532f768584c71910b7",
+        "aa50b955f172f78bce243db30df7c2f76795ce441f02e1ba74b8f308d2fb2fce",
     "vanilla_sawfe":
-        "172525bcffa282d445464f6f9ee8efcedee44e4f38bc69e71ce2977f11002911",
+        "07dc6e1cffdd8e390b30ef67a70fd687c1f73a58b2b454129002aa460bda96cf",
     "vanilla_wfe":
-        "172525bcffa282d445464f6f9ee8efcedee44e4f38bc69e71ce2977f11002911",
+        "07dc6e1cffdd8e390b30ef67a70fd687c1f73a58b2b454129002aa460bda96cf",
 }
 
 

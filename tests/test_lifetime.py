@@ -87,7 +87,7 @@ def test_run_turns_the_collector_off_and_restores_it(enabled, ending):
 
     def tick():
         seen.append(gc.isenabled())
-        sim.send(0, 1, sim.message(MessageType.WANT_HAVE, Block(b"x").cid))
+        sim.send(0, 1, sim.message(MessageType.WANT_HAVE, Block(b"x", 1).cid))
     for at in (0.0, 300.0, 600.0):
         sim.schedule(at, "tick", tick, node=0)
     before = gc.isenabled()

@@ -12,7 +12,7 @@ from rawasim.metrics import (GroundTruth, RunMetrics, _stats, aggregate,
 
 
 def cids(n):
-    return [derive_cid(Block(bytes([i + 1]))) for i in range(n)]
+    return [derive_cid(Block(bytes([i + 1]), 1)) for i in range(n)]
 
 
 def test_all_correct():

@@ -35,7 +35,7 @@ def two_node_sim(link=ZERO_JITTER, seed=1):
 
 
 def msg(cid_tag=b"m"):
-    return Message(MessageType.WANT_HAVE, derive_cid(Block(cid_tag)))
+    return Message(MessageType.WANT_HAVE, derive_cid(Block(cid_tag, len(cid_tag))))
 
 
 def test_link_delay_formula_small_message():
@@ -113,8 +113,8 @@ def test_fifo_per_directed_link_under_jitter():
         sim.attach(1, rec)
         sim.attach(0, Recorder())
         sim.add_edge(0, 1)
-        first = Message(MessageType.WANT_HAVE, derive_cid(Block(b"a")))
-        second = Message(MessageType.WANT_HAVE, derive_cid(Block(b"b")))
+        first = Message(MessageType.WANT_HAVE, derive_cid(Block(b"a", 1)))
+        second = Message(MessageType.WANT_HAVE, derive_cid(Block(b"b", 1)))
         sim.send(0, 1, first)
         sim.schedule(1.0, "later", lambda s=sim, m=second: s.send(0, 1, m))
         sim.run()

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rawasim import core, runner
 from rawasim.adversary import fse_classify
-from rawasim.core import Block, MessageType, validate_block
+from rawasim.core import Block, Cid, MessageType, validate_block
 from rawasim.engine import DONE, HonestEngine
 from rawasim.metrics import aggregate
 from rawasim.netsim import Observer, Simulator
@@ -136,7 +137,7 @@ def test_no_send_on_a_non_edge(config):
         sim.run()
         live = sorted(alive)
         sim.fan_out(live[sim.rng.randrange(len(live))], live,
-                    sim.message(MessageType.WANT_HAVE, Block(b"probe").cid))
+                    sim.message(MessageType.WANT_HAVE, Block(b"probe", 5).cid))
     assert bad == []
 
 
@@ -238,6 +239,65 @@ def test_sawfe_scored_from_its_wfe_twin_equals_a_sawfe_run(config, runs,
             aggregate([r.metrics for r in results])
         assert [r.fingerprint for r in shared[alone]] == \
             [alone.fingerprint()] * runs
+
+
+def renamed(value, cids: dict, shorts: dict):
+    """`value` as nested lists and dicts, with each CID in `cids` and each
+    short CID in `shorts` (a trace field, or a timer label's tail) renamed."""
+    if isinstance(value, Cid):
+        return cids.get(value, value)
+    if isinstance(value, (tuple, list)):
+        return [renamed(item, cids, shorts) for item in value]
+    if isinstance(value, dict):
+        return {renamed(key, cids, shorts): renamed(item, cids, shorts)
+                for key, item in value.items()}
+    if isinstance(value, str):
+        head, sep, tail = value.rpartition(":")
+        return f"{head}{sep}{shorts.get(tail, tail)}"
+    return value
+
+
+def full_trace(handles) -> list:
+    """What `tests/test_golden.py` digests of a finished run."""
+    sim = handles.sim
+    obs = sim.observer
+    log = [(rec.time, rec.adversary_node, rec.sender, rec.message.variant,
+            rec.message.cid, rec.message.providers, rec.message.size)
+           for rec in handles.log.records]
+    return [obs.trace, log, obs.drops, obs.wf_sends, obs.fh_sends,
+            obs.terminations, obs.completions, sorted(obs.failures),
+            obs.consumed, (sim.now, sim._seq, sim.rng.getstate())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_no_result_depends_on_a_cid_value(config):
+    """Nothing orders or branches on a CID's value: with every block keyed
+    another way (salted, so still one CID per block), a run gives the same
+    CSV rows and aggregate, and the same full trace, clock, sequence number
+    and RNG state once each CID is renamed to its counterpart."""
+    outcomes = []
+    for salt in (b"", b"salted:"):
+        made = []
+
+        def make_blocks(seeds, size, salt=salt, made=made):
+            made[:] = [Block(salt + block.payload, size)
+                       for block in core.make_blocks(seeds, size)]
+            return made
+        with patch.object(runner, "make_blocks", make_blocks):
+            results = run_experiment(config)
+            handles = build_run(config, 0)
+            handles.sim.run(until=config.run_bound_ms)
+        outcomes.append((list(result_rows(config, results)),
+                         aggregate([r.metrics for r in results]),
+                         [block.cid for block in made], full_trace(handles)))
+    (rows, summary, cids, trace), (salted_rows, salted_summary,
+                                   salted_cids, salted_trace) = outcomes
+    assert rows == salted_rows and summary == salted_summary
+    names = dict(zip(cids, salted_cids))
+    shorts = {cid.short(): names[cid].short() for cid in cids}
+    assert len(set(shorts.values())) == len(cids)
+    assert renamed(trace, names, shorts) == renamed(salted_trace, {}, {})
 
 
 # -- closed form ---------------------------------------------------------------
