@@ -182,13 +182,13 @@ PAYLOAD_FREE = [t for t in MessageType
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(payload=st.integers(1, 200_000), providers=st.integers(1, 40))
+@given(payload=st.integers(2, 200_000), providers=st.integers(1, 40))
 def test_wire_size_follows_the_table(payload, providers):
     cid = derive_cid(Block(b"s", 1))
     base = ENVELOPE_BYTES + CID_ENTRY_BYTES
     for variant in PAYLOAD_FREE:
         assert wire_size(Message(variant, cid)) == base
-    # the wire carries the block's size, not its payload's length
+    # the wire carries the block's size, never its 1-byte payload's length
     block = Message(MessageType.BLOCK, cid, payload=Block(b"b", payload))
     assert wire_size(block) == base + payload
     forward = Message(MessageType.FORWARD_HAVE, cid,

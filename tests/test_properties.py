@@ -278,19 +278,17 @@ def test_no_result_depends_on_a_cid_value(config):
     and RNG state once each CID is renamed to its counterpart."""
     outcomes = []
     for salt in (b"", b"salted:"):
-        made = []
-
-        def make_blocks(seeds, size, salt=salt, made=made):
-            made[:] = [Block(salt + block.payload, size)
-                       for block in core.make_blocks(seeds, size)]
-            return made
+        def make_blocks(seeds, size, salt=salt):
+            return [Block(salt + block.payload, size)
+                    for block in core.make_blocks(seeds, size)]
         with patch.object(runner, "make_blocks", make_blocks):
             results = run_experiment(config)
             handles = build_run(config, 0)
-            handles.sim.run(until=config.run_bound_ms)
+        cids = list(handles.dht.table)  # each node's block, in node order
+        handles.sim.run(until=config.run_bound_ms)
         outcomes.append((list(result_rows(config, results)),
                          aggregate([r.metrics for r in results]),
-                         [block.cid for block in made], full_trace(handles)))
+                         cids, full_trace(handles)))
     (rows, summary, cids, trace), (salted_rows, salted_summary,
                                    salted_cids, salted_trace) = outcomes
     assert rows == salted_rows and summary == salted_summary
