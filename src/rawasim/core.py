@@ -120,8 +120,8 @@ WANT_FORWARD = MessageType.WANT_FORWARD
 FORWARD_HAVE = MessageType.FORWARD_HAVE
 
 # A tuple, not a set: `in` then compares identities in C, where a set would
-# call Enum's Python-level __hash__ on every test (once per log record when
-# a classifier scans the adversary's log).
+# call Enum's Python-level __hash__ on every test (once per message an
+# adversary hears).
 REQUEST_TYPES = (WANT_HAVE, WANT_BLOCK, WANT_FORWARD)
 
 

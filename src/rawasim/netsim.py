@@ -136,9 +136,11 @@ class Tally(dict):
 class Observer:
     """Run-level bookkeeping fed by the simulator and the engines.
 
-    Counters are always on; the full event trace is optional because it
-    dominates memory on large sweeps. Walk records stay cheap (one entry per
-    walk step) and power the path-fidelity and walk-length checks.
+    Counters, drops, terminations, requester outcomes and consumed
+    FORWARD-HAVEs are always on. The full event trace, which dominates
+    memory on large sweeps, and the walk records (`wf_sends`, `fh_sends`),
+    which only replays and the path-fidelity checks read, are kept only
+    under `keep_trace`.
     """
 
     keep_trace: bool = False
@@ -148,9 +150,11 @@ class Observer:
     bytes_by_variant: Tally = field(default_factory=Tally)
     bytes_total: int = 0
     drops: list[tuple] = field(default_factory=list)
-    # (walk_id, retx, hop, frm, to, time) for every WANT-FORWARD send
+    # under keep_trace: (walk_id, retx, hop, frm, to, time) for every
+    # WANT-FORWARD send
     wf_sends: list[tuple] = field(default_factory=list)
-    # (walk_id, frm, to, time) for every FORWARD-HAVE send routed on a walk
+    # under keep_trace: (walk_id, frm, to, time) for every FORWARD-HAVE send
+    # routed on a walk
     fh_sends: list[tuple] = field(default_factory=list)
     # (walk_id, retx, hops, node, time): a node entered the proxy phase
     terminations: list[tuple] = field(default_factory=list)
@@ -169,11 +173,11 @@ class Observer:
         self.bytes_total += size
         if self.keep_trace:
             self.trace.append((time, seq, "send", frm, to, variant, msg.cid.short(), size))
-        if tag is not None:
-            if variant == "WANT-FORWARD":
-                self.wf_sends.append((tag.walk, tag.retx, tag.hop, frm, to, time))
-            elif variant == "FORWARD-HAVE":
-                self.fh_sends.append((tag.walk, frm, to, time))
+            if tag is not None:
+                if variant == "WANT-FORWARD":
+                    self.wf_sends.append((tag.walk, tag.retx, tag.hop, frm, to, time))
+                elif variant == "FORWARD-HAVE":
+                    self.fh_sends.append((tag.walk, frm, to, time))
 
     def record_fan_out(self, time: float, first_seq: int, frm: PeerId,
                        recipients: list[PeerId], msg: Message) -> None:

@@ -212,7 +212,7 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     adversaries = wire_adversary(sim, honest, config.adversary, topo_rng)
     dht = DummyDht(sim, config.dht_base_delay_ms, config.dht_delay_spread)
 
-    log = ObservationLog()
+    log = ObservationLog(keep_trace=config.keep_trace)
 
     def honest_engine(node: PeerId):
         if config.protocol == PROTOCOL_RAWA:

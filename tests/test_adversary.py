@@ -1,11 +1,15 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rawasim.adversary import (ExploiterNode, ObservationLog, Prediction,
-                               SpyTap, fse_classify, sawfe_classify,
-                               wfe_classify)
-from rawasim.core import Block, Message, MessageType, derive_cid
+                               SpyTap, _random_fill, fse_classify,
+                               sawfe_classify, wfe_classify)
+from rawasim.core import (REQUEST_TYPES, Block, Message, MessageType,
+                          derive_cid)
 from rawasim.metrics import GroundTruth, precision_recall
 from rawasim.rawa import RaWaConfig, RawaEngine
 from rawasim.runner import ExperimentConfig, build_run
@@ -18,11 +22,98 @@ def cids(n):
 
 
 def obs_log(entries):
-    log = ObservationLog()
+    log = ObservationLog(keep_trace=True)
     for t, (adv, sender, variant, cid) in enumerate(entries):
         msg = Message(variant, cid)
         log.append(adv, sender, msg, float(t))
     return log
+
+
+# -- the record-scanning oracle -------------------------------------------------
+# Each classifier written as one scan over every `Observation` record of a
+# log kept with `keep_trace`. The classifiers under test read only the state
+# `ObservationLog.append` keeps online; they must give the same prediction,
+# in the same link order, with the same analysis draws.
+
+
+def oracle_request_cids(records) -> list:
+    seen = {}
+    for rec in records:
+        if rec.message.variant in REQUEST_TYPES:
+            seen.setdefault(rec.message.cid)
+    return list(seen)
+
+
+def oracle_fse(records, population, rng) -> Prediction:
+    prediction = Prediction()
+    pop = set(population)
+    for rec in records:
+        if rec.sender in pop and rec.sender not in prediction.links \
+                and rec.message.variant in REQUEST_TYPES:
+            prediction.links[rec.sender] = rec.message.cid
+    _random_fill(prediction, population, oracle_request_cids(records), rng)
+    return prediction
+
+
+def oracle_first_want_blocks(records, population) -> dict:
+    links = {}
+    pop = set(population)
+    for rec in records:
+        if rec.sender in pop and rec.sender not in links \
+                and rec.message.variant is MessageType.WANT_BLOCK:
+            links[rec.sender] = rec.message.cid
+    return links
+
+
+def oracle_wfe(records, population, rng) -> Prediction:
+    prediction = Prediction(links=oracle_first_want_blocks(records, population))
+    _random_fill(prediction, population, oracle_request_cids(records), rng)
+    return prediction
+
+
+def oracle_sawfe(records, subgraph, population, rng) -> Prediction:
+    prediction = Prediction(links=oracle_first_want_blocks(records, population))
+    pop = set(population)
+    predecessors = {}
+    for holder in sorted(subgraph):
+        for succ in subgraph[holder]:
+            predecessors.setdefault(succ, []).append(holder)
+    for rec in records:
+        if rec.message.variant is not MessageType.WANT_HAVE:
+            continue
+        proxy = rec.sender
+        if proxy not in pop:
+            continue
+        candidates = [q for q in predecessors.get(proxy, ())
+                      if q in pop and q not in prediction.links]
+        if candidates:
+            pick = candidates[rng.randrange(len(candidates))]
+            prediction.links[pick] = rec.message.cid
+    _random_fill(prediction, population, oracle_request_cids(records), rng)
+    return prediction
+
+
+def assert_online_equals_oracle(log: ObservationLog, subgraph, population,
+                                seed) -> None:
+    """Every classifier on `log`'s online state against the oracle on its
+    records: the same links in the same order, the same abstentions, and
+    the analysis RNG left in the same state."""
+    records = log.records
+    assert log.observed_request_cids() == oracle_request_cids(records)
+    pairs = (
+        (lambda rng: fse_classify(log, population, rng),
+         lambda rng: oracle_fse(records, population, rng)),
+        (lambda rng: wfe_classify(log, population, rng),
+         lambda rng: oracle_wfe(records, population, rng)),
+        (lambda rng: sawfe_classify(log, subgraph, population, rng),
+         lambda rng: oracle_sawfe(records, subgraph, population, rng)),
+    )
+    for online, oracle in pairs:
+        rng, ref = Random(seed), Random(seed)
+        got, want = online(rng), oracle(ref)
+        assert list(got.links.items()) == list(want.links.items())
+        assert got.abstained == want.abstained
+        assert rng.getstate() == ref.getstate()
 
 
 # -- classifier units ---------------------------------------------------------
@@ -117,6 +208,19 @@ def test_sawfe_stage_two_longer_walk_blames_relay():
     assert recall < 1.0
 
 
+def test_sawfe_stage_two_draws_for_every_repeated_broadcast():
+    c = cids(2)
+    # proxy 3 broadcast the same probe twice: each copy blames one of its
+    # two predecessors, so neither is left to the random fill over c
+    log = obs_log([(9, 3, MessageType.WANT_HAVE, c[0]),
+                   (9, 4, MessageType.WANT_FORWARD, c[1]),
+                   (9, 3, MessageType.WANT_HAVE, c[0])])
+    subgraph = {1: (3,), 2: (3,)}
+    for seed in range(20):
+        prediction = sawfe_classify(log, subgraph, [1, 2, 3], Random(seed))
+        assert prediction.links[1] == prediction.links[2] == c[0]
+
+
 def test_sawfe_random_fill_without_broadcasts():
     c = cids(1)
     log = obs_log([(9, 1, MessageType.WANT_FORWARD, c[0])])
@@ -146,7 +250,7 @@ def test_classification_replay_identical():
 
 def test_exploiter_fakes_forward_have_and_presence():
     scn = Scenario(2, [(0, 1)], rawa=RaWaConfig(p=0.5))
-    log = ObservationLog()
+    log = ObservationLog(keep_trace=True)
     wfe = ExploiterNode(1, scn.sim, log, fake_have=True)
     scn.sim.attach(1, wfe)
     scn.engines[1] = wfe
@@ -246,3 +350,106 @@ def test_spy_may_become_proxy_and_discovers_honestly():
             assert spy_broadcasts  # executed the discovery on behalf
             return
     pytest.fail("spy never became a proxy in any seed")
+
+
+# -- online state against the oracle ------------------------------------------
+
+
+def heard(variant: MessageType, cid) -> Message:
+    if variant is MessageType.BLOCK:
+        return Message(variant, cid, payload=make_block(3))
+    if variant is MessageType.FORWARD_HAVE:
+        return Message(variant, cid, providers=(9,))
+    return Message(variant, cid)
+
+
+# few peers and CIDs, so that a sender repeats a message and a proxy has
+# several predecessors
+peer = st.integers(0, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(heard_by=st.lists(st.tuples(st.sampled_from([8, 9]), peer,
+                                   st.sampled_from(list(MessageType)),
+                                   st.integers(0, 2)), max_size=40),
+       population=st.sets(peer),
+       subgraph=st.dictionaries(peer, st.lists(peer, max_size=3).map(tuple)),
+       seed=st.integers(0, 2**32))
+def test_online_classifiers_equal_the_oracle_on_any_log(heard_by, population,
+                                                        subgraph, seed):
+    """Any messages, from senders in the population and outside it."""
+    c = cids(3)
+    log = ObservationLog(keep_trace=True)
+    for t, (adv, sender, variant, k) in enumerate(heard_by):
+        log.append(adv, sender, heard(variant, c[k]), float(t))
+    assert_online_equals_oracle(log, subgraph, sorted(population), seed)
+
+
+@st.composite
+def adversary_configs(draw):
+    """A small one-run config: vanilla or rawa under fse, wfe or sawfe; a
+    wfe or sawfe config has 5, 10 or 15 peers, so it splits 4:1 into
+    honest and adversary nodes."""
+    adversary = draw(st.sampled_from(["fse", "wfe", "sawfe"]))
+    if adversary == "fse":
+        n_peers = draw(st.integers(5, 14))
+    else:
+        n_peers = 5 * draw(st.integers(1, 3))
+    n_honest = ExperimentConfig(adversary=adversary, n_peers=n_peers,
+                                out_links=1).n_honest
+    return ExperimentConfig(
+        protocol=draw(st.sampled_from(["vanilla", "rawa"])),
+        adversary=adversary, n_peers=n_peers,
+        out_links=draw(st.integers(1, min(3, n_honest - 1))),
+        runs=1, base_seed=draw(st.integers(0, 2**32 - 1)),
+        stagger_ms=draw(st.sampled_from([0.0, 150.0])),
+        churn=((0, draw(st.floats(0.0, 3000.0))),) if draw(st.booleans()) else (),
+        wfe_fake_have=draw(st.booleans()),
+        rawa=RaWaConfig(p=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                        eta=draw(st.sampled_from([1, 2, None]))))
+
+
+def online_state(log: ObservationLog) -> tuple:
+    return (list(log.request_cids), list(log.first_requests.items()),
+            list(log.first_want_blocks.items()), log.want_haves)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(adversary_configs())
+def test_online_classifiers_equal_the_oracle_on_small_runs(config):
+    """A run's online state, in order, does not depend on `keep_trace`, and
+    each of the three classifiers, whatever the run's wiring, predicts from
+    it what the oracle predicts from the records, with the same analysis
+    draws."""
+    logs = []
+    for keep_trace in (False, True):
+        handles = build_run(replace(config, keep_trace=keep_trace), 0)
+        handles.sim.run(until=config.run_bound_ms)
+        logs.append(handles.log)
+    plain, traced = logs
+    assert plain.records == [] and traced.records
+    assert online_state(plain) == online_state(traced)
+    assert_online_equals_oracle(traced, handles.subgraph_oracle,
+                                handles.honest, f"{handles.seed}:analysis")
+
+
+def test_an_untraced_run_keeps_no_records():
+    """Without `keep_trace` a finished rawa+fse run holds no observation or
+    walk record; the always-on records and the online state are there, and
+    the same run with the trace kept has every kind of record."""
+    config = ExperimentConfig(protocol="rawa", adversary="fse", n_peers=30,
+                              runs=1, base_seed=4, rawa=RaWaConfig(p=0.2))
+    runs = []
+    for keep_trace in (False, True):
+        handles = build_run(replace(config, keep_trace=keep_trace), 0)
+        handles.sim.run()
+        runs.append(handles)
+    plain, traced = runs
+    observer = plain.sim.observer
+    assert plain.log.records == []
+    assert observer.wf_sends == [] and observer.fh_sends == []
+    assert observer.trace == []
+    assert observer.terminations and observer.consumed
+    assert plain.log.first_requests and plain.log.request_cids
+    assert traced.log.records
+    assert traced.sim.observer.wf_sends and traced.sim.observer.fh_sends

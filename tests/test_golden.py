@@ -12,7 +12,8 @@ under churn and stagger, vanilla against exploiters, a run bound that
 cuts requests off, and 150 KiB blocks for both protocols, whose size
 reaches the results only through the wire size and serialization delay.
 A deliberate change of the draw order re-records the table and says why
-in CHANGES.md.
+in CHANGES.md. The same runs made with ``keep_trace`` must give the same
+files: keeping the trace changes no result.
 
 A second table pins the event order itself, which the result files see
 only through their aggregates: one SHA-256 per config over its runs with
@@ -146,9 +147,12 @@ TRACE_GOLDEN = {
 }
 
 
-def digests(name: str, config: ExperimentConfig, out: Path) -> tuple[str, str]:
-    csv_path, json_path = write_results(config, run_experiment(config),
-                                        out / name)
+def digests(name: str, config: ExperimentConfig, out: Path,
+            keep_trace: bool = False) -> tuple[str, str]:
+    """The digests of `config`'s result files, its runs made with
+    `keep_trace` as given; the files are written under `config` itself."""
+    results = run_experiment(replace(config, keep_trace=keep_trace))
+    csv_path, json_path = write_results(config, results, out / name)
     return (hashlib.sha256(csv_path.read_bytes()).hexdigest(),
             hashlib.sha256(json_path.read_bytes()).hexdigest())
 
@@ -175,6 +179,13 @@ def trace_digest(config: ExperimentConfig) -> str:
 @pytest.mark.parametrize("name", sorted(_grid()))
 def test_result_files_match_golden(name, tmp_path):
     assert digests(name, _grid()[name], tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_grid()))
+def test_traced_runs_give_the_golden_result_files(name, tmp_path):
+    """Keeping the trace changes no result: the classifiers read the same
+    online state whether or not the observation records are kept."""
+    assert digests(name, _grid()[name], tmp_path, keep_trace=True) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(_grid()))

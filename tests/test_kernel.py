@@ -321,7 +321,8 @@ def test_message_table_shares_one_instance_per_variant_and_cid():
 @pytest.mark.parametrize("protocol", ["vanilla", "rawa"])
 def test_every_payload_free_message_of_a_run_is_the_shared_one(protocol):
     handles = build_run(ExperimentConfig(protocol=protocol, adversary="fse",
-                                         n_peers=20, runs=1, base_seed=3), 0)
+                                         n_peers=20, runs=1, base_seed=3,
+                                         keep_trace=True), 0)
     sim = handles.sim
     sim.run()
     seen = set()

@@ -318,7 +318,7 @@ def test_spy_is_a_first_hop_as_often_as_one_over_degree(out_links):
     for seed in range(FIRST_HOP_SEEDS):
         config = ExperimentConfig(protocol="rawa", adversary="fse", n_peers=41,
                                   out_links=out_links, runs=1, base_seed=seed,
-                                  rawa=RaWaConfig(eta=None))
+                                  rawa=RaWaConfig(eta=None), keep_trace=True)
         handles = build_run(config, 0)
         sim, spy = handles.sim, handles.adversaries[0]
         for v in handles.honest:
