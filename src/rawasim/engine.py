@@ -14,7 +14,11 @@ provider-index lookup, repeated ``t1`` after each result that leaves the
 search open until ``give_up_ms`` after it began. A vanilla requester runs
 it for itself, a rawa proxy on behalf of the walks that ended at it; each
 engine says what an index result does. A completed search sends one CANCEL
-to every peer that got its WANT-HAVE.
+to every peer that got its WANT-HAVE. The broadcast keeps the simulator's
+own neighbour tuple as the search's ``queried`` peers rather than a copy:
+the simulator never changes a tuple it has handed out, so the search holds
+the snapshot it broadcast to, and a spy linked to all n peers does not hold
+n entries per walk that ends at it.
 
 A request is SEARCHING while discovery runs and FETCHING while one provider
 is asked for the block. Providers are peer ids, kept in the order they were
@@ -51,13 +55,19 @@ FAILED = "failed"
 
 @dataclass
 class Search:
-    """One node's search for providers of `cid`."""
+    """One node's search for providers of `cid`.
+
+    Either a broadcast or a rawa requester's verify WANT-HAVEs fill
+    `queried`, never both: vanilla never verifies, a rawa requester never
+    broadcasts, and a proxy never verifies."""
 
     cid: Cid
     started_at: float
     state: str = SEARCHING
-    # peers sent a WANT-HAVE for this search; each gets a CANCEL at the end
-    queried: set[PeerId] = field(default_factory=set)
+    # peers sent a WANT-HAVE for this search, ascending and distinct; each
+    # gets a CANCEL at the end. A broadcast stores the simulator's neighbour
+    # tuple itself, which the simulator never changes
+    queried: tuple[PeerId, ...] = ()
     # start of the current t1 quiet period
     last_activity: float = 0.0
     dht_pending: bool = False
@@ -175,8 +185,7 @@ class HonestEngine:
         """Ask every neighbour with WANT-HAVE and start the quiet period."""
         sim = self._sim()
         search.last_activity = sim.now
-        peers = sim.neighbors(self.node)
-        search.queried.update(peers)
+        search.queried = peers = sim.neighbors(self.node)
         sim.fan_out(self.node, peers, sim.message(WANT_HAVE, search.cid))
         self._arm_tick(search, self.t1_ms)
 
@@ -218,7 +227,7 @@ class HonestEngine:
         """End a search with one CANCEL per queried peer."""
         search.state = DONE
         sim = self._sim()
-        sim.fan_out(self.node, sorted(search.queried),
+        sim.fan_out(self.node, search.queried,
                     sim.message(CANCEL, search.cid))
 
     # -- requester: providers and attempts ----------------------------------

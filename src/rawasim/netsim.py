@@ -17,14 +17,17 @@ shared instance per ``(cid, variant)`` per run. `fan_out` sends one shared
 message to many peers in one pass, silently skips those already
 unreachable, and reports the whole fan-out to the `Observer` in one call.
 `neighbors` hands out a cached sorted tuple that `add_edge` and departures
-invalidate; edges disappear only when a node departs, which `departures`
-counts so engines can key their own reachability caches on it. For the same
-reason `run` checks a delivery's edge and endpoints only once `departures`
-is non-zero: before the first departure every queued delivery was sent over
-a live edge that is still there. The `Observer`'s per-variant counters are
-`Tally` dicts, which read an absent key as 0 without inserting it and keep
-the order of each variant's first send, with the C-level item assignment
-that `collections.Counter` gives up.
+invalidate. A tuple handed out is never changed, only replaced by a new one
+on the next call, so a holder keeps a snapshot of the neighbours it was
+given: a search keeps the very tuple it broadcast to. Edges disappear only
+when a node departs, which `departures` counts so engines can key their own
+reachability caches on it. For the same reason `run` checks a delivery's
+edge and endpoints only once `departures` is non-zero: before the first
+departure every queued delivery was sent over a live edge that is still
+there. The `Observer`'s per-variant counters are `Tally` dicts, which read
+an absent key as 0 without inserting it and keep the order of each
+variant's first send, with the C-level item assignment that
+`collections.Counter` gives up.
 
 The event set is one binary heap (`heapq`) of flat tuples, told apart by
 length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of

@@ -247,7 +247,7 @@ class RawaEngine(HonestEngine):
 
     def _exchange(self, session: RequesterSession) -> None:
         if self.config.verify_provider and not session.verified:
-            session.queried.add(session.target)
+            session.queried = tuple(sorted({*session.queried, session.target}))
             sim = self._sim()
             sim.send(self.node, session.target, sim.message(WANT_HAVE, session.cid))
             self._arm_attempt(session)

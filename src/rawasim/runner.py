@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
@@ -337,6 +336,9 @@ def run_shared(configs: list[ExperimentConfig],
     if (workers or 1) <= 1 or len(jobs) == 1:
         per_run = [_run_once(*job) for job in jobs]
     else:
+        # imported only to start a pool, so a run in-process never pays it
+        import multiprocessing
+
         with multiprocessing.Pool(processes=workers) as pool:
             per_run = pool.starmap(_run_once, jobs)
     return [list(results) for results in zip(*per_run)]

@@ -414,7 +414,7 @@ def test_requester_emission_discipline():
             assert rec[3] in short_to_proxy_holders.get(rec[6], set())
     for node in handles.honest:
         for session in handles.engines[node].sessions.values():
-            assert session.queried == set()
+            assert session.queried == ()
     # exactly one accepted block per completed request
     for node in observer.completions:
         cid = handles.truth.interests[node]
