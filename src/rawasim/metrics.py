@@ -6,8 +6,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .adversary import Prediction
 from .core import Cid, PeerId
 
@@ -64,8 +62,7 @@ class RunMetrics:
             return None, None, None
         values = [float(v) for v in self.ttfb_ms.values()]
         ordered = sorted(values)
-        return (float(np.array(values).mean()), _median(ordered),
-                _percentile(ordered, 95))
+        return _mean(values), _median(ordered), _percentile(ordered, 95)
 
     @property
     def mean_walk_hops(self) -> float | None:
@@ -74,16 +71,55 @@ class RunMetrics:
         return sum(self.walk_lengths) / len(self.walk_lengths)
 
 
-# Order statistics over a sorted list of floats, written out because numpy's
-# fixed cost per median or percentile call (about 35 us) outweighs the
-# work on the few to few hundred values of a run or a sweep cell. Each gives
-# numpy's result bit for bit (tests/test_metrics.py checks it). The mean and
-# std stay numpy's: numpy sums pairwise, so a plain Python sum would move
-# their last bits.
+# Summary statistics in pure Python. Each repeats, operation for operation,
+# the arithmetic of the array library that tests/test_metrics.py checks it
+# against bit for bit, so the result files hold the bytes that library
+# would write: the sums are its pairwise sum, the median and percentiles its
+# defaults.
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Pairwise summation with the array library's blocking (Higham, "The
+    accuracy of floating point summation", 1993): below 8 values a plain loop
+    from 0.0; up to 128 values eight strided accumulators, combined in a
+    fixed tree, then the remainder; above that the two halves, split at a
+    multiple of 8. The order of additions is the result, so keep it."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = []
+        for j in range(8):
+            acc = values[j]
+            for x in values[j + 8:whole:8]:
+                acc += x
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in values[whole:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    return _pairwise_sum(values) / len(values)
+
+
+def _std(values: list[float], mean: float) -> float:
+    """Population standard deviation (ddof 0) about `mean`. Squares as
+    ``d * d``: ``d ** 2`` rounds differently on some values."""
+    deviations = [x - mean for x in values]
+    return math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(values))
 
 
 def _median(ordered: list[float]) -> float:
-    """numpy's median: the middle value, or the mean of the two middle values."""
+    """The middle value, or the mean of the two middle values."""
     half, odd = divmod(len(ordered), 2)
     if odd:
         return ordered[half]
@@ -91,8 +127,8 @@ def _median(ordered: list[float]) -> float:
 
 
 def _percentile(ordered: list[float], q: float) -> float:
-    """numpy.percentile(ordered, q) by its default linear method (Hyndman and
-    Fan's type 7), including numpy's lerp, which counts down from the upper
+    """The q-th percentile by linear interpolation (Hyndman and Fan's
+    type 7), with the array library's lerp, which counts down from the upper
     neighbour when the fraction is at least one half."""
     n = len(ordered)
     virtual = (n - 1) * (q / 100)
@@ -109,13 +145,13 @@ def _stats(values) -> dict:
     values = [float(v) for v in values if v is not None]
     if not values:
         return {"n": 0}
-    arr = np.array(values)
     ordered = sorted(values)
+    mean = _mean(values)
     return {
         "n": len(values),
-        "mean": float(arr.mean()),
+        "mean": mean,
         "median": _median(ordered),
-        "std": float(arr.std(ddof=0)),
+        "std": _std(values, mean),
         "p5": _percentile(ordered, 5),
         "p95": _percentile(ordered, 95),
     }

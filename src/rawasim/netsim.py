@@ -318,7 +318,9 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def _push(self, time: float, node: PeerId, timer: Timer) -> None:
-        assert time >= self.now, f"event at {time} scheduled before now={self.now}"
+        # a check, not an assert, so it holds under -O; NaN fails it too
+        if not time >= self.now:
+            raise ValueError(f"event at {time} scheduled before now={self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, node, timer))
 

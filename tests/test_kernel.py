@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rawasim import netsim
 from rawasim.core import Message, MessageType, derive_cid, wire_size
 from rawasim.netsim import LinkSpec, Observer, Simulator, WalkTag, link_delay
 from rawasim.rawa import RaWaConfig, draw_successor
@@ -296,10 +301,33 @@ def test_scheduling_into_the_past_is_refused():
     sim, _ = star(2)
     sim.schedule(5.0, "tick", lambda: None)
     sim.run()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sim.schedule(-1.0, "past", lambda: None)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sim.schedule_departure(1, at=1.0)
+    with pytest.raises(ValueError):
+        sim.schedule(math.nan, "nan", lambda: None)
+    assert sim.peek() is None
+
+
+PAST_UNDER_O = """
+from random import Random
+from rawasim.netsim import LinkSpec, Observer, Simulator
+sim = Simulator(LinkSpec(), Random(1), Observer())
+try:
+    sim.schedule(-1.0, "past", lambda: None)
+except ValueError:
+    print("refused")
+"""
+
+
+def test_scheduling_into_the_past_is_refused_under_python_O():
+    src = str(Path(netsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-O", "-c", PAST_UNDER_O],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "refused\n"
 
 
 # -- shared messages and the send delay ----------------------------------------------

@@ -7,7 +7,8 @@ handed out, so the search holds the snapshot it broadcast to, and the fse
 spy, linked to every peer, holds one tuple for all its proxy searches
 instead of n entries each. A rawa requester under ``verify_provider`` never
 broadcasts; its `queried` peers are its verify targets. Importing the
-package leaves out `multiprocessing`, which only a worker pool needs.
+package leaves out `multiprocessing`, which only a worker pool needs, and
+numpy, which the package does not use: it has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ def test_verify_targets_are_queried_ascending_and_cancelled_once():
     assert out_of_order
 
 
-def test_importing_the_package_leaves_multiprocessing_out():
+def test_importing_the_package_leaves_multiprocessing_and_numpy_out():
     src = str(Path(rawasim.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     check = ("import rawasim, rawasim.cli, sys; "
-             "assert 'multiprocessing' not in sys.modules")
+             "assert 'multiprocessing' not in sys.modules; "
+             "assert 'numpy' not in sys.modules")
     subprocess.run([sys.executable, "-c", check], env=env, check=True)

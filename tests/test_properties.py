@@ -258,7 +258,7 @@ def renamed(value, cids: dict, shorts: dict):
 
 
 def full_trace(handles) -> list:
-    """What `tests/test_golden.py` digests of a finished run."""
+    """What `tests/golden.py` digests of a finished run."""
     sim = handles.sim
     obs = sim.observer
     log = [(rec.time, rec.adversary_node, rec.sender, rec.message.variant,

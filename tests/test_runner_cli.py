@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -166,6 +167,17 @@ def test_worker_pool_matches_serial():
         assert a.seed == b.seed
         assert a.metrics.ttfb_ms == b.metrics.ttfb_ms
         assert a.metrics.precision == b.metrics.precision
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_worker_pool_matches_serial_under_each_start_method(method, monkeypatch):
+    """Spawn and forkserver workers re-import the package (forkserver is the
+    default from Python 3.14 on) and still give the serial results."""
+    config = small_config(runs=3)
+    serial = run_experiment(config, workers=1)
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        multiprocessing.get_context(method).Pool)
+    assert run_experiment(config, workers=2) == serial
 
 
 FORK_AFTER_LARGE_BLOCKS = """
