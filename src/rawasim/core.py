@@ -28,12 +28,12 @@ def peer_name(peer: PeerId) -> str:
 
 
 def check_field_types(config, numbers=(), flags=()) -> None:
-    """Refuse a bool for each numeric field in `numbers` (JSON ``true``
-    compares as 1) and anything but a bool for each flag in `flags` (the
-    string ``"no"`` is truthy)."""
+    """Refuse anything but an int or a float for each numeric field in
+    `numbers` (a bool too: JSON ``true`` compares as 1) and anything but a
+    bool for each flag in `flags` (the string ``"no"`` is truthy)."""
     for name in numbers:
         value = getattr(config, name)
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, not {value!r}")
     for name in flags:
         value = getattr(config, name)

@@ -266,7 +266,7 @@ class HonestEngine:
         session.target = peer
         session.attempt_serial += 1
         sim = self._sim()
-        if sim.connected(self.node, peer):
+        if sim.reachable(self.node, peer):
             self._exchange(session)
         else:
             sim.dial(self.node, peer, lambda ok: self._dialled(session, peer, ok))

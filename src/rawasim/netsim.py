@@ -19,15 +19,21 @@ unreachable, and reports the whole fan-out to the `Observer` in one call.
 `neighbors` hands out a cached sorted tuple that `add_edge` and departures
 invalidate. A tuple handed out is never changed, only replaced by a new one
 on the next call, so a holder keeps a snapshot of the neighbours it was
-given: a search keeps the very tuple it broadcast to. Edges disappear only
-when a node departs, which `departures` counts so engines can key their own
+given: a search keeps the very tuple it broadcast to.
+
+Reachability is the adjacency: an edge only ever joins two live nodes.
+`add_edge` refuses a departed or unknown endpoint, and a departure removes
+every edge of the departed node, so `send`, `fan_out`, `reachable` and the
+delivery check in `run` test the edge alone. Edges disappear only when a
+node departs, which `departures` counts so engines can key their own
 reachability caches on it. For the same reason `run` checks a delivery's
-edge and endpoints only once `departures` is non-zero: before the first
-departure every queued delivery was sent over a live edge that is still
-there. The `Observer`'s per-variant counters are `Tally` dicts, which read
-an absent key as 0 without inserting it and keep the order of each
-variant's first send, with the C-level item assignment that
-`collections.Counter` gives up.
+edge only once `departures` is non-zero: before the first departure every
+queued delivery was sent over an edge that is still there.
+
+The `Observer`'s per-variant counters are `Tally` dicts, which read an
+absent key as 0 without inserting it and keep the order of each variant's
+first send, with the C-level item assignment that `collections.Counter`
+gives up.
 
 The event set is one binary heap (`heapq`) of flat tuples, told apart by
 length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of
@@ -67,6 +73,11 @@ from .core import (Cid, Message, MessageType, PeerId, check_field_types,
 
 RngStream = random.Random
 
+# The clock's horizon. Below 2**43 ms (about 279 years) a float clock still
+# resolves about 1 µs; a config whose delays could carry the clock past it
+# is refused at load.
+HORIZON_MS = 2.0 ** 43
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -82,6 +93,9 @@ class LinkSpec:
                                  "bandwidth_bytes_per_s"))
         if not (math.inf > self.latency_ms > self.jitter_ms >= 0):
             raise ValueError("require finite latency > jitter >= 0")
+        if not self.latency_ms + self.jitter_ms <= HORIZON_MS:
+            raise ValueError("latency_ms + jitter_ms must not pass the clock's "
+                             "horizon of 2**43 ms")
         if not self.bandwidth_bytes_per_s > 0:
             raise ValueError("bandwidth must be positive")
 
@@ -272,8 +286,14 @@ class Simulator:
         self._alive.add(peer)
 
     def add_edge(self, a: PeerId, b: PeerId) -> None:
+        """Link the live nodes `a` and `b`. A departed or unknown endpoint
+        raises before anything changes, so an edge only ever joins two
+        live nodes."""
         if a == b:
             raise ValueError("self-loops not allowed")
+        for peer in (a, b):
+            if peer not in self._alive:
+                raise ValueError(f"{peer_name(peer)} is not a live node")
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
         self._sorted_neighbors.pop(a, None)
@@ -294,15 +314,11 @@ class Simulator:
             view = self._sorted_neighbors[peer] = tuple(sorted(self._adjacency[peer]))
         return view
 
-    def connected(self, a: PeerId, b: PeerId) -> bool:
-        return b in self._adjacency.get(a, ())
-
     def is_alive(self, peer: PeerId) -> bool:
         return peer in self._alive
 
     def reachable(self, frm: PeerId, to: PeerId) -> bool:
-        alive = self._alive
-        return to in self._adjacency.get(frm, ()) and frm in alive and to in alive
+        return to in self._adjacency.get(frm, ())
 
     def message(self, variant: MessageType, cid: Cid) -> Message:
         """The run's one payload-free `variant` message for `cid`. Messages
@@ -346,8 +362,7 @@ class Simulator:
              tag: WalkTag | None = None) -> bool:
         """Schedule delivery over the live edge; returns False (with a logged
         diagnostic) when the edge is already gone."""
-        alive = self._alive
-        if not (to in self._adjacency.get(frm, ()) and frm in alive and to in alive):
+        if to not in self._adjacency.get(frm, ()):
             self.observer.record_drop(self.now, frm, to, msg, "send-no-link")
             return False
         now = self.now
@@ -376,9 +391,6 @@ class Simulator:
         record, as a caller checking `reachable` first would. Each send
         makes the draw, the delay and the FIFO clamp of `send`; the
         observer hears of the whole fan-out once."""
-        alive = self._alive
-        if frm not in alive:
-            return
         adjacent = self._adjacency[frm]
         now = self.now
         latency = self._latency_ms
@@ -392,7 +404,7 @@ class Simulator:
         first = seq = self._seq + 1
         recipients = []
         for to in peers:
-            if to not in adjacent or to not in alive:
+            if to not in adjacent:
                 continue
             at = now + (latency + (lo + span * rand() if span else 0.0) + tx_ms)
             key = (frm, to)
@@ -411,14 +423,14 @@ class Simulator:
         `frm` that adds the edge if `to` is still alive and then calls
         ``done(ok)``. A dial to an existing neighbor succeeds at once."""
         rtt = 0.0
-        if not self.connected(frm, to) and self.dial_rtt_multiplier > 0:
+        if not self.reachable(frm, to) and self.dial_rtt_multiplier > 0:
             rtt = self.dial_rtt_multiplier * (self._one_way_ms() + self._one_way_ms())
         ref = weakref.ref(self)
 
         def connect() -> None:
             sim = ref()
             ok = sim.is_alive(to)
-            if ok and not sim.connected(frm, to):
+            if ok and not sim.reachable(frm, to):
                 sim.add_edge(frm, to)
             done(ok)
         self._push(self.now + rtt, frm, Timer(f"dial:{peer_name(to)}", connect))
@@ -462,10 +474,9 @@ class Simulator:
                     raise RuntimeError(f"livelock: more than {cap} events")
                 if len(event) == 6:
                     _, seq, frm, to, msg, tag = event
-                    # only a departure removes a node or an edge, and every
-                    # delivery was sent over a live edge
-                    if self.departures and (to not in alive or frm not in alive
-                                            or to not in adjacency[frm]):
+                    # only a departure removes an edge, and every delivery
+                    # was sent over one
+                    if self.departures and to not in adjacency[frm]:
                         observer.record_drop(time, frm, to, msg, "in-flight-loss")
                         continue
                     engine = engines.get(to)

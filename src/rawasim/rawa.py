@@ -45,7 +45,7 @@ from .core import (BLOCK, CANCEL, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_BLOCK,
                    check_field_types)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine, Search)
-from .netsim import RngStream, WalkTag
+from .netsim import HORIZON_MS, RngStream, WalkTag
 
 
 def path_length_probability(p: float, e: int) -> float:
@@ -90,10 +90,16 @@ class RaWaConfig:
                              f"neighbors), not {eta!r}")
         if not (self.u_ms > self.t1_ms and self.u_ms > self.t0_ms):
             raise ValueError("require u > t1 and u > t0")
-        if not all(t > 0 for t in (self.t0_ms, self.t1_ms, self.u_ms)):
-            raise ValueError("t0_ms, t1_ms and u_ms must be > 0")
-        if not 0 <= self.forward_have_aggregation_ms < math.inf:
-            raise ValueError("forward_have_aggregation_ms must be finite and >= 0")
+        # t0 and t1 re-arm while a request is open: a period under 1 ms
+        # floods the event set, and one below the clock's resolution never
+        # moves it; u exceeds both
+        if not (1 <= self.t0_ms <= HORIZON_MS and 1 <= self.t1_ms <= HORIZON_MS):
+            raise ValueError("t0_ms and t1_ms must lie in [1, 2**43] ms")
+        # an infinite u_ms means no fallback lookup
+        if not (self.u_ms <= HORIZON_MS or self.u_ms == math.inf):
+            raise ValueError("u_ms must be at most 2**43 ms (or infinite)")
+        if not 0 <= self.forward_have_aggregation_ms <= HORIZON_MS:
+            raise ValueError("forward_have_aggregation_ms must lie in [0, 2**43] ms")
 
 
 def build_forward_graph(neighbors, eta: int | None,

@@ -20,11 +20,12 @@ from typing import NamedTuple
 
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
-from .core import Cid, PeerId, check_field_types, make_blocks
+from .core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES, Cid,
+                   PeerId, check_field_types, make_blocks)
 from .dht import DummyDht
 from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
-from .netsim import LinkSpec, Observer, Simulator
+from .netsim import HORIZON_MS, LinkSpec, Observer, Simulator
 from .rawa import RaWaConfig, RawaEngine
 from .topology import (ADVERSARY_FSE, ADVERSARY_NONE, ADVERSARY_WFE, WIRING,
                        build_honest_topology, wire_adversary)
@@ -74,8 +75,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.protocol not in (PROTOCOL_VANILLA, PROTOCOL_RAWA):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.adversary not in WIRING:
+        if not isinstance(self.adversary, str) or self.adversary not in WIRING:
             raise ValueError(f"unknown adversary {self.adversary!r}")
+        for name, kind in (("link", LinkSpec), ("rawa", RaWaConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be an object of {name} keys")
         # a block of no bytes fails the block build, fewer than one link
         # fails the topology draw, and a float or bool count fails inside
         # the run
@@ -83,11 +87,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, int):
+            raise ValueError(f"base_seed must be an integer, not {self.base_seed!r}")
         check_field_types(
-            self, ("base_seed", "dht_base_delay_ms", "dht_delay_spread",
-                   "stagger_ms", "dial_rtt_multiplier", "give_up_ms",
-                   "run_bound_ms"),
+            self, ("dht_base_delay_ms", "dht_delay_spread", "stagger_ms",
+                   "dial_rtt_multiplier", "give_up_ms"),
             ("fixed_topology", "wfe_fake_have", "unique_interests", "keep_trace"))
+        if self.run_bound_ms is not None:
+            check_field_types(self, ("run_bound_ms",))
         if self.n_honest <= self.out_links:
             raise ValueError("need more honest peers than out_links")
         # anything that would schedule an event in the past fails here, not
@@ -98,21 +105,53 @@ class ExperimentConfig:
         if not (0 <= self.dht_delay_spread < 1):
             raise ValueError("dht_delay_spread must be in [0, 1)")
         # an unresolvable request re-arms its ticks until it gives up
-        if not 0 < self.give_up_ms < math.inf:
-            raise ValueError("give_up_ms must be finite and > 0")
+        if not 0 < self.give_up_ms <= HORIZON_MS:
+            raise ValueError("give_up_ms must lie in (0, 2**43] ms")
         if self.run_bound_ms is not None and not self.run_bound_ms > 0:
             raise ValueError("run_bound_ms must be > 0 (or null for no bound)")
+        if not isinstance(self.churn, tuple):
+            raise ValueError("churn must be a list of [honest index, "
+                             "departure ms] entries")
         for entry in self.churn:
-            if len(entry) != 2:
-                raise ValueError(f"churn entry {list(entry)} is not "
+            if not isinstance(entry, tuple) or len(entry) != 2:
+                raise ValueError(f"churn entry {entry!r} is not "
                                  "[honest index, departure ms]")
             index, depart_ms = entry
             if isinstance(index, bool) or not (isinstance(index, int)
                                                and 0 <= index < self.n_honest):
                 raise ValueError(f"churn index {index!r} is not one of the "
                                  f"{self.n_honest} honest nodes")
-            if isinstance(depart_ms, bool) or not depart_ms >= 0:
-                raise ValueError(f"churn departure time {depart_ms!r} must be >= 0")
+            # an infinite departure time means the node never departs
+            if isinstance(depart_ms, bool) or not isinstance(depart_ms, (int, float)) \
+                    or not (0 <= depart_ms <= HORIZON_MS or depart_ms == math.inf):
+                raise ValueError(f"churn departure time {depart_ms!r} must lie "
+                                 "in [0, 2**43] ms (or be infinite)")
+        self._refuse_delays_past_the_horizon()
+
+    def _refuse_delays_past_the_horizon(self) -> None:
+        """Refuse a config one of whose delays, from the start of a run,
+        could carry the clock past `HORIZON_MS`: a message (the largest is
+        a block or a FORWARD-HAVE naming every peer), a dial, an index
+        lookup or the last staggered request start. `__post_init__` bounds
+        the give-up and the churn times with their other checks, and
+        `LinkSpec` and `RaWaConfig` bound their own delays. Sizes are compared as integers, so a huge
+        `block_size` cannot overflow a float here."""
+        link = self.link
+        leg_ms = link.latency_ms + link.jitter_ms
+        largest = ENVELOPE_BYTES + CID_ENTRY_BYTES + max(
+            self.block_size, PROVIDER_RECORD_BYTES * self.n_peers)
+        if largest * 1000 > (HORIZON_MS - leg_ms) * link.bandwidth_bytes_per_s:
+            raise ValueError(f"block_size: at {link.bandwidth_bytes_per_s} B/s "
+                             "a message's delay would pass the clock's horizon "
+                             "of 2**43 ms")
+        for name, delay in (
+                ("dial_rtt_multiplier", self.dial_rtt_multiplier * 2 * leg_ms),
+                ("dht_base_delay_ms",
+                 self.dht_base_delay_ms * (1 + self.dht_delay_spread)),
+                ("stagger_ms", self.stagger_ms * (self.n_honest - 1))):
+            if not delay <= HORIZON_MS:
+                raise ValueError(f"{name}: a delay would pass the clock's "
+                                 "horizon of 2**43 ms")
 
     @property
     def n_honest(self) -> int:
@@ -144,8 +183,10 @@ class ExperimentConfig:
             if rawa.get("eta") == "max":
                 rawa["eta"] = None
             data["rawa"] = RaWaConfig(**rawa)
-        if "churn" in data:
-            data["churn"] = tuple(tuple(c) for c in data["churn"])
+        churn = data.get("churn")
+        if isinstance(churn, (list, tuple)) and \
+                all(isinstance(c, (list, tuple)) for c in churn):
+            data["churn"] = tuple(tuple(c) for c in churn)
         return cls(**data)
 
     def fingerprint(self) -> str:
@@ -416,6 +457,10 @@ def overlay(data: dict, overrides: dict) -> ExperimentConfig:
     entry of `overrides` goes over the base's key by key, then `p` and `eta`
     go into `rawa`, so `from_dict` decodes every value, `eta: "max"`
     included."""
+    for key in ("rawa", "link"):
+        if not all(isinstance(source.get(key, {}), dict)
+                   for source in (data, overrides)):
+            raise ValueError(f"{key} must be an object of {key} keys")
     walk = {key: overrides[key] for key in ("p", "eta") if key in overrides}
     nested = {key: {**data.get(key, {}), **overrides.get(key, {})}
               for key in ("rawa", "link")}

@@ -11,8 +11,6 @@ so every honest node gets exactly one adversary neighbor.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .core import PeerId
 from .netsim import RngStream, Simulator
 
@@ -26,27 +24,6 @@ WIRING = {ADVERSARY_NONE: ADVERSARY_NONE, ADVERSARY_FSE: ADVERSARY_FSE,
           ADVERSARY_WFE: ADVERSARY_WFE, ADVERSARY_SAWFE: ADVERSARY_WFE}
 
 
-class _Untaken(Sequence):
-    """The ids ``0 .. n - 1`` in ascending order, less the ascending ids in
-    `taken`, without building the list: item j is the j-th id not taken."""
-
-    def __init__(self, n: int, taken: list[PeerId]):
-        self._n = n
-        self._taken = taken
-
-    def __len__(self) -> int:
-        return self._n - len(self._taken)
-
-    def __getitem__(self, j: int) -> PeerId:
-        if not 0 <= j < len(self):
-            raise IndexError(j)
-        for t in self._taken:
-            if t > j:
-                break
-            j += 1
-        return j
-
-
 def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
                           rng: RngStream) -> list[PeerId]:
     """Add honest nodes ``0 .. n_honest - 1`` to `sim`; every node picks
@@ -58,12 +35,18 @@ def build_honest_topology(sim: Simulator, n_honest: int, out_links: int,
     for node in honest:
         sim.add_node(node)
     for node in honest:
-        # the honest ids in ascending order, less `node` and its neighbours;
-        # `rng.sample` only takes its length and indexes it (or lists it),
-        # so the draws are those of the materialised list
+        # draw indices into the honest ids less `node` and its neighbours,
+        # then step each index past the taken ids at or below it, so index
+        # j names the j-th untaken id; `rng.sample` reads only the length
+        # and the items of its population, so the draws are those of
+        # sampling the list of untaken ids
         taken = sorted((*sim.neighbors(node), node))
-        candidates = _Untaken(n_honest, taken)
-        for target in rng.sample(candidates, min(out_links, len(candidates))):
+        size = n_honest - len(taken)
+        for target in rng.sample(range(size), min(out_links, size)):
+            for t in taken:
+                if t > target:
+                    break
+                target += 1
             sim.add_edge(node, target)
     return honest
 

@@ -12,6 +12,7 @@ from rawasim import core, runner
 from rawasim.core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES,
                           Block, Cid, Message, MessageType, derive_cid,
                           peer_name, validate_block, wire_size)
+from rawasim.netsim import LinkSpec
 from rawasim.runner import ExperimentConfig, build_run
 
 
@@ -77,8 +78,11 @@ def test_build_run_blocks_equal_a_serial_oracle(protocol, block_size,
         drawn.extend(seeds)
         return core.make_blocks(seeds, size)
     monkeypatch.setattr(runner, "make_blocks", make_blocks)
+    # a link fast enough that a block past 64 bits stays under the clock's
+    # horizon; the build draws nothing from the link
     config = ExperimentConfig(protocol=protocol, n_peers=20, out_links=3,
-                              runs=1, base_seed=3, block_size=block_size)
+                              runs=1, base_seed=3, block_size=block_size,
+                              link=LinkSpec(bandwidth_bytes_per_s=2.0 ** 64))
     handles = build_run(config, 0)
     oracle = [Block(f"{seed}:{block_size}".encode(), block_size)
               for seed in drawn]

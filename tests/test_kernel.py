@@ -1,8 +1,9 @@
 """The event kernel's shortcuts against what they stand in for: cached
 neighbor and successor views against a fresh computation, the relay table
 (one predecessor per CID and successor, a sticky proxy role) against the
-walks it was driven with, the walk-step draw against indexing the filtered
-successors, the fan-out against a `reachable`-guarded send
+walks it was driven with, the adjacency against the liveness it stands
+for (an edge only ever joins two live nodes), the walk-step draw against
+indexing the filtered successors, the fan-out against a `reachable`-guarded send
 loop, the per-run shared messages against fresh ones, the inlined send delay
 against `link_delay`, and the event set's order, staged runs, `peek` and
 cancelled timers against a plain heap of ``(at, seq)``."""
@@ -48,7 +49,7 @@ op = st.one_of(
 def assert_views_fresh(scn: Scenario) -> None:
     sim = scn.sim
     for v in sim.nodes():
-        assert sim.neighbors(v) == tuple(u for u in sim.nodes() if sim.connected(v, u))
+        assert sim.neighbors(v) == tuple(u for u in sim.nodes() if sim.reachable(v, u))
         engine = scn.engines[v]
         if engine.graph is None:
             continue
@@ -66,7 +67,8 @@ def test_cached_views_equal_recomputed_after_any_topology_change(edges, ops):
     assert_views_fresh(scn)
     sim = scn.sim
     for kind, a, *rest in ops:
-        if kind == "edge" and a != rest[0]:
+        if kind == "edge" and a != rest[0] and sim.is_alive(a) \
+                and sim.is_alive(rest[0]):
             sim.add_edge(a, rest[0])
         elif kind == "dial" and a != rest[0]:
             sim.dial(a, rest[0], lambda ok: None)
@@ -89,6 +91,81 @@ def test_neighbors_view_is_shared_until_an_edge_changes():
     scn.sim.run()
     assert scn.sim.neighbors(0) == (2,)
     assert scn.sim.neighbors(1) == ()
+
+
+# -- reachability is the adjacency ---------------------------------------------
+
+# ids N_NODES and up are never added: an op may name an unknown node
+any_node = st.integers(0, N_NODES + 1)
+edge_op = st.one_of(
+    st.tuples(st.just("edge"), any_node, any_node),
+    # a dial races a departure scheduled before its round trip ends
+    st.tuples(st.just("dial"), node, any_node),
+    st.tuples(st.just("depart"), node, st.sampled_from((0.0, 150.0))),
+    st.tuples(st.just("run"), st.none(), st.none()),
+)
+
+
+def three_part_reachable(sim: Simulator, frm, to) -> bool:
+    """The test `reachable` made before the adjacency alone decided: the
+    edge, and both endpoints alive."""
+    return to in sim._adjacency.get(frm, ()) and sim.is_alive(frm) \
+        and sim.is_alive(to)
+
+
+def assert_edges_join_live_nodes(sim: Simulator) -> None:
+    for a, peers in sim._adjacency.items():
+        for b in peers:
+            assert sim.is_alive(a) and sim.is_alive(b) and a in sim._adjacency[b]
+    everyone = range(N_NODES + 2)
+    for a in everyone:
+        for b in everyone:
+            assert sim.reachable(a, b) == three_part_reachable(sim, a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ops=st.lists(edge_op, max_size=30))
+def test_an_edge_only_ever_joins_two_live_nodes(ops):
+    """After any `add_edge`s, dials and departures, every adjacency entry
+    joins two live nodes, both ways, so `reachable` (the edge alone) says
+    what the edge-and-both-endpoints-alive test says. An `add_edge` with a
+    departed or unknown endpoint raises."""
+    sim = Simulator(ZERO_JITTER, Random(1), Observer())
+    for v in range(N_NODES):
+        sim.add_node(v)
+    for kind, a, b in ops:
+        if kind == "edge":
+            if a != b and sim.is_alive(a) and sim.is_alive(b):
+                sim.add_edge(a, b)
+            else:
+                with pytest.raises(ValueError):
+                    sim.add_edge(a, b)
+        elif kind == "dial" and a != b:
+            sim.dial(a, b, lambda ok: None)
+        elif kind == "depart" and sim.is_alive(a):
+            sim.schedule_departure(a, sim.now + b)
+        elif kind == "run":
+            sim.run()
+        assert_edges_join_live_nodes(sim)
+    sim.run()
+    assert_edges_join_live_nodes(sim)
+
+
+def test_add_edge_refuses_a_departed_or_unknown_endpoint_and_changes_nothing():
+    sim = Simulator(ZERO_JITTER, Random(1), Observer())
+    for v in range(3):
+        sim.add_node(v)
+    sim.add_edge(0, 1)
+    sim.add_edge(0, 2)
+    sim.schedule_departure(2, 0.0)
+    sim.run()
+    before = {v: set(peers) for v, peers in sim._adjacency.items()}
+    for a, b in ((1, 2), (2, 1), (1, 7), (7, 1)):
+        with pytest.raises(ValueError, match="not a live node"):
+            sim.add_edge(a, b)
+    assert sim._adjacency == before
+    assert sim.neighbors(1) == (0,) and sim.neighbors(2) == ()
+    assert not sim.reachable(1, 2) and not sim.reachable(2, 1)
 
 
 # -- relay table -----------------------------------------------------------------

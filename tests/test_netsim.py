@@ -98,7 +98,7 @@ def test_departure_removes_edges():
     sim, _ = two_node_sim()
     sim.schedule_departure(1, at=10.0)
     sim.run()
-    assert not sim.connected(0, 1)
+    assert not sim.reachable(0, 1)
     assert not sim.is_alive(1)
 
 
@@ -129,7 +129,7 @@ def test_dial_costs_one_round_trip():
     sim.dial(0, 2, dials.append)
     sim.run()
     assert dials == [True]
-    assert sim.connected(0, 2)
+    assert sim.reachable(0, 2)
     assert sim.now == pytest.approx(200.0)
 
 
@@ -142,7 +142,7 @@ def test_dial_to_departed_peer_fails():
     sim.schedule(1.0, "dial", lambda: sim.dial(0, 2, dials.append))
     sim.run()
     assert dials == [False]
-    assert not sim.connected(0, 2)
+    assert not sim.reachable(0, 2)
 
 
 def test_dial_existing_neighbor_is_immediate_noop():
@@ -164,7 +164,7 @@ def test_dial_cost_disabled_by_multiplier():
     sim.dial(0, 1, dials.append)
     sim.run()
     assert dials == [True]
-    assert sim.now == 0.0 and sim.connected(0, 1)
+    assert sim.now == 0.0 and sim.reachable(0, 1)
 
 
 def test_dial_and_departure_are_timers_of_their_node():
@@ -178,7 +178,7 @@ def test_dial_and_departure_are_timers_of_their_node():
     sim.run()
     # the departed dialler's dial dies with it; the other one completes
     assert dials == [True]
-    assert sim.connected(1, 2) and not sim.connected(0, 2)
+    assert sim.reachable(1, 2) and not sim.reachable(0, 2)
     timers = [(t, node, label) for t, _, kind, node, _, label, _, _
               in sim.observer.trace if kind == "timer"]
     assert timers == [(50.0, 0, "depart"), (200.0, 1, "dial:P2")]

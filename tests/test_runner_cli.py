@@ -11,15 +11,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rawasim import runner
 from rawasim.cli import main
 from rawasim.core import wire_size
 from rawasim.netsim import LinkSpec
 from rawasim.rawa import RaWaConfig
-from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run, overlay,
-                            result_rows, run_experiment, sweep, sweep_cells,
-                            write_results)
+from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run,
+                            collect_metrics, overlay, result_rows,
+                            run_experiment, sweep, sweep_cells, write_results)
+from rawasim.topology import WIRING
 
 
 def small_config(**overrides):
@@ -88,6 +91,23 @@ def test_config_validation_errors():
     {"rawa": {"verify_provider": "no"}}, {"rawa": {"proxy_aggregate_dht": 1}},
     {"keep_trace": "yes"}, {"fixed_topology": 1}, {"wfe_fake_have": "no"},
     {"unique_interests": None},
+    # these loaded, and each can carry the clock past 2**43 ms, where a
+    # float stops resolving a timer's period: a block past a float failed
+    # with OverflowError in the serialization delay, and a latency of 1e18
+    # ms or a stagger of 1e300 ms re-armed a timer at the same instant until
+    # the livelock guard
+    {"block_size": 10**400}, {"link": {"latency_ms": 1e18}},
+    {"stagger_ms": 1e300}, {"give_up_ms": 1e300}, {"churn": ((2, 1e300),)},
+    {"dht_base_delay_ms": 1e300}, {"dial_rtt_multiplier": 1e300},
+    {"rawa": {"u_ms": 1e300}}, {"rawa": {"forward_have_aggregation_ms": 1e300}},
+    # these loaded, then failed mid-run: a link, walk config or seed of the
+    # wrong type, a string time, and a re-transmit period of 1 µs or less
+    # (the livelock guard); a t1 under 1 ms goes with it, as the index
+    # retry re-arms t1 too; a float seed ran
+    {"link": []}, {"rawa": 5}, {"base_seed": None}, {"base_seed": 1.5},
+    {"rawa": {"t0_ms": 1e-3}}, {"rawa": {"t0_ms": 1e-300}},
+    {"rawa": {"t1_ms": 1e-3}}, {"churn": ((2, "x"),)},
+    {"stagger_ms": "5"},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
     # the loader's path: fse at n=16, so honest indices are 0..14
@@ -154,6 +174,76 @@ def test_cached_fingerprint_is_invisible():
 def test_seed_derivation():
     results = run_experiment(small_config())
     assert [r.seed for r in results] == [77, 78]
+
+
+# -- every accepted config runs to its end ------------------------------------
+
+numbers = st.one_of(st.integers(), st.floats())
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=5)
+
+
+def mostly(values):
+    """`values` nine times in ten, any JSON value otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: json_values if i == 0 else values)
+
+
+times = mostly(st.one_of(st.floats(0.0, 5000.0), numbers))
+flags = mostly(st.booleans())
+config_dicts = st.fixed_dictionaries(
+    # one small run: at most 15 peers, and a bound on its simulated time
+    # (5, 10 and 15 split 4:1 into honest and wfe nodes)
+    {"n_peers": mostly(st.sampled_from([5, 10, 15]) | st.integers(-1, 15)).filter(
+        lambda n: not (isinstance(n, int) and n > 15)),
+     "run_bound_ms": st.floats(1.0, 10_000.0),
+     "protocol": mostly(st.sampled_from(["vanilla", "rawa"])),
+     "adversary": mostly(st.sampled_from(sorted(WIRING)))},
+    optional={
+        "out_links": mostly(st.integers(-1, 5)),
+        "link": mostly(st.fixed_dictionaries({}, optional={
+            "latency_ms": times, "jitter_ms": mostly(st.floats(0.0, 20.0) | numbers),
+            "bandwidth_bytes_per_s": mostly(st.floats(1.0, 1e7) | numbers)})),
+        "dht_base_delay_ms": times,
+        "dht_delay_spread": mostly(st.floats(0.0, 1.0)),
+        "block_size": mostly(st.integers(1, 2**20) | st.integers(1)),
+        "rawa": mostly(st.fixed_dictionaries({}, optional={
+            "p": mostly(st.floats(0.0, 1.0)),
+            "eta": mostly(st.sampled_from([None, "max"]) | st.integers(-1, 5)),
+            "t0_ms": times, "t1_ms": times, "rebuild_ms": times,
+            "u_ms": mostly(st.floats(1000.0, 20_000.0) | numbers),
+            "verify_provider": flags, "forward_have_aggregation_ms": times,
+            "proxy_aggregate_dht": flags})),
+        "runs": mostly(st.integers(-1, 3)),
+        "base_seed": mostly(st.integers()),
+        "churn": mostly(st.lists(st.lists(mostly(st.integers(0, 14) | times),
+                                          max_size=3), max_size=3)),
+        "stagger_ms": times, "fixed_topology": flags,
+        "dial_rtt_multiplier": times, "give_up_ms": times,
+        "wfe_fake_have": flags, "unique_interests": flags, "keep_trace": flags,
+    })
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=config_dicts)
+@example(data={"n_peers": 12, "run_bound_ms": 5000.0, "block_size": 10**400})
+@example(data={"n_peers": 12, "run_bound_ms": 5000.0, "protocol": "rawa",
+               "link": {"latency_ms": 1e18}})
+@example(data={"n_peers": 12, "run_bound_ms": 5000.0, "protocol": "rawa",
+               "stagger_ms": 1e300})
+def test_a_config_dict_is_refused_at_load_or_runs_to_its_end(data):
+    """Any dict of the schema's keys with JSON values either raises
+    ValueError at load, or one run of it completes and is scored."""
+    try:
+        config = ExperimentConfig.from_dict(data)
+    except ValueError:
+        return
+    handles = build_run(config, 0)
+    handles.sim.run(until=config.run_bound_ms)
+    collect_metrics(handles)
 
 
 # -- runs ----------------------------------------------------------------------
@@ -580,6 +670,12 @@ def test_cli_config_error_exit_code(tmp_path):
     {"link": {"latency_ms": True, "jitter_ms": 0}},
     {"rawa": {"p": 0.5, "eta": 1, "verify_provider": "no"}},
     {"keep_trace": "yes"}, {"churn": [[2, True]]},
+    # these loaded, then failed mid-run: the serialization delay overflowed
+    # a float (exit 2 on "File name too long", from the label), and the
+    # clock stalled where a float no longer resolves a timer's period, up
+    # to the livelock guard
+    {"block_size": 10**400}, {"link": {"latency_ms": 1e18}},
+    {"stagger_ms": 1e300}, {"rawa": {"p": 0.5, "eta": 1, "t0_ms": 1e-300}},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
