@@ -30,9 +30,13 @@ then drawn, and with none left the request goes back to SEARCHING. A valid
 block completes the request. A request still open after ``give_up_ms``
 fails.
 
-Nothing cancels a timer. Each timer a session arms reads the session's
-state when it fires, so once the session is DONE or FAILED its pending
-timers fire as no-ops and arm nothing.
+Nothing cancels a timer. A session arms every timer through
+`HonestEngine._arm` and hands every provider-index result on through
+`HonestEngine._query_index`. These two are the only deferred callbacks that
+test whether their session is open, and `_arm` alone builds a session
+timer's label, ``<kind>:<cid>``. So once the session is DONE or FAILED its
+pending timers fire as no-ops and arm nothing, and a late index result does
+nothing.
 """
 
 from __future__ import annotations
@@ -167,17 +171,30 @@ class HonestEngine:
             sim.observer.request_done(self.node, cid, now, now)
             return
         self._discover(session)
-        self._arm(self.give_up_ms, f"give-up:{cid.short()}",
-                  lambda: self._give_up(session))
+        self._arm(session, self.give_up_ms, "give-up", self._give_up)
 
     def _discover(self, session: FetchSession) -> None:
         """Start looking for providers and arm the discovery timers."""
         raise NotImplementedError
 
-    def _arm(self, delay: float, label: str, fn) -> None:
-        """Schedule `fn` as a timer of this node; it fires even after its
-        session has closed."""
-        self._sim().schedule(delay, label, fn, node=self.node)
+    def _arm(self, search: Search, delay: float, kind: str, fn) -> None:
+        """Schedule `fn(search)` as the timer `<kind>:<cid>` of this node.
+        It still fires after `search` has closed, but as a no-op."""
+        def fire() -> None:
+            state = search.state
+            if state is not DONE and state is not FAILED:
+                fn(search)
+        self._sim().schedule(delay, f"{kind}:{search.cid.short()}", fire,
+                             node=self.node)
+
+    def _query_index(self, search: Search, fn) -> None:
+        """Look `search`'s CID up in the provider index and hand the result
+        to `fn(search, providers)` if `search` is still open then."""
+        def result(providers: list[PeerId]) -> None:
+            state = search.state
+            if state is not DONE and state is not FAILED:
+                fn(search, providers)
+        self.dht.lookup(search.cid, self.node, result)
 
     # -- neighbour discovery ------------------------------------------------
 
@@ -187,11 +204,7 @@ class HonestEngine:
         search.last_activity = sim.now
         search.queried = peers = sim.neighbors(self.node)
         sim.fan_out(self.node, peers, sim.message(WANT_HAVE, search.cid))
-        self._arm_tick(search, self.t1_ms)
-
-    def _arm_tick(self, search: Search, delay: float, kind: str = "t1") -> None:
-        self._arm(delay, f"{kind}:{search.cid.short()}",
-                  lambda: self._discovery_tick(search))
+        self._arm(search, self.t1_ms, "t1", self._discovery_tick)
 
     def _discovery_tick(self, search: Search) -> None:
         """Look the cid up in the provider index once a full quiet period
@@ -200,24 +213,21 @@ class HonestEngine:
             return
         idle = self._sim().now - search.last_activity
         if idle + 1e-9 < self.t1_ms:
-            self._arm_tick(search, self.t1_ms - idle)
+            self._arm(search, self.t1_ms - idle, "t1", self._discovery_tick)
             return
         self._lookup(search)
 
     def _lookup(self, search: Search) -> None:
         if not search.dht_pending:
             search.dht_pending = True
-            self.dht.lookup(search.cid, self.node,
-                            lambda providers: self._index_result(search, providers))
+            self._query_index(search, self._index_result)
 
     def _index_result(self, search: Search, providers: list[PeerId]) -> None:
         search.dht_pending = False
-        if search.state is DONE or search.state is FAILED:
-            return
         self._on_index(search, providers)
         if search.state is SEARCHING and \
                 self._sim().now - search.started_at < self.give_up_ms:
-            self._arm_tick(search, self.t1_ms, "t1-retry")
+            self._arm(search, self.t1_ms, "t1-retry", self._discovery_tick)
 
     def _on_index(self, search: Search, providers: list[PeerId]) -> None:
         """What a provider-index result does to the open `search`."""
@@ -240,8 +250,6 @@ class HonestEngine:
     def _offer(self, session: FetchSession, providers) -> None:
         """Providers learned while the request is open: merge them, and
         attempt one if the request is searching."""
-        if session.state is DONE or session.state is FAILED:
-            return
         self._merge(session, providers)
         if session.state is SEARCHING and session.untried():
             self._next_provider(session)
@@ -278,8 +286,8 @@ class HonestEngine:
 
     def _arm_attempt(self, session: FetchSession) -> None:
         serial = session.attempt_serial
-        self._arm(self.t1_ms, f"attempt:{session.cid.short()}",
-                  lambda: self._attempt_timeout(session, serial))
+        self._arm(session, self.t1_ms, "attempt",
+                  lambda s: self._attempt_timeout(s, serial))
 
     def _attempt_timeout(self, session: FetchSession, serial: int) -> None:
         if session.state is FETCHING and session.attempt_serial == serial:
@@ -314,8 +322,6 @@ class HonestEngine:
         return True
 
     def _give_up(self, session: FetchSession) -> None:
-        if session.state in (DONE, FAILED):
-            return
         session.state = FAILED
         self._sim().observer.request_failed(self.node, session.cid)
 

@@ -40,11 +40,9 @@ class RunMetrics:
     precision: float | None = None
     recall: float | None = None
     ttfb_ms: dict[PeerId, float] = field(default_factory=dict)
-    unresolved: set[PeerId] = field(default_factory=set)
     walk_lengths: list[int] = field(default_factory=list)
     msg_counts: dict[str, int] = field(default_factory=dict)
     bytes_by_variant: dict[str, int] = field(default_factory=dict)
-    bytes_total: int = 0
 
     @property
     def resolved_fraction(self) -> float:
@@ -55,6 +53,10 @@ class RunMetrics:
     @property
     def msgs_total(self) -> int:
         return sum(self.msg_counts.values())
+
+    @property
+    def bytes_total(self) -> int:
+        return sum(self.bytes_by_variant.values())
 
     def ttfb_stats(self):
         """(mean, median, p95) over resolved requests, or Nones."""

@@ -165,7 +165,6 @@ class Observer:
     # per variant value, in the order of each variant's first send
     msg_counts: Tally = field(default_factory=Tally)
     bytes_by_variant: Tally = field(default_factory=Tally)
-    bytes_total: int = 0
     drops: list[tuple] = field(default_factory=list)
     # under keep_trace: (walk_id, retx, hop, frm, to, time) for every
     # WANT-FORWARD send
@@ -181,13 +180,16 @@ class Observer:
     # (requester, walk_id) of the FORWARD-HAVE a requester acted on
     consumed: list[tuple] = field(default_factory=list)
 
+    @property
+    def bytes_total(self) -> int:
+        return sum(self.bytes_by_variant.values())
+
     def record_send(self, time: float, seq: int, frm: PeerId, to: PeerId,
                     msg: Message, tag: WalkTag | None) -> None:
         size = wire_size(msg)
         variant = msg.variant._value_
         self.msg_counts[variant] += 1
         self.bytes_by_variant[variant] += size
-        self.bytes_total += size
         if self.keep_trace:
             self.trace.append((time, seq, "send", frm, to, variant, msg.cid.short(), size))
             if tag is not None:
@@ -208,7 +210,6 @@ class Observer:
         variant = msg.variant._value_
         self.msg_counts[variant] += count
         self.bytes_by_variant[variant] += count * size
-        self.bytes_total += count * size
         if self.keep_trace:
             cid8 = msg.cid.short()
             self.trace.extend((time, seq, "send", frm, to, variant, cid8, size)

@@ -202,11 +202,8 @@ class RawaEngine(HonestEngine):
 
     def _discover(self, session: RequesterSession) -> None:
         self._start_walk(session, fresh=False)
-        cfg = self.config
-        self._arm(cfg.t0_ms, f"t0:{session.cid.short()}",
-                  lambda: self._t0_tick(session))
-        self._arm(cfg.u_ms, f"u:{session.cid.short()}",
-                  lambda: self._u_tick(session))
+        self._arm(session, self.config.t0_ms, "t0", self._t0_tick)
+        self._arm(session, self.config.u_ms, "u", self._u_tick)
 
     def _start_walk(self, session: RequesterSession, fresh: bool) -> None:
         if fresh:
@@ -226,8 +223,6 @@ class RawaEngine(HonestEngine):
                  WalkTag(session.walk_id(self.node), 1, retx))
 
     def _t0_tick(self, session: RequesterSession) -> None:
-        if session.state is DONE or session.state is FAILED:
-            return
         if session.state is SEARCHING:
             if session.first_hop is not None and \
                     self._sim().reachable(self.node, session.first_hop):
@@ -235,17 +230,12 @@ class RawaEngine(HonestEngine):
                 self._send_want_forward(session, retx=session.retx_count)
             else:
                 self._start_walk(session, fresh=True)
-        self._arm(self.config.t0_ms, f"t0:{session.cid.short()}",
-                  lambda: self._t0_tick(session))
+        self._arm(session, self.config.t0_ms, "t0", self._t0_tick)
 
     def _u_tick(self, session: RequesterSession) -> None:
-        if session.state is DONE or session.state is FAILED:
-            return
         if session.state is SEARCHING:
-            self.dht.lookup(session.cid, self.node,
-                            lambda providers: self._offer(session, providers))
-        self._arm(self.config.u_ms, f"u:{session.cid.short()}",
-                  lambda: self._u_tick(session))
+            self._query_index(session, self._offer)
+        self._arm(session, self.config.u_ms, "u", self._u_tick)
 
     def _attempt(self, session: RequesterSession, peer: PeerId) -> None:
         session.verified = False
@@ -345,12 +335,9 @@ class RawaEngine(HonestEngine):
             self._answer(session)
         elif not session.answer_pending:
             session.answer_pending = True
-            self._arm(window, f"proxy-agg:{session.cid.short()}",
-                      lambda: self._answer(session))
+            self._arm(session, window, "proxy-agg", self._answer)
 
     def _answer(self, session: ProxySession) -> None:
-        if session.state is DONE:
-            return
         session.answer = Message(FORWARD_HAVE, session.cid,
                                  providers=tuple(session.found))
         for pred in sorted(session.preds):

@@ -127,6 +127,40 @@ class ExperimentConfig:
                 raise ValueError(f"churn departure time {depart_ms!r} must lie "
                                  "in [0, 2**43] ms (or be infinite)")
         self._refuse_delays_past_the_horizon()
+        self._refuse_ticks_past_the_livelock_guard()
+
+    def _refuse_ticks_past_the_livelock_guard(self) -> None:
+        """Refuse a config whose requesters' own periodic timers would pass
+        `Simulator.livelock_cap` in a run where no request resolves. Request
+        i is open from its start, `stagger_ms * i`, for `give_up_ms`, or
+        until `run_bound_ms` if that comes sooner. Over that window a rawa
+        request re-arms `t0` every `t0_ms` whatever its state, and a vanilla
+        request with no provider fires a `t1` tick and an index lookup at
+        least once per `t1` plus the longest lookup."""
+        n, start, give_up = self.n_honest, self.stagger_ms, self.give_up_ms
+        bound = self.run_bound_ms
+        if bound is None or bound >= start * (n - 1) + give_up:
+            open_ms = n * give_up
+        elif start == 0:
+            open_ms = n * bound
+        else:
+            # requests before `full` stay open for all of give_up_ms, those
+            # before `started` until the bound, and the rest never start
+            full = min(n, max(0, math.floor((bound - give_up) / start) + 1))
+            started = min(n, math.ceil(bound / start))
+            open_ms = full * give_up + (started - full) * (
+                bound - start * (full + started - 1) / 2)
+        if self.protocol == PROTOCOL_RAWA:
+            ticks = open_ms / self.rawa.t0_ms
+        else:
+            ticks = 2 * open_ms / (VanillaEngine.t1_ms + self.dht_base_delay_ms
+                                   * (1 + self.dht_delay_spread))
+        if ticks > Simulator.livelock_cap:
+            raise ValueError(
+                f"give_up_ms: the requests' periodic timers alone could fire "
+                f"{ticks:.3g} times, past the simulator's livelock guard of "
+                f"{Simulator.livelock_cap} events; lower give_up_ms or set "
+                "run_bound_ms")
 
     def _refuse_delays_past_the_horizon(self) -> None:
         """Refuse a config one of whose delays, from the start of a run,
@@ -330,8 +364,6 @@ def collect_metrics(handles: RunHandles) -> RunMetrics:
     for node in handles.honest:
         if node in observer.completions:
             metrics.ttfb_ms[node] = observer.completions[node][3]
-        else:
-            metrics.unresolved.add(node)
 
     first_termination: dict[tuple, int] = {}
     for walk_id, retx, hops, node, time in observer.terminations:
@@ -340,7 +372,6 @@ def collect_metrics(handles: RunHandles) -> RunMetrics:
 
     metrics.msg_counts = dict(observer.msg_counts)
     metrics.bytes_by_variant = dict(observer.bytes_by_variant)
-    metrics.bytes_total = observer.bytes_total
 
     if config.adversary != ADVERSARY_NONE:
         analysis_rng = Random(f"{handles.seed}:analysis")

@@ -35,7 +35,7 @@ class VanillaEngine(HonestEngine):
 
     def _all_tried(self, session: FetchSession) -> None:
         session.last_activity = self._sim().now
-        self._arm_tick(session, self.t1_ms)
+        self._arm(session, self.t1_ms, "t1", self._discovery_tick)
 
     # -- message handling ---------------------------------------------------
 

@@ -100,6 +100,59 @@ def test_a_closed_session_arms_nothing(protocol):
     assert scn.sim.peek() is None
 
 
+def index_in_flight(role):
+    """A search that closes while its index lookup is in flight, and the
+    node that runs it. Node 2 stores the block. A requester (node 0) whose
+    only neighbour departs at once finds it only through the index:
+    vanilla's t1 lookup at 1000 ms, rawa's u lookup at 1100 ms, each
+    answered 622 ms later, and gives up at 1300 ms. A rawa proxy (node 1)
+    hears node 2's HAVE at 300 ms, looks the CID up once t1 has passed
+    (1300 ms) and answers its walk when its 1200-ms FORWARD-HAVE window
+    ends (1500 ms)."""
+    if role == "rawa-proxy":
+        scn = Scenario(3, [(0, 1), (1, 2)], protocol="rawa",
+                       rawa=RaWaConfig(p=1.0, forward_have_aggregation_ms=1200.0))
+        node = 1
+    else:
+        scn = Scenario(3, [(0, 1)], protocol=role,
+                       rawa=RaWaConfig(p=1.0, u_ms=1100.0), give_up_ms=1300.0)
+        scn.sim.schedule_departure(1, at=0.0)
+        node = 0
+    cid = scn.place_block(2, make_block(1025))
+    scn.build_graphs()
+    scn.request(0, cid)
+    return scn, node, cid
+
+
+@pytest.mark.parametrize("role", ["vanilla", "rawa", "rawa-proxy"])
+def test_a_closed_search_ignores_its_late_index_result(role):
+    scn, node, cid = index_in_flight(role)
+    sim, observer = scn.sim, scn.observer
+    late = []
+
+    def state():
+        return (sim._seq, sim.rng.getstate(), len(observer.trace),
+                sum(observer.msg_counts.values()))
+
+    def lookup(cid, asker, callback):
+        def result(providers):
+            before = state()
+            callback(providers)
+            late.append((sim.now, providers, before, state()))
+        index_lookup(cid, asker, callback if asker != node else result)
+    index_lookup = scn.dht.lookup
+    scn.dht.lookup = lookup
+    sim.run()
+    engine = scn.engines[node]
+    search = engine.proxies[cid] if role == "rawa-proxy" else engine.sessions[cid]
+    assert search.state is (DONE if role == "rawa-proxy" else FAILED)
+    [(at, providers, before, after)] = late
+    assert at > (1500.0 if role == "rawa-proxy" else 1300.0) and providers == [2]
+    # no send, no timer and no draw
+    assert after == before
+    assert sim.peek() is None
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_two_requests_dialling_one_provider_both_complete(protocol):
     # node 0 wants two blocks that only node 2, not a neighbour, stores:

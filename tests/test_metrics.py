@@ -71,7 +71,7 @@ def test_precision_equals_recall_without_abstention():
 
 def test_run_metrics_derived_values():
     m = RunMetrics(n_requesters=4, ttfb_ms={1: 100.0, 2: 300.0, 3: 200.0},
-                   unresolved={4}, walk_lengths=[1, 2, 2],
+                   walk_lengths=[1, 2, 2],
                    msg_counts={"HAVE": 2, "BLOCK": 1})
     assert m.resolved_fraction == 0.75
     assert m.msgs_total == 3

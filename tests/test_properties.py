@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawasim import core, runner
+from rawasim import core, rawa, runner
 from rawasim.adversary import fse_classify
 from rawasim.core import Block, Cid, MessageType, validate_block
 from rawasim.engine import DONE, HonestEngine
 from rawasim.metrics import aggregate
-from rawasim.netsim import Observer, Simulator
+from rawasim.netsim import Observer, Simulator, WalkTag
 from rawasim.rawa import RaWaConfig, RawaEngine
-from rawasim.runner import (ExperimentConfig, build_run, result_rows,
-                            run_experiment, run_shared)
+from rawasim.runner import (ExperimentConfig, build_run, collect_metrics,
+                            result_rows, run_experiment, run_shared)
 
 
 @st.composite
@@ -296,6 +296,30 @@ def test_no_result_depends_on_a_cid_value(config):
     shorts = {cid.short(): names[cid].short() for cid in cids}
     assert len(set(shorts.values())) == len(cids)
     assert renamed(trace, names, shorts) == renamed(salted_trace, {}, {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_no_protocol_decision_reads_a_walk_tag(config):
+    """A `WalkTag` is bookkeeping, not a wire field: with every tag the rawa
+    engine builds replaced by one constant tag, a rawa run gives the same
+    trace, adversary log, drops, completions and failures, the same clock,
+    sequence number and RNG state, and the same precision and recall."""
+    config = replace(config, protocol="rawa")
+    constant = WalkTag((-1, None, 0), 1, 0)
+    outcomes = []
+    for tags in (WalkTag, lambda walk, hop, retx: constant):
+        with patch.object(rawa, "WalkTag", tags):
+            handles = build_run(config, 0)
+            handles.sim.run()
+        sim = handles.sim
+        obs = sim.observer
+        metrics = collect_metrics(handles)
+        outcomes.append((obs.trace, list(handles.log.trace_lines()), obs.drops,
+                         obs.completions, obs.failures,
+                         (sim.now, sim._seq, sim.rng.getstate()),
+                         metrics.precision, metrics.recall))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- closed form ---------------------------------------------------------------

@@ -34,6 +34,12 @@ def small_config(**overrides):
 
 # -- config -------------------------------------------------------------------
 
+# n 15, one link each, half the honest nodes gone at 0 ms, no index delay
+# and a give-up of millions of timer periods
+LIVELOCK = {"n_peers": 15, "out_links": 1,
+            "churn": [[i, 0.0] for i in range(7)], "dht_base_delay_ms": 0.0,
+            "give_up_ms": 8e12}
+
 
 def test_config_round_trip():
     config = small_config()
@@ -108,6 +114,11 @@ def test_config_validation_errors():
     {"rawa": {"t0_ms": 1e-3}}, {"rawa": {"t0_ms": 1e-300}},
     {"rawa": {"t1_ms": 1e-3}}, {"churn": ((2, "x"),)},
     {"stagger_ms": "5"},
+    # these loaded, and with no run bound their requests' periodic timers
+    # alone pass the livelock guard once no request can resolve: the rawa
+    # config died with "livelock: more than 10000000 events" after 42 s
+    {**LIVELOCK, "rawa": {"t0_ms": 1, "t1_ms": 1, "u_ms": 1.5}},
+    {**LIVELOCK, "protocol": "vanilla", "give_up_ms": 2**43},
 ])
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
     # the loader's path: fse at n=16, so honest indices are 0..14
@@ -343,7 +354,7 @@ def test_run_bound_stops_the_run(protocol):
     # the same run, cut off: what finished by the bound, and nothing else
     assert bounded.ttfb_ms == {node: ttfb for node, ttfb in full.ttfb_ms.items()
                                if ttfb <= bound}
-    assert bounded.unresolved and len(bounded.ttfb_ms) > 0
+    assert 0 < bounded.resolved_fraction < 1
     handles = build_run(replace(config, run_bound_ms=bound), 0)
     handles.sim.run(until=bound)
     assert handles.sim.now <= bound
@@ -676,6 +687,11 @@ def test_cli_config_error_exit_code(tmp_path):
     # to the livelock guard
     {"block_size": 10**400}, {"link": {"latency_ms": 1e18}},
     {"stagger_ms": 1e300}, {"rawa": {"p": 0.5, "eta": 1, "t0_ms": 1e-300}},
+    # these loaded, then reached the livelock guard on their requests'
+    # periodic timers alone
+    {**LIVELOCK, "rawa": {"p": 0.5, "eta": 1, "t0_ms": 1, "t1_ms": 1,
+                          "u_ms": 1.5}},
+    {**LIVELOCK, "protocol": "vanilla", "give_up_ms": 2**43},
 ])
 def test_cli_rejects_bad_values_at_load_time(tmp_path, extra):
     config_path = write_config(tmp_path, **extra)
