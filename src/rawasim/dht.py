@@ -48,4 +48,5 @@ class DummyDht:
             sim = self._sim()
             callback([p for p in sorted(self.table.get(cid, ())) if sim.is_alive(p)])
 
-        self._sim().schedule(delay, f"dht-lookup:{cid.short()}", resolve, node=node)
+        sim = self._sim()
+        sim.call_at(sim.now + delay, node, resolve, ("dht-lookup", cid))

@@ -33,10 +33,11 @@ fails.
 Nothing cancels a timer. A session arms every timer through
 `HonestEngine._arm` and hands every provider-index result on through
 `HonestEngine._query_index`. These two are the only deferred callbacks that
-test whether their session is open, and `_arm` alone builds a session
-timer's label, ``<kind>:<cid>``. So once the session is DONE or FAILED its
-pending timers fire as no-ops and arm nothing, and a late index result does
-nothing.
+test whether their session is open, and `_arm` alone names a session timer,
+with the pair ``(kind, cid)``; the simulator writes its text ``<kind>:<cid>``
+only into a trace row, so an untraced run never builds it. So once the
+session is DONE or FAILED its pending timers fire as no-ops and arm nothing,
+and a late index result does nothing.
 """
 
 from __future__ import annotations
@@ -178,14 +179,15 @@ class HonestEngine:
         raise NotImplementedError
 
     def _arm(self, search: Search, delay: float, kind: str, fn) -> None:
-        """Schedule `fn(search)` as the timer `<kind>:<cid>` of this node.
-        It still fires after `search` has closed, but as a no-op."""
+        """Arm `fn(search)` as the timer `<kind>:<cid>` of this node, in
+        `delay` ms. It still fires after `search` has closed, but as a
+        no-op."""
         def fire() -> None:
             state = search.state
             if state is not DONE and state is not FAILED:
                 fn(search)
-        self._sim().schedule(delay, f"{kind}:{search.cid.short()}", fire,
-                             node=self.node)
+        sim = self._sim()
+        sim.call_at(sim.now + delay, self.node, fire, (kind, search.cid))
 
     def _query_index(self, search: Search, fn) -> None:
         """Look `search`'s CID up in the provider index and hand the result

@@ -36,22 +36,27 @@ first send, with the C-level item assignment that `collections.Counter`
 gives up.
 
 The event set is one binary heap (`heapq`) of flat tuples, told apart by
-length: a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of
-a node (or of no node, -1) ``(at, seq, node, timer)``. ``seq`` is unique,
-so entries never compare beyond it and events run in exact ``(at, seq)``
+length: a message delivery ``(at, seq, frm, to, msg, tag)``, a timer of a
+node (or of no node, -1) ``(at, seq, node, fn, label)`` from `call_at`, and
+a cancellable `Timer` from `schedule`, ``(at, seq, node, timer)``. A
+timer's label is a str or a ``(kind, cid)`` pair, and the pair's text
+``<kind>:<cid8>`` is built only for a trace row. ``seq`` is unique, so
+entries never compare beyond it and events run in exact ``(at, seq)``
 order; an event at infinity runs after every finite one. A dial and a
 departure are kernel timers of the node that dials or departs, so a dial
 dies with its dialler, as engine timers do. The link model is read once,
 at construction: `send`, `fan_out` and `dial` keep its numbers and draw
-jitter with the same float operations as ``random.uniform``.
+jitter with the same float operations as ``random.uniform``. The FIFO
+clamp keeps one table per sender, ``_last_delivery[frm][to]``, so a
+fan-out fetches its sender's table once.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the event set, its pending timers and
 messages; engines, the provider index and the kernel's own dial and
-departure timers hold the simulator through a weak reference. Only the
-event set holds a timer: no engine keeps a handle to one or cancels it, and
-a session's timers read its state when they fire, so those of a closed
-session fire as no-ops. A finished run is therefore freed by reference
+departure timers hold the simulator through a weak reference. A timer of
+the package is a bare heap entry with no handle: nothing keeps or cancels
+one, and a session's timers read its state when they fire, so those of a
+closed session fire as no-ops. A finished run is therefore freed by reference
 counting as soon as its last handle goes, without the cycle collector, and
 `run` switches the collector off while its loop runs (and restores its
 previous state afterwards): a collection there could only walk the run's
@@ -122,10 +127,10 @@ class WalkTag(NamedTuple):
 
 
 class Timer:
-    """A scheduled callback; only the event set holds it, until it fires or
-    is skipped. Engines keep no handle to it: a session's timer checks the
-    session's state when it fires. `cancel` is for other callers of
-    `Simulator.schedule`."""
+    """The cancellable handle `Simulator.schedule` returns, for callers
+    outside the package (the kernel tests and the benchmark tracer). The
+    package's own timers are bare heap entries from `Simulator.call_at`,
+    with no handle."""
 
     __slots__ = ("label", "fn", "cancelled")
 
@@ -221,8 +226,13 @@ class Observer:
             self.trace.append((time, seq, "deliver", frm, to, msg.variant.value,
                                msg.cid.short(), wire_size(msg)))
 
-    def record_timer(self, time: float, seq: int, node: PeerId, label: str) -> None:
+    def record_timer(self, time: float, seq: int, node: PeerId, label) -> None:
+        """`label` is a str or a ``(kind, cid)`` pair, written
+        ``<kind>:<cid8>``: the one place the pair's text is built."""
         if self.keep_trace:
+            if not isinstance(label, str):
+                kind, cid = label
+                label = f"{kind}:{cid.short()}"
             self.trace.append((time, seq, "timer", node, node, label, "", 0))
 
     def record_drop(self, time: float, frm: PeerId, to: PeerId, msg: Message,
@@ -271,7 +281,8 @@ class Simulator:
         self._sorted_neighbors: dict[PeerId, tuple[PeerId, ...]] = {}
         self._alive: set[PeerId] = set()
         self._engines: dict[PeerId, object] = {}
-        self._last_delivery: dict[tuple[PeerId, PeerId], float] = {}
+        # FIFO clamp: sender -> receiver -> latest delivery time queued
+        self._last_delivery: dict[PeerId, dict[PeerId, float]] = {}
         # the shared payload-free messages of this run: variant value -> cid
         self._messages: dict[str, dict[Cid, Message]] = {
             variant._value_: {} for variant in MessageType}
@@ -284,6 +295,7 @@ class Simulator:
         if peer in self._adjacency:
             raise ValueError(f"duplicate node {peer}")
         self._adjacency[peer] = set()
+        self._last_delivery[peer] = {}
         self._alive.add(peer)
 
     def add_edge(self, a: PeerId, b: PeerId) -> None:
@@ -334,12 +346,17 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def _push(self, time: float, node: PeerId, timer: Timer) -> None:
+    def call_at(self, at: float, node: PeerId, fn: Callable[[], None],
+                label) -> None:
+        """Run ``fn()`` at `at` as a timer of `node` (-1 for none), which
+        dies with its node. It has no handle and cannot be cancelled.
+        `label` is a str or a ``(kind, cid)`` pair; only a trace row reads
+        it."""
         # a check, not an assert, so it holds under -O; NaN fails it too
-        if not time >= self.now:
-            raise ValueError(f"event at {time} scheduled before now={self.now}")
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, node, timer))
+        if not at >= self.now:
+            raise ValueError(f"event at {at} scheduled before now={self.now}")
+        seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, (at, seq, node, fn, label))
 
     def peek(self) -> tuple[float, int] | None:
         """``(at, seq)`` of the head of the heap, the next pending event
@@ -355,8 +372,15 @@ class Simulator:
 
     def schedule(self, delay_ms: float, label: str, fn: Callable[[], None],
                  node: PeerId = -1) -> Timer:
+        """`call_at` ``now + delay_ms`` with a handle: a cancelled `Timer`
+        still counts as an executed event but neither runs nor leaves a
+        trace row."""
+        time = self.now + delay_ms
+        if not time >= self.now:
+            raise ValueError(f"event at {time} scheduled before now={self.now}")
         timer = Timer(label, fn)
-        self._push(self.now + delay_ms, node, timer)
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, node, timer))
         return timer
 
     def send(self, frm: PeerId, to: PeerId, msg: Message,
@@ -375,12 +399,11 @@ class Simulator:
         at = now + (self._latency_ms + jitter
                     + wire_size(msg) / self._bandwidth * 1000.0)
         # FIFO per directed link: never overtake an earlier message.
-        key = (frm, to)
-        last = self._last_delivery
-        prev = last.get(key, 0.0)
+        last = self._last_delivery[frm]
+        prev = last.get(to, 0.0)
         if at < prev:
             at = prev
-        last[key] = at
+        last[to] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
         heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
@@ -399,7 +422,7 @@ class Simulator:
         span = self._jitter_span
         rand = self._random
         tx_ms = msg.size / self._bandwidth * 1000.0
-        last = self._last_delivery
+        last = self._last_delivery[frm]
         heap = self._heap
         push = heapq.heappush
         first = seq = self._seq + 1
@@ -408,11 +431,10 @@ class Simulator:
             if to not in adjacent:
                 continue
             at = now + (latency + (lo + span * rand() if span else 0.0) + tx_ms)
-            key = (frm, to)
-            prev = last.get(key, 0.0)
+            prev = last.get(to, 0.0)
             if at < prev:
                 at = prev
-            last[key] = at
+            last[to] = at
             push(heap, (at, seq, frm, to, msg, None))
             recipients.append(to)
             seq += 1
@@ -434,7 +456,7 @@ class Simulator:
             if ok and not sim.reachable(frm, to):
                 sim.add_edge(frm, to)
             done(ok)
-        self._push(self.now + rtt, frm, Timer(f"dial:{peer_name(to)}", connect))
+        self.call_at(self.now + rtt, frm, connect, f"dial:{peer_name(to)}")
 
     def schedule_departure(self, node: PeerId, at: float) -> None:
         """Crash-stop `node` at the absolute time `at`: a timer of `node`,
@@ -442,7 +464,7 @@ class Simulator:
         if not self.is_alive(node):
             raise ValueError(f"{peer_name(node)} already departed")
         ref = weakref.ref(self)
-        self._push(at, node, Timer("depart", lambda: ref()._depart(node)))
+        self.call_at(at, node, lambda: ref()._depart(node), "depart")
 
     # -- event loop -------------------------------------------------------
 
@@ -487,9 +509,16 @@ class Simulator:
                     if keep_trace:
                         observer.record_deliver(time, seq, frm, to, msg)
                     engine.handle_message(frm, msg, tag)
-                else:
-                    _, seq, node, timer = event
+                elif len(event) == 5:
+                    _, seq, node, fn, label = event
                     # timers of a departed node die with it (crash-stop)
+                    if node < 0 or node in alive:
+                        if keep_trace:
+                            observer.record_timer(time, seq, node, label)
+                        fn()
+                else:
+                    # a `schedule` handle, which may have been cancelled
+                    _, seq, node, timer = event
                     if not timer.cancelled and (node < 0 or node in alive):
                         if keep_trace:
                             observer.record_timer(time, seq, node, timer.label)

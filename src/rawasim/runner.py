@@ -348,8 +348,8 @@ def build_run(config: ExperimentConfig, run_index: int) -> RunHandles:
     for i, node in enumerate(honest):
         engine = engines[node]
         cid = interests[node]
-        sim.schedule(config.stagger_ms * i, f"request:{cid.short()}",
-                     (lambda e=engine, c=cid: e.request_block(c)), node=node)
+        sim.call_at(sim.now + config.stagger_ms * i, node,
+                    (lambda e=engine, c=cid: e.request_block(c)), ("request", cid))
 
     return RunHandles(config=config, seed=seed, sim=sim, dht=dht,
                       engines=engines, honest=honest, adversaries=adversaries,

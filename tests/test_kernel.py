@@ -6,7 +6,8 @@ for (an edge only ever joins two live nodes), the walk-step draw against
 indexing the filtered successors, the fan-out against a `reachable`-guarded send
 loop, the per-run shared messages against fresh ones, the inlined send delay
 against `link_delay`, and the event set's order, staged runs, `peek` and
-cancelled timers against a plain heap of ``(at, seq)``."""
+cancelled timers against a plain heap of ``(at, seq)``, with no timer label
+built by an untraced run."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rawasim import netsim
-from rawasim.core import Message, MessageType, derive_cid, wire_size
+from rawasim.core import Cid, Message, MessageType, derive_cid, wire_size
 from rawasim.netsim import LinkSpec, Observer, Simulator, WalkTag, link_delay
 from rawasim.rawa import RaWaConfig, draw_successor
 from rawasim.runner import ExperimentConfig, build_run
@@ -470,9 +471,12 @@ BIG = Message(MessageType.BLOCK, CID, payload=make_block(1200))
 SMALL = Message(MessageType.CANCEL, CID)
 TRIO = (0, 1, 2)
 
+WHERE = st.sampled_from(["now", "inside", "boundary", "below", "far"])
 push_op = st.one_of(
-    st.tuples(st.sampled_from(["now", "inside", "boundary", "below", "far"]),
-              st.integers(1, 7)),
+    st.tuples(WHERE, st.integers(1, 7)),
+    # a handle-free timer of a node, from `Simulator.call_at`
+    st.tuples(st.just("call_at"), WHERE, st.integers(1, 7),
+              st.sampled_from((-1, *TRIO))),
     st.tuples(st.just("send"), st.permutations(TRIO), st.booleans()),
     st.tuples(st.just("fan_out"), st.sampled_from(TRIO), st.booleans()),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
@@ -497,7 +501,8 @@ def timer_delay(now: float, where: str, j: int) -> float:
 class EventSetCheck:
     """Drives a simulator with `script` and checks each event it runs
     against a plain `heapq` of the ``(at, seq)`` of every push, which skips
-    cancelled timers as the kernel does."""
+    cancelled timers as the kernel does. `schedule` and `call_at` timers,
+    sends and fan-outs share the one event set."""
 
     def __init__(self, seed: int, script):
         self.sim = Simulator(EVENT_SET_LINK, Random(seed), Observer(keep_trace=True))
@@ -527,6 +532,10 @@ class EventSetCheck:
             elif kind == "cancel":
                 if self.timers:
                     self.timers[op[1] % len(self.timers)].cancel()
+            elif kind == "call_at":
+                at = sim.now + timer_delay(sim.now, op[1], op[2])
+                sim.call_at(at, op[3], self.ran, ("call_at", CID))
+                heapq.heappush(self.reference, (at, sim._seq, None))
             else:
                 delay = timer_delay(sim.now, *op)
                 timer = sim.schedule(delay, kind, self.ran)
@@ -535,7 +544,7 @@ class EventSetCheck:
 
     def _sent(self, row: int) -> None:
         _, seq, _, frm, to, *_ = self.sim.observer.trace[row]
-        at = self.sim._last_delivery[(frm, to)]
+        at = self.sim._last_delivery[frm][to]
         heapq.heappush(self.reference, (at, seq, None))
 
     def pop(self) -> tuple[float, int, object]:
@@ -576,8 +585,9 @@ class EventSetCheck:
 def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
     """Random interleavings of pushes at `now`, before the next whole
     millisecond, on and just below a later one, far ahead, FIFO-clamped
-    equal times and cancelled timers, run in stages by ``run(until=...)`` with
-    pushes between the stages, pop in the order a plain heap gives."""
+    equal times, handle-free timers and cancelled ones, run in stages by
+    ``run(until=...)`` with pushes between the stages, pop in the order a
+    plain heap gives."""
     check = EventSetCheck(seed, script)
     check.push(first)
     check.assert_head()
@@ -587,6 +597,19 @@ def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
         check.assert_head()
     check.run(None)
     assert check.sim.peek() is None
+
+
+@pytest.mark.parametrize("protocol, adversary", [("rawa", "fse"), ("vanilla", "wfe")])
+def test_an_untraced_run_builds_no_timer_label(monkeypatch, protocol, adversary):
+    """Untraced, no timer's ``<kind>:<cid>`` text is built: a drop record is
+    then the only caller of `Cid.short`."""
+    calls = []
+    short = Cid.short
+    monkeypatch.setattr(Cid, "short", lambda cid: calls.append(cid) or short(cid))
+    handles = build_run(ExperimentConfig(protocol=protocol, adversary=adversary,
+                                         n_peers=20, runs=1, base_seed=3), 0)
+    assert handles.sim.run() > 0
+    assert len(calls) == len(handles.sim.observer.drops)
 
 
 def test_peek_reads_the_next_event_without_running_it():
