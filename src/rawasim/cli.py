@@ -93,13 +93,19 @@ def _cmd_report(args) -> int:
     csvs = sorted(in_dir.glob("*.csv"))
     if not csvs:
         raise FileNotFoundError(f"no CSV files under {in_dir}")
+    columns = ("precision", "recall", "resolved_fraction", "ttfb_mean_ms")
     for path in csvs:
-        lines = path.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        header, *rows = [line.split(",") for line in
+                         path.read_text().strip().splitlines()] or [[""]]
+        if not set(columns) <= set(header):
+            raise ValueError(f"{path} is not a result CSV: it lacks a column "
+                             f"of {', '.join(columns)}")
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: a row's field count differs from the header's")
         parts = [f"{path.stem}: runs={len(rows)}"]
-        for column in ("precision", "recall", "resolved_fraction", "ttfb_mean_ms"):
-            values = [float(r[column]) for r in rows if r[column]]
+        for column in columns:
+            at = header.index(column)
+            values = [float(row[at]) for row in rows if row[at]]
             if values:
                 parts.append(f"{column}={sum(values) / len(values):.4f}")
         print("  ".join(parts))

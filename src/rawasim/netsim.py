@@ -35,28 +35,27 @@ absent key as 0 without inserting it and keep the order of each variant's
 first send, with the C-level item assignment that `collections.Counter`
 gives up.
 
-The event set is one binary heap (`heapq`) of flat tuples, told apart by
-length: a message delivery ``(at, seq, frm, to, msg, tag)``, a timer of a
-node (or of no node, -1) ``(at, seq, node, fn, label)`` from `call_at`, and
-a cancellable `Timer` from `schedule`, ``(at, seq, node, timer)``. A
-timer's label is a str or a ``(kind, cid)`` pair, and the pair's text
-``<kind>:<cid8>`` is built only for a trace row. ``seq`` is unique, so
-entries never compare beyond it and events run in exact ``(at, seq)``
-order; an event at infinity runs after every finite one. A dial and a
-departure are kernel timers of the node that dials or departs, so a dial
-dies with its dialler, as engine timers do. The link model is read once,
-at construction: `send`, `fan_out` and `dial` keep its numbers and draw
-jitter with the same float operations as ``random.uniform``. The FIFO
-clamp keeps one table per sender, ``_last_delivery[frm][to]``, so a
+The event set is one binary heap (`heapq`) of flat tuples of two shapes:
+a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node
+(or of no node, -1) ``(at, seq, node, fn, label)`` from `call_at`, whose
+``fn`` is the `Timer` for a `schedule` handle. A label is a ``(kind,
+subject)`` pair whose text is built only for a trace row. ``seq`` is
+unique, so entries never compare beyond it and events run in exact
+``(at, seq)`` order; an event at infinity runs after every finite one. A
+dial and a departure are kernel timers of the node that dials or departs,
+so a dial dies with its dialler, as engine timers do. The link model is
+read once, at construction: `send`, `fan_out` and `dial` keep its numbers
+and draw jitter with the same float operations as ``random.uniform``. The
+FIFO clamp keeps one table per sender, ``_last_delivery[frm][to]``, so a
 fan-out fetches its sender's table once.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the event set, its pending timers and
 messages; engines, the provider index and the kernel's own dial and
 departure timers hold the simulator through a weak reference. A timer of
-the package is a bare heap entry with no handle: nothing keeps or cancels
-one, and a session's timers read its state when they fire, so those of a
-closed session fire as no-ops. A finished run is therefore freed by reference
+the package is a heap entry with no handle: nothing keeps or cancels one,
+and a session's timers read its state when they fire, so those of a closed
+session fire as no-ops. A finished run is therefore freed by reference
 counting as soon as its last handle goes, without the cycle collector, and
 `run` switches the collector off while its loop runs (and restores its
 previous state afterwards): a collection there could only walk the run's
@@ -128,16 +127,19 @@ class WalkTag(NamedTuple):
 
 class Timer:
     """The cancellable handle `Simulator.schedule` returns, for callers
-    outside the package (the kernel tests and the benchmark tracer). The
-    package's own timers are bare heap entries from `Simulator.call_at`,
-    with no handle."""
+    outside the package (the kernel tests and the benchmark tracer), and
+    the function of its `call_at` timer: calling it runs `fn` unless the
+    handle is cancelled."""
 
-    __slots__ = ("label", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, label: str, fn: Callable[[], None]):
-        self.label = label
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
+
+    def __call__(self) -> None:
+        if not self.cancelled:
+            self.fn()
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -227,13 +229,15 @@ class Observer:
                                msg.cid.short(), wire_size(msg)))
 
     def record_timer(self, time: float, seq: int, node: PeerId, label) -> None:
-        """`label` is a str or a ``(kind, cid)`` pair, written
-        ``<kind>:<cid8>``: the one place the pair's text is built."""
+        """`label` is a ``(kind, subject)`` pair, written ``<kind>``,
+        ``<kind>:<cid8>`` or ``<kind>:P<n>`` for a subject of None, a `Cid`
+        or a peer id: the one place a timer label's text is built."""
         if self.keep_trace:
-            if not isinstance(label, str):
-                kind, cid = label
-                label = f"{kind}:{cid.short()}"
-            self.trace.append((time, seq, "timer", node, node, label, "", 0))
+            kind, subject = label
+            if subject is not None:
+                kind += ":" + (subject.short() if isinstance(subject, Cid)
+                               else peer_name(subject))
+            self.trace.append((time, seq, "timer", node, node, kind, "", 0))
 
     def record_drop(self, time: float, frm: PeerId, to: PeerId, msg: Message,
                     reason: str) -> None:
@@ -349,9 +353,8 @@ class Simulator:
     def call_at(self, at: float, node: PeerId, fn: Callable[[], None],
                 label) -> None:
         """Run ``fn()`` at `at` as a timer of `node` (-1 for none), which
-        dies with its node. It has no handle and cannot be cancelled.
-        `label` is a str or a ``(kind, cid)`` pair; only a trace row reads
-        it."""
+        dies with its node. It has no handle of its own. `label` is a
+        ``(kind, subject)`` pair that only a trace row reads."""
         # a check, not an assert, so it holds under -O; NaN fails it too
         if not at >= self.now:
             raise ValueError(f"event at {at} scheduled before now={self.now}")
@@ -360,7 +363,7 @@ class Simulator:
 
     def peek(self) -> tuple[float, int] | None:
         """``(at, seq)`` of the head of the heap, the next pending event
-        (a cancelled timer included), or None when nothing is pending.
+        (a cancelled `Timer` included), or None when nothing is pending.
         Changes nothing."""
         return self._heap[0][:2] if self._heap else None
 
@@ -372,15 +375,11 @@ class Simulator:
 
     def schedule(self, delay_ms: float, label: str, fn: Callable[[], None],
                  node: PeerId = -1) -> Timer:
-        """`call_at` ``now + delay_ms`` with a handle: a cancelled `Timer`
-        still counts as an executed event but neither runs nor leaves a
-        trace row."""
-        time = self.now + delay_ms
-        if not time >= self.now:
-            raise ValueError(f"event at {time} scheduled before now={self.now}")
-        timer = Timer(label, fn)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, node, timer))
+        """`call_at` ``now + delay_ms``, labelled ``(label, None)``, with the
+        returned `Timer` as its function: a cancelled one still counts as an
+        event and writes its trace row, but calls nothing."""
+        timer = Timer(fn)
+        self.call_at(self.now + delay_ms, node, timer, (label, None))
         return timer
 
     def send(self, frm: PeerId, to: PeerId, msg: Message,
@@ -456,7 +455,7 @@ class Simulator:
             if ok and not sim.reachable(frm, to):
                 sim.add_edge(frm, to)
             done(ok)
-        self.call_at(self.now + rtt, frm, connect, f"dial:{peer_name(to)}")
+        self.call_at(self.now + rtt, frm, connect, ("dial", to))
 
     def schedule_departure(self, node: PeerId, at: float) -> None:
         """Crash-stop `node` at the absolute time `at`: a timer of `node`,
@@ -464,7 +463,7 @@ class Simulator:
         if not self.is_alive(node):
             raise ValueError(f"{peer_name(node)} already departed")
         ref = weakref.ref(self)
-        self.call_at(at, node, lambda: ref()._depart(node), "depart")
+        self.call_at(at, node, lambda: ref()._depart(node), ("depart", None))
 
     # -- event loop -------------------------------------------------------
 
@@ -509,20 +508,13 @@ class Simulator:
                     if keep_trace:
                         observer.record_deliver(time, seq, frm, to, msg)
                     engine.handle_message(frm, msg, tag)
-                elif len(event) == 5:
+                else:
                     _, seq, node, fn, label = event
                     # timers of a departed node die with it (crash-stop)
                     if node < 0 or node in alive:
                         if keep_trace:
                             observer.record_timer(time, seq, node, label)
                         fn()
-                else:
-                    # a `schedule` handle, which may have been cancelled
-                    _, seq, node, timer = event
-                    if not timer.cancelled and (node < 0 or node in alive):
-                        if keep_trace:
-                            observer.record_timer(time, seq, node, timer.label)
-                        timer.fn()
         finally:
             if enabled:
                 gc.enable()

@@ -601,15 +601,21 @@ def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
 
 @pytest.mark.parametrize("protocol, adversary", [("rawa", "fse"), ("vanilla", "wfe")])
 def test_an_untraced_run_builds_no_timer_label(monkeypatch, protocol, adversary):
-    """Untraced, no timer's ``<kind>:<cid>`` text is built: a drop record is
-    then the only caller of `Cid.short`."""
-    calls = []
-    short = Cid.short
+    """Untraced, no timer label's text is built, neither ``<kind>:<cid8>``
+    nor ``<kind>:P<n>``: a drop record is then the only caller of
+    `Cid.short`, and the kernel never calls `peer_name`, though the run
+    dials."""
+    calls, names, dials = [], [], []
+    short, name, dial = Cid.short, netsim.peer_name, Simulator.dial
     monkeypatch.setattr(Cid, "short", lambda cid: calls.append(cid) or short(cid))
+    monkeypatch.setattr(netsim, "peer_name", lambda p: names.append(p) or name(p))
+    monkeypatch.setattr(Simulator, "dial",
+                        lambda sim, *args: dials.append(args) or dial(sim, *args))
     handles = build_run(ExperimentConfig(protocol=protocol, adversary=adversary,
                                          n_peers=20, runs=1, base_seed=3), 0)
     assert handles.sim.run() > 0
     assert len(calls) == len(handles.sim.observer.drops)
+    assert dials and names == []
 
 
 def test_peek_reads_the_next_event_without_running_it():

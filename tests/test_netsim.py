@@ -223,12 +223,17 @@ def test_run_until_bound_leaves_later_events():
 
 
 def test_cancelled_timer_does_not_fire():
+    """A cancelled handle is an ordinary timer that calls nothing: it still
+    counts as an executed event and writes its own trace row."""
     sim, _ = two_node_sim()
     fired = []
     timer = sim.schedule(5.0, "t", lambda: fired.append(1))
+    sim.schedule(7.0, "u", lambda: fired.append(2), node=1)
     timer.cancel()
-    sim.run()
-    assert fired == []
+    assert sim.run() == 2
+    assert fired == [2]
+    assert [row[:6] for row in sim.observer.trace] == [
+        (5.0, 1, "timer", -1, -1, "t"), (7.0, 2, "timer", 1, 1, "u")]
 
 
 def test_clock_monotone_and_trace_deterministic():

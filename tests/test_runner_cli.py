@@ -617,6 +617,57 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "runs=2" in capsys.readouterr().out
 
 
+def test_cli_report_averages_each_result_file(tmp_path, capsys):
+    """One line per result CSV: its run count and the mean of each column
+    over the runs that have a value (a vanilla file has no precision)."""
+    expected = {}
+    for config in (small_config(runs=3), ExperimentConfig(
+            protocol="vanilla", adversary="none", n_peers=10, runs=2, base_seed=5)):
+        results = run_experiment(config)
+        csv_path, _ = write_results(config, results, tmp_path)
+        columns = {"precision": [r.metrics.precision for r in results],
+                   "recall": [r.metrics.recall for r in results],
+                   "resolved_fraction": [r.metrics.resolved_fraction for r in results],
+                   "ttfb_mean_ms": [r.metrics.ttfb_stats()[0] for r in results]}
+        means = {}
+        for column, values in columns.items():
+            present = [value for value in values if value is not None]
+            if present:
+                means[column] = sum(present) / len(present)
+        expected[csv_path.stem] = (len(results), means)
+    # the rawa file has a precision column to average, the vanilla one none
+    assert ["precision" in means for _, means in expected.values()] == [True, False]
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(expected)
+    for line in lines:
+        head, *fields = line.split("  ")
+        stem, runs = head.split(": runs=")
+        count, means = expected[stem]
+        assert int(runs) == count
+        printed = {key: float(value) for key, value in
+                   (field.split("=") for field in fields)}
+        assert printed == pytest.approx(means, abs=1e-4)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n",  # a CSV of other columns
+    "",  # an empty file
+    CSV_HEADER + "\n0,1,rawa\n",  # a row shorter than the header
+], ids=["foreign", "empty", "short-row"])
+def test_cli_report_refuses_a_file_that_is_not_a_result_csv(tmp_path, capsys, text):
+    """Bad input exits 1 with a message that names the file."""
+    path = tmp_path / "foreign.csv"
+    path.write_text(text)
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+def test_cli_report_refuses_a_directory_with_no_csv(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_cli_refuses_overwrite_then_forces(tmp_path):
     config_path = write_config(tmp_path)
     out = tmp_path / "results"
