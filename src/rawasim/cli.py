@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .runner import (ExperimentConfig, overlay, refuse_existing, result_paths,
@@ -17,11 +18,12 @@ from .topology import WIRING
 
 
 def _config(args) -> ExperimentConfig:
-    """The --config file with the flags on top; only --eta needs decoding."""
+    """The --config file with the flags on top; --eta is an int if it reads as one."""
     data = json.loads(Path(args.config).read_text()) if args.config else {}
     flags = {key: getattr(args, key) for key in ("protocol", "adversary",
-             "n_peers", "block_size", "runs", "base_seed", "p")}
-    flags["eta"] = args.eta if args.eta in (None, "max") else int(args.eta)
+             "n_peers", "block_size", "runs", "base_seed", "p", "eta")}
+    with suppress(TypeError, ValueError):
+        flags["eta"] = int(args.eta)
     return overlay(data, {k: v for k, v in flags.items() if v is not None})
 
 
@@ -105,11 +107,20 @@ def _cmd_report(args) -> int:
         parts = [f"{path.stem}: runs={len(rows)}"]
         for column in columns:
             at = header.index(column)
-            values = [float(row[at]) for row in rows if row[at]]
+            values = [_number(row[at], path, column, i)
+                      for i, row in enumerate(rows, 1) if row[at]]
             if values:
                 parts.append(f"{column}={sum(values) / len(values):.4f}")
         print("  ".join(parts))
     return 0
+
+
+def _number(text: str, path: Path, column: str, row: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: {column} of result row {row} is {text!r}, "
+                         "not a number") from None
 
 
 def _check_writable(out: Path) -> None:

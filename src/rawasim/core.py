@@ -1,4 +1,4 @@
-"""Content-addressing primitives and the protocol message vocabulary.
+"""Content addressing, the protocol message vocabulary and config field rules.
 
 Peers are dense integer indices within a run (rendered ``P<index>`` in logs).
 A block is its size on the wire and a short payload, the bytes its SHA-256
@@ -11,9 +11,10 @@ model stays reproducible.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 
 PeerId = int
 
@@ -27,18 +28,74 @@ def peer_name(peer: PeerId) -> str:
     return f"P{peer}"
 
 
-def check_field_types(config, numbers=(), flags=()) -> None:
-    """Refuse anything but an int or a float for each numeric field in
-    `numbers` (a bool too: JSON ``true`` compares as 1) and anything but a
-    bool for each flag in `flags` (the string ``"no"`` is truthy)."""
-    for name in numbers:
+def rule(default, check: Callable, text: str, none_as: str | None = None):
+    """A config field's default and range: `check` tells whether a value of
+    its kind is in range; `text` ends the refusal "<key> must <text>, not
+    <value>"; `decode` reads the string `none_as` as None."""
+    return field(default=default, metadata={"rule": (check, text, none_as)})
+
+
+# the kinds an annotation may name, each with the text of a field of no rule
+_KINDS = {"int": (int, "be an integer"), "float": (float, "be a number"),
+          "bool": (bool, "be true or false"), "str": (str, "be a string"),
+          "tuple": (tuple, "be a list")}
+
+
+@cache
+def field_rules(cls) -> dict[str, tuple]:
+    """Each field of config class `cls`, by name in field order, to ``(kind,
+    nullable, check, text, none_as)``: the kind from its annotation (one of
+    `_KINDS`, maybe ``| None``) or a nested config's ``default_factory``, the
+    rest from its `rule`. Callers share the dict and must not change it."""
+    rules = {}
+    for f in fields(cls):
+        names = f.type.split(" | ")
+        kinds = [_KINDS.get(name.partition("[")[0]) for name in names if name != "None"]
+        if is_dataclass(f.default_factory):
+            kinds = [(f.default_factory, f"be an object of {f.name} keys")]
+        if len(kinds) != 1 or kinds[0] is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no kind in {f.type!r}")
+        check, text, none_as = f.metadata.get("rule", (None, kinds[0][1], None))
+        rules[f.name] = (kinds[0][0], "None" in names, check, text, none_as)
+    return rules
+
+
+def is_kind(value, kind: type) -> bool:
+    """Whether `value` is of `kind`: an int is a float too, a bool neither."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool)))
+
+
+def check_fields(config) -> None:
+    """Refuse the first field of `config` not of its kind or out of its range."""
+    for name, (kind, nullable, check, text, _) in field_rules(type(config)).items():
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, not {value!r}")
-    for name in flags:
-        value = getattr(config, name)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, not {value!r}")
+        if not (value is None and nullable or is_kind(value, kind)
+                and (check is None or check(value))):
+            raise ValueError(f"{name} must {text}, not {value!r}")
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+def decode(cls, data: dict, what: str = "config"):
+    """Config class `cls` built from the JSON object `data`, refusing unknown
+    keys: a nested config's object is decoded in turn, a tuple field's lists
+    become tuples, and a field's `none_as` string becomes None."""
+    rules = field_rules(cls)
+    unknown = set(data) - set(rules)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for name, value in data.items():
+        kind, _, _, _, none_as = rules[name]
+        if isinstance(value, dict) and is_dataclass(kind):
+            value = decode(kind, value, name)
+        elif kind is tuple:
+            value = _tuples(value)
+        values[name] = None if value == none_as else value
+    return cls(**values)
 
 
 class Cid(bytes):

@@ -66,14 +66,13 @@ from __future__ import annotations
 
 import gc
 import heapq
-import math
 import random
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .core import (Cid, Message, MessageType, PeerId, check_field_types,
-                   peer_name, wire_size)
+from .core import (Cid, Message, MessageType, PeerId, check_fields, peer_name,
+                   rule, wire_size)
 
 RngStream = random.Random
 
@@ -88,20 +87,19 @@ class LinkSpec:
     """Per-link delay model: one-way base latency, symmetric uniform jitter
     half-width, and serialization bandwidth."""
 
-    latency_ms: float = 100.0
-    jitter_ms: float = 10.0
-    bandwidth_bytes_per_s: float = 1048576.0
+    latency_ms: float = rule(100.0, lambda ms: 0 < ms <= HORIZON_MS,
+                             "be a number of ms in (0, 2**43]")
+    jitter_ms: float = rule(10.0, lambda ms: 0 <= ms <= HORIZON_MS,
+                            "be a number of ms in [0, 2**43]")
+    bandwidth_bytes_per_s: float = rule(1048576.0, lambda bw: bw > 0,
+                                        "be a number > 0")
 
     def __post_init__(self) -> None:
-        check_field_types(self, ("latency_ms", "jitter_ms",
-                                 "bandwidth_bytes_per_s"))
-        if not (math.inf > self.latency_ms > self.jitter_ms >= 0):
-            raise ValueError("require finite latency > jitter >= 0")
-        if not self.latency_ms + self.jitter_ms <= HORIZON_MS:
-            raise ValueError("latency_ms + jitter_ms must not pass the clock's "
-                             "horizon of 2**43 ms")
-        if not self.bandwidth_bytes_per_s > 0:
-            raise ValueError("bandwidth must be positive")
+        check_fields(self)
+        if not (self.latency_ms > self.jitter_ms
+                and self.latency_ms + self.jitter_ms <= HORIZON_MS):
+            raise ValueError("latency_ms must exceed jitter_ms, and latency_ms + "
+                             "jitter_ms must not pass the clock's horizon of 2**43 ms")
 
 
 def link_delay(link: LinkSpec, size: int, rng: RngStream) -> float:

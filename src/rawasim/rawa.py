@@ -41,8 +41,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .core import (BLOCK, CANCEL, DONT_HAVE, FORWARD_HAVE, HAVE, WANT_BLOCK,
-                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId,
-                   check_field_types)
+                   WANT_FORWARD, WANT_HAVE, Cid, Message, PeerId, check_fields,
+                   rule)
 from .engine import (DONE, FAILED, FETCHING, SEARCHING, FetchSession,
                      HonestEngine, Search)
 from .netsim import HORIZON_MS, RngStream, WalkTag
@@ -57,49 +57,39 @@ def path_length_probability(p: float, e: int) -> float:
     return 1.0 - (1.0 - p) ** e
 
 
+# t0 and t1 re-arm while a request is open: a period under 1 ms floods the
+# event set, and one below the clock's resolution never moves it
+_PERIOD = (lambda ms: 1 <= ms <= HORIZON_MS, "be a number of ms in [1, 2**43]")
+
+
 @dataclass(frozen=True)
 class RaWaConfig:
-    p: float = 0.2
-    eta: int | None = None  # None means "all neighbors"
-    t0_ms: float = 1000.0   # requester re-transmit interval
+    p: float = rule(0.2, lambda p: 0 < p <= 1, "be a number in (0, 1]")
+    eta: int | None = rule(None, lambda eta: eta >= 1, 'be an integer >= 1, or '
+                           '"max" or null for all neighbors', none_as="max")
+    t0_ms: float = rule(1000.0, *_PERIOD)  # requester re-transmit interval
     # two roles: the proxy's quiet period before its index lookup, and the
     # requester's fetch-attempt timeout (both `HonestEngine.t1_ms`),
     # so a t1 sweep also changes how fast a requester abandons a silent
     # provider; vanilla fixes that timeout at 1 s
-    t1_ms: float = 1000.0
-    u_ms: float = 2000.0    # requester fallback-lookup timer
+    t1_ms: float = rule(1000.0, *_PERIOD)
+    # the requester's fallback-lookup timer; infinite means no fallback
+    u_ms: float = rule(2000.0, lambda ms: ms <= HORIZON_MS or ms == math.inf,
+                       "be a number of ms up to 2**43, or infinite")
     rebuild_ms: float = 540_000.0
     verify_provider: bool = False
     # > 0: the proxy waits this long after the first HAVE and answers with
     # everything collected; 0 answers on the first HAVE alone.
-    forward_have_aggregation_ms: float = 0.0
+    forward_have_aggregation_ms: float = rule(
+        0.0, lambda ms: 0 <= ms <= HORIZON_MS, "be a number of ms in [0, 2**43]")
     # True: the proxy always completes a provider-index lookup and answers
     # with the merged list instead of trusting the first HAVE.
     proxy_aggregate_dht: bool = False
 
     def __post_init__(self) -> None:
-        check_field_types(self, ("p", "t0_ms", "t1_ms", "u_ms", "rebuild_ms",
-                                 "forward_have_aggregation_ms"),
-                          ("verify_provider", "proxy_aggregate_dht"))
-        if not (0 < self.p <= 1):
-            raise ValueError("p must be in (0, 1]")
-        eta = self.eta
-        if eta is not None and (isinstance(eta, bool) or not isinstance(eta, int)
-                                or eta < 1):
-            raise ValueError("eta must be an integer >= 1 (or None for all "
-                             f"neighbors), not {eta!r}")
+        check_fields(self)
         if not (self.u_ms > self.t1_ms and self.u_ms > self.t0_ms):
-            raise ValueError("require u > t1 and u > t0")
-        # t0 and t1 re-arm while a request is open: a period under 1 ms
-        # floods the event set, and one below the clock's resolution never
-        # moves it; u exceeds both
-        if not (1 <= self.t0_ms <= HORIZON_MS and 1 <= self.t1_ms <= HORIZON_MS):
-            raise ValueError("t0_ms and t1_ms must lie in [1, 2**43] ms")
-        # an infinite u_ms means no fallback lookup
-        if not (self.u_ms <= HORIZON_MS or self.u_ms == math.inf):
-            raise ValueError("u_ms must be at most 2**43 ms (or infinite)")
-        if not 0 <= self.forward_have_aggregation_ms <= HORIZON_MS:
-            raise ValueError("forward_have_aggregation_ms must lie in [0, 2**43] ms")
+            raise ValueError(f"u_ms must exceed t0_ms and t1_ms, not {self.u_ms!r}")
 
 
 def build_forward_graph(neighbors, eta: int | None,

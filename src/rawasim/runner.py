@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .adversary import (ExploiterNode, ObservationLog, SpyTap, fse_classify,
                         sawfe_classify, wfe_classify)
 from .core import (CID_ENTRY_BYTES, ENVELOPE_BYTES, PROVIDER_RECORD_BYTES, Cid,
-                   PeerId, check_field_types, make_blocks)
+                   PeerId, check_fields, decode, is_kind, make_blocks, rule)
 from .dht import DummyDht
 from .engine import GIVE_UP_MS
 from .metrics import GroundTruth, RunMetrics, aggregate, precision_recall
@@ -39,91 +39,59 @@ CSV_HEADER = ("run,seed,protocol,adversary,p,eta,block_size,precision,recall,"
               "mean_walk_hops,msgs_total,bytes_total")
 
 
-def _refuse_unknown_keys(cls, data: dict, what: str) -> None:
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+# a block of no bytes fails the block build, fewer than one link fails the
+# topology draw, and a float or bool count fails inside the run
+_COUNT = (lambda n: n >= 1, "be an integer >= 1")
+# anything that would schedule an event in the past fails at load, not mid-run
+_DELAY = (lambda x: 0 <= x < math.inf, "be a finite number >= 0")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    protocol: str = PROTOCOL_VANILLA
-    adversary: str = ADVERSARY_NONE
-    n_peers: int = 50
-    out_links: int = 4
+    protocol: str = rule(PROTOCOL_VANILLA, (PROTOCOL_VANILLA, PROTOCOL_RAWA).__contains__,
+                         f"be {PROTOCOL_VANILLA} or {PROTOCOL_RAWA}")
+    adversary: str = rule(ADVERSARY_NONE, WIRING.__contains__,
+                          f"be one of {', '.join(WIRING)}")
+    n_peers: int = rule(50, *_COUNT)
+    out_links: int = rule(4, *_COUNT)
     link: LinkSpec = field(default_factory=LinkSpec)
-    dht_base_delay_ms: float = 622.0
-    dht_delay_spread: float = 0.10
-    block_size: int = 1025
+    dht_base_delay_ms: float = rule(622.0, *_DELAY)
+    dht_delay_spread: float = rule(0.10, lambda s: 0 <= s < 1,
+                                   "be a number in [0, 1)")
+    block_size: int = rule(1025, *_COUNT)
     rawa: RaWaConfig = field(default_factory=RaWaConfig)
-    runs: int = 100
+    runs: int = rule(100, *_COUNT)
     base_seed: int = 1
-    churn: tuple[tuple[int, float], ...] = ()  # (honest node index, depart ms)
-    stagger_ms: float = 0.0
+    churn: tuple[tuple[int, float], ...] = rule(
+        (), lambda churn: all(isinstance(e, tuple) and len(e) == 2 for e in churn),
+        "be a list of [honest index, departure ms] entries")
+    stagger_ms: float = rule(0.0, *_DELAY)
     fixed_topology: bool = False
-    dial_rtt_multiplier: float = 1.0
-    give_up_ms: float = GIVE_UP_MS
+    dial_rtt_multiplier: float = rule(1.0, *_DELAY)
+    # an unresolvable request re-arms its ticks until it gives up
+    give_up_ms: float = rule(GIVE_UP_MS, lambda ms: 0 < ms <= HORIZON_MS,
+                             "be a number of ms in (0, 2**43]")
     wfe_fake_have: bool = True
     # True assigns interests as a uniform cyclic permutation, so no two
     # requesters want the same block (isolates walk statistics from the
     # shared-cid mixing rule); False matches the evaluation workload where
     # repeats are allowed.
     unique_interests: bool = False
-    run_bound_ms: float | None = None
+    run_bound_ms: float | None = rule(None, lambda ms: ms > 0,
+                                      "be a number of ms > 0, or null for no bound")
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.protocol not in (PROTOCOL_VANILLA, PROTOCOL_RAWA):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if not isinstance(self.adversary, str) or self.adversary not in WIRING:
-            raise ValueError(f"unknown adversary {self.adversary!r}")
-        for name, kind in (("link", LinkSpec), ("rawa", RaWaConfig)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be an object of {name} keys")
-        # a block of no bytes fails the block build, fewer than one link
-        # fails the topology draw, and a float or bool count fails inside
-        # the run
-        for name in ("n_peers", "runs", "block_size", "out_links"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, int):
-            raise ValueError(f"base_seed must be an integer, not {self.base_seed!r}")
-        check_field_types(
-            self, ("dht_base_delay_ms", "dht_delay_spread", "stagger_ms",
-                   "dial_rtt_multiplier", "give_up_ms"),
-            ("fixed_topology", "wfe_fake_have", "unique_interests", "keep_trace"))
-        if self.run_bound_ms is not None:
-            check_field_types(self, ("run_bound_ms",))
+        check_fields(self)
         if self.n_honest <= self.out_links:
             raise ValueError("need more honest peers than out_links")
-        # anything that would schedule an event in the past fails here, not
-        # mid-run
-        for name in ("dht_base_delay_ms", "stagger_ms", "dial_rtt_multiplier"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not (0 <= self.dht_delay_spread < 1):
-            raise ValueError("dht_delay_spread must be in [0, 1)")
-        # an unresolvable request re-arms its ticks until it gives up
-        if not 0 < self.give_up_ms <= HORIZON_MS:
-            raise ValueError("give_up_ms must lie in (0, 2**43] ms")
-        if self.run_bound_ms is not None and not self.run_bound_ms > 0:
-            raise ValueError("run_bound_ms must be > 0 (or null for no bound)")
-        if not isinstance(self.churn, tuple):
-            raise ValueError("churn must be a list of [honest index, "
-                             "departure ms] entries")
-        for entry in self.churn:
-            if not isinstance(entry, tuple) or len(entry) != 2:
-                raise ValueError(f"churn entry {entry!r} is not "
-                                 "[honest index, departure ms]")
-            index, depart_ms = entry
-            if isinstance(index, bool) or not (isinstance(index, int)
-                                               and 0 <= index < self.n_honest):
+        for index, depart_ms in self.churn:
+            if not (is_kind(index, int) and 0 <= index < self.n_honest):
                 raise ValueError(f"churn index {index!r} is not one of the "
                                  f"{self.n_honest} honest nodes")
             # an infinite departure time means the node never departs
-            if isinstance(depart_ms, bool) or not isinstance(depart_ms, (int, float)) \
-                    or not (0 <= depart_ms <= HORIZON_MS or depart_ms == math.inf):
+            if not (is_kind(depart_ms, float) and (
+                    0 <= depart_ms <= HORIZON_MS or depart_ms == math.inf)):
                 raise ValueError(f"churn departure time {depart_ms!r} must lie "
                                  "in [0, 2**43] ms (or be infinite)")
         self._refuse_delays_past_the_horizon()
@@ -166,10 +134,10 @@ class ExperimentConfig:
         """Refuse a config one of whose delays, from the start of a run,
         could carry the clock past `HORIZON_MS`: a message (the largest is
         a block or a FORWARD-HAVE naming every peer), a dial, an index
-        lookup or the last staggered request start. `__post_init__` bounds
-        the give-up and the churn times with their other checks, and
-        `LinkSpec` and `RaWaConfig` bound their own delays. Sizes are compared as integers, so a huge
-        `block_size` cannot overflow a float here."""
+        lookup or the last staggered request start. `give_up_ms` is bounded
+        by its rule, the churn times by `__post_init__`, and `LinkSpec` and
+        `RaWaConfig` bound their own delays. Sizes are compared as integers,
+        so a huge `block_size` cannot overflow a float here."""
         link = self.link
         leg_ms = link.latency_ms + link.jitter_ms
         largest = ENVELOPE_BYTES + CID_ENTRY_BYTES + max(
@@ -199,29 +167,8 @@ class ExperimentConfig:
             return honest
         return self.n_peers
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["churn"] = [list(c) for c in self.churn]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        _refuse_unknown_keys(cls, data, "config")
-        if "link" in data and isinstance(data["link"], dict):
-            _refuse_unknown_keys(LinkSpec, data["link"], "link")
-            data["link"] = LinkSpec(**data["link"])
-        if "rawa" in data and isinstance(data["rawa"], dict):
-            _refuse_unknown_keys(RaWaConfig, data["rawa"], "rawa")
-            rawa = dict(data["rawa"])
-            if rawa.get("eta") == "max":
-                rawa["eta"] = None
-            data["rawa"] = RaWaConfig(**rawa)
-        churn = data.get("churn")
-        if isinstance(churn, (list, tuple)) and \
-                all(isinstance(c, (list, tuple)) for c in churn):
-            data["churn"] = tuple(tuple(c) for c in churn)
-        return cls(**data)
+    to_dict = asdict  # the JSON object `from_dict` reads
+    from_dict = classmethod(decode)
 
     def fingerprint(self) -> str:
         """The first 16 hex digits of SHA-256 over the sorted-key config
@@ -484,20 +431,16 @@ class SweepCell(NamedTuple):
 
 
 def overlay(data: dict, overrides: dict) -> ExperimentConfig:
-    """The config of `data` with `overrides` on top. A `rawa` or `link`
-    entry of `overrides` goes over the base's key by key, then `p` and `eta`
-    go into `rawa`, so `from_dict` decodes every value, `eta: "max"`
-    included."""
-    for key in ("rawa", "link"):
-        if not all(isinstance(source.get(key, {}), dict)
-                   for source in (data, overrides)):
-            raise ValueError(f"{key} must be an object of {key} keys")
+    """The config of `data` with `overrides` on top: `rawa` and `link` objects
+    merge key by key, `p` and `eta` go into `rawa`, and `from_dict` decodes
+    and checks every value (a `rawa` or `link` that is no object included)."""
     walk = {key: overrides[key] for key in ("p", "eta") if key in overrides}
-    nested = {key: {**data.get(key, {}), **overrides.get(key, {})}
-              for key in ("rawa", "link")}
-    nested["rawa"].update(walk)
-    data = {**data, **overrides, **nested}
-    return ExperimentConfig.from_dict({k: v for k, v in data.items() if k not in walk})
+    merged = {**data, **overrides}
+    for key, extra in (("rawa", walk), ("link", {})):
+        sides = (data.get(key, {}), overrides.get(key, {}))
+        odd = [side for side in sides if not isinstance(side, dict)]
+        merged[key] = odd[0] if odd else {**sides[0], **sides[1], **extra}
+    return ExperimentConfig.from_dict({k: v for k, v in merged.items() if k not in walk})
 
 
 def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:

@@ -4,19 +4,21 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from rawasim import runner
 from rawasim.cli import main
-from rawasim.core import wire_size
+from rawasim.core import field_rules, wire_size
 from rawasim.netsim import LinkSpec
 from rawasim.rawa import RaWaConfig
 from rawasim.runner import (CSV_HEADER, ExperimentConfig, build_run,
@@ -66,7 +68,8 @@ def test_config_validation_errors():
         ExperimentConfig(adversary="wfe", n_peers=47)
 
 
-@pytest.mark.parametrize("overrides", [
+# overrides of small_config() that the loader refuses
+BAD_OVERRIDES = [
     {"dht_delay_spread": 1.0}, {"dht_delay_spread": 2.0},
     {"dht_delay_spread": -0.1}, {"dht_base_delay_ms": -1.0},
     {"stagger_ms": -5.0}, {"give_up_ms": 0.0}, {"give_up_ms": -1.0},
@@ -119,11 +122,63 @@ def test_config_validation_errors():
     # config died with "livelock: more than 10000000 events" after 42 s
     {**LIVELOCK, "rawa": {"t0_ms": 1, "t1_ms": 1, "u_ms": 1.5}},
     {**LIVELOCK, "protocol": "vanilla", "give_up_ms": 2**43},
-])
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_OVERRIDES)
 def test_config_rejects_values_that_would_fail_mid_run(overrides):
     # the loader's path: fse at n=16, so honest indices are 0..14
     with pytest.raises(ValueError):
         overlay(small_config().to_dict(), overrides)
+
+
+@pytest.mark.parametrize("overrides", BAD_OVERRIDES)
+def test_each_refusal_names_a_key_of_its_override(overrides):
+    keys = set(overrides)
+    for value in overrides.values():
+        if isinstance(value, dict):
+            keys |= set(value)
+    with pytest.raises(ValueError) as refusal:
+        overlay(small_config().to_dict(), overrides)
+    assert keys & set(re.findall(r"\w+", str(refusal.value))), refusal.value
+
+
+def test_every_config_field_has_a_kind():
+    known = (int, float, bool, str, tuple, LinkSpec, RaWaConfig)
+    for cls in (LinkSpec, RaWaConfig, ExperimentConfig):
+        rules = field_rules(cls)
+        assert list(rules) == [f.name for f in fields(cls)]
+        assert all(rule[0] in known for rule in rules.values())
+
+    @dataclass
+    class Unread:
+        values: "list[int] | None" = None
+
+    with pytest.raises(TypeError, match="Unread.values: no kind"):
+        field_rules(Unread)
+
+
+def schema_rows(cls=ExperimentConfig, prefix=""):
+    """(key, kind, rule) for each field of `cls`, nested configs' after
+    their own key, as the README's table gives them."""
+    words = {int: "integer", float: "number", bool: "boolean", str: "string",
+             tuple: "list"}
+    for name, (kind, nullable, _, text, _) in field_rules(cls).items():
+        word = "object" if is_dataclass(kind) else words[kind]
+        yield f"`{prefix}{name}`", word + " or null" * nullable, text
+        if is_dataclass(kind):
+            yield from schema_rows(kind, f"{name}.")
+
+
+def test_readme_config_table_gives_each_field_its_kind_and_rule():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | kind | rule |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")))
+    assert rows == list(schema_rows())
 
 
 def test_overlay_merges_rawa_and_link_entries_under_p_and_eta():
@@ -255,6 +310,23 @@ def test_a_config_dict_is_refused_at_load_or_runs_to_its_end(data):
     handles = build_run(config, 0)
     handles.sim.run(until=config.run_bound_ms)
     collect_metrics(handles)
+
+
+def test_config_dicts_fuzz_every_field():
+    """Each key of the schema, nested ones included, appears in the dicts
+    that `config_dicts` draws, so a new key is fuzzed too."""
+    wanted = {key.strip("`") for key, _, _ in schema_rows()}
+    drawn = set()
+
+    def draws_every_key(data):
+        for key, value in data.items():
+            drawn.add(key)
+            if isinstance(value, dict):
+                drawn.update(f"{key}.{inner}" for inner in value)
+        return drawn >= wanted
+
+    find(config_dicts, draws_every_key, random=Random(0), settings=settings(
+        database=None, phases=[Phase.generate], max_examples=2000))
 
 
 # -- runs ----------------------------------------------------------------------
@@ -654,7 +726,8 @@ def test_cli_report_averages_each_result_file(tmp_path, capsys):
     "a,b\n1,2\n",  # a CSV of other columns
     "",  # an empty file
     CSV_HEADER + "\n0,1,rawa\n",  # a row shorter than the header
-], ids=["foreign", "empty", "short-row"])
+    CSV_HEADER + "\n" + ",".join("x" * (CSV_HEADER.count(",") + 1)) + "\n",
+], ids=["foreign", "empty", "short-row", "non-numeric"])
 def test_cli_report_refuses_a_file_that_is_not_a_result_csv(tmp_path, capsys, text):
     """Bad input exits 1 with a message that names the file."""
     path = tmp_path / "foreign.csv"
@@ -803,8 +876,9 @@ def test_cli_sweep_refuses_existing_outputs_before_any_run(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("eta", ["2.5", "two", "0"])
-def test_cli_rejects_a_bad_eta_flag(tmp_path, eta):
+def test_cli_rejects_a_bad_eta_flag(tmp_path, capsys, eta):
     out = tmp_path / "results"
     assert main(["run", "--config", str(write_config(tmp_path)), "--eta", eta,
                  "--out", str(out)]) == 1
+    assert "eta must be" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
