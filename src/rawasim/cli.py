@@ -18,8 +18,12 @@ from .topology import WIRING
 
 
 def _config(args) -> ExperimentConfig:
-    """The --config file with the flags on top; --eta is an int if it reads as one."""
+    """The --config file, which must hold a JSON object, with the flags on
+    top; --eta is an int if it reads as one."""
     data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.config}: a config file must hold a JSON "
+                         f"object, not {json.dumps(data)[:40]}")
     flags = {key: getattr(args, key) for key in ("protocol", "adversary",
              "n_peers", "block_size", "runs", "base_seed", "p", "eta")}
     with suppress(TypeError, ValueError):

@@ -21,10 +21,11 @@ invalidate. A tuple handed out is never changed, only replaced by a new one
 on the next call, so a holder keeps a snapshot of the neighbours it was
 given: a search keeps the very tuple it broadcast to.
 
-Reachability is the adjacency: an edge only ever joins two live nodes.
-`add_edge` refuses a departed or unknown endpoint, and a departure removes
-every edge of the departed node, so `send`, `fan_out`, `reachable` and the
-delivery check in `run` test the edge alone. Edges disappear only when a
+Reachability is the adjacency, one table of links ``[frm][to]``: an edge
+only ever joins two live nodes. `add_edge` refuses a departed or unknown
+endpoint, and a departure removes every link of the departed node, so
+`send`, `fan_out`, `reachable` and the delivery check in `run` test the
+edge alone. Edges disappear only when a
 node departs, which `departures` counts so engines can key their own
 reachability caches on it. For the same reason `run` checks a delivery's
 edge only once `departures` is non-zero: before the first departure every
@@ -46,8 +47,11 @@ dial and a departure are kernel timers of the node that dials or departs,
 so a dial dies with its dialler, as engine timers do. The link model is
 read once, at construction: `send`, `fan_out` and `dial` keep its numbers
 and draw jitter with the same float operations as ``random.uniform``. The
-FIFO clamp keeps one table per sender, ``_last_delivery[frm][to]``, so a
-fan-out fetches its sender's table once.
+FIFO clamp's time lives on the edge: the value of ``_adjacency[frm][to]``
+is the latest delivery queued on the link, 0.0 on a new one. Adding a
+live edge again keeps it, and it goes when either endpoint departs. A
+send or fan-out fetches its sender's links once, for the edge test and
+the clamp alike.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the event set, its pending timers and
@@ -279,12 +283,11 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple] = []
         self._seq = 0
-        self._adjacency: dict[PeerId, set[PeerId]] = {}
+        # sender -> receiver -> the link's FIFO time (see the module doc)
+        self._adjacency: dict[PeerId, dict[PeerId, float]] = {}
         self._sorted_neighbors: dict[PeerId, tuple[PeerId, ...]] = {}
         self._alive: set[PeerId] = set()
         self._engines: dict[PeerId, object] = {}
-        # FIFO clamp: sender -> receiver -> latest delivery time queued
-        self._last_delivery: dict[PeerId, dict[PeerId, float]] = {}
         # the shared payload-free messages of this run: variant value -> cid
         self._messages: dict[str, dict[Cid, Message]] = {
             variant._value_: {} for variant in MessageType}
@@ -296,21 +299,20 @@ class Simulator:
     def add_node(self, peer: PeerId) -> None:
         if peer in self._adjacency:
             raise ValueError(f"duplicate node {peer}")
-        self._adjacency[peer] = set()
-        self._last_delivery[peer] = {}
+        self._adjacency[peer] = {}
         self._alive.add(peer)
 
     def add_edge(self, a: PeerId, b: PeerId) -> None:
         """Link the live nodes `a` and `b`. A departed or unknown endpoint
         raises before anything changes, so an edge only ever joins two
-        live nodes."""
+        live nodes. Re-linking a live edge keeps its FIFO time."""
         if a == b:
             raise ValueError("self-loops not allowed")
         for peer in (a, b):
             if peer not in self._alive:
                 raise ValueError(f"{peer_name(peer)} is not a live node")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._adjacency[a].setdefault(b, 0.0)
+        self._adjacency[b].setdefault(a, 0.0)
         self._sorted_neighbors.pop(a, None)
         self._sorted_neighbors.pop(b, None)
 
@@ -384,7 +386,8 @@ class Simulator:
              tag: WalkTag | None = None) -> bool:
         """Schedule delivery over the live edge; returns False (with a logged
         diagnostic) when the edge is already gone."""
-        if to not in self._adjacency.get(frm, ()):
+        adjacent = self._adjacency.get(frm, ())
+        if to not in adjacent:
             self.observer.record_drop(self.now, frm, to, msg, "send-no-link")
             return False
         now = self.now
@@ -396,11 +399,9 @@ class Simulator:
         at = now + (self._latency_ms + jitter
                     + wire_size(msg) / self._bandwidth * 1000.0)
         # FIFO per directed link: never overtake an earlier message.
-        last = self._last_delivery[frm]
-        prev = last.get(to, 0.0)
-        if at < prev:
-            at = prev
-        last[to] = at
+        if at < adjacent[to]:
+            at = adjacent[to]
+        adjacent[to] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
         heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
@@ -419,7 +420,6 @@ class Simulator:
         span = self._jitter_span
         rand = self._random
         tx_ms = msg.size / self._bandwidth * 1000.0
-        last = self._last_delivery[frm]
         heap = self._heap
         push = heapq.heappush
         first = seq = self._seq + 1
@@ -428,10 +428,9 @@ class Simulator:
             if to not in adjacent:
                 continue
             at = now + (latency + (lo + span * rand() if span else 0.0) + tx_ms)
-            prev = last.get(to, 0.0)
-            if at < prev:
-                at = prev
-            last[to] = at
+            if at < adjacent[to]:
+                at = adjacent[to]
+            adjacent[to] = at
             push(heap, (at, seq, frm, to, msg, None))
             recipients.append(to)
             seq += 1
@@ -522,7 +521,7 @@ class Simulator:
         self._alive.discard(node)
         self.departures += 1
         for other in self._adjacency[node]:
-            self._adjacency[other].discard(node)
+            del self._adjacency[other][node]
             self._sorted_neighbors.pop(other, None)
         self._adjacency[node].clear()
         self._sorted_neighbors.pop(node, None)

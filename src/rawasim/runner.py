@@ -133,17 +133,20 @@ class ExperimentConfig:
     def _refuse_delays_past_the_horizon(self) -> None:
         """Refuse a config one of whose delays, from the start of a run,
         could carry the clock past `HORIZON_MS`: a message (the largest is
-        a block or a FORWARD-HAVE naming every peer), a dial, an index
-        lookup or the last staggered request start. `give_up_ms` is bounded
-        by its rule, the churn times by `__post_init__`, and `LinkSpec` and
-        `RaWaConfig` bound their own delays. Sizes are compared as integers,
-        so a huge `block_size` cannot overflow a float here."""
+        a block or a FORWARD-HAVE naming every peer, and the refusal names
+        `block_size` or `n_peers` after it), a dial, an index lookup or the
+        last staggered request start. `give_up_ms` is bounded by its rule,
+        the churn times by `__post_init__`, and `LinkSpec` and `RaWaConfig`
+        bound their own delays. Sizes are compared as integers, so a huge
+        `block_size` or `n_peers` cannot overflow a float here."""
         link = self.link
         leg_ms = link.latency_ms + link.jitter_ms
-        largest = ENVELOPE_BYTES + CID_ENTRY_BYTES + max(
-            self.block_size, PROVIDER_RECORD_BYTES * self.n_peers)
+        records = PROVIDER_RECORD_BYTES * self.n_peers
+        key, payload = (("n_peers", records) if records > self.block_size
+                        else ("block_size", self.block_size))
+        largest = ENVELOPE_BYTES + CID_ENTRY_BYTES + payload
         if largest * 1000 > (HORIZON_MS - leg_ms) * link.bandwidth_bytes_per_s:
-            raise ValueError(f"block_size: at {link.bandwidth_bytes_per_s} B/s "
+            raise ValueError(f"{key}: at {link.bandwidth_bytes_per_s} B/s "
                              "a message's delay would pass the clock's horizon "
                              "of 2**43 ms")
         for name, delay in (

@@ -2,12 +2,15 @@
 neighbor and successor views against a fresh computation, the relay table
 (one predecessor per CID and successor, a sticky proxy role) against the
 walks it was driven with, the adjacency against the liveness it stands
-for (an edge only ever joins two live nodes), the walk-step draw against
-indexing the filtered successors, the fan-out against a `reachable`-guarded send
-loop, the per-run shared messages against fresh ones, the inlined send delay
-against `link_delay`, and the event set's order, staged runs, `peek` and
-cancelled timers against a plain heap of ``(at, seq)``, with no timer label
-built by an untraced run."""
+for (an edge only ever joins two live nodes), the one table of links
+against the sends queued on it (symmetric, free of departed nodes, each
+link's FIFO time its latest queued arrival, deliveries in send order), the
+walk-step draw against indexing the filtered successors, the fan-out
+against a `reachable`-guarded send loop, the per-run shared messages
+against fresh ones, the inlined send delay against `link_delay`, and the
+event set's order, staged runs, `peek` and cancelled timers against a
+plain heap of ``(at, seq)``, with no timer label built by an untraced
+run."""
 
 from __future__ import annotations
 
@@ -160,7 +163,10 @@ def test_add_edge_refuses_a_departed_or_unknown_endpoint_and_changes_nothing():
     sim.add_edge(0, 2)
     sim.schedule_departure(2, 0.0)
     sim.run()
-    before = {v: set(peers) for v, peers in sim._adjacency.items()}
+    sim.send(0, 1, Message(MessageType.CANCEL, CID))
+    # the links with their FIFO times: a refusal changes neither
+    before = {v: dict(links) for v, links in sim._adjacency.items()}
+    assert before[0][1] > 0.0 and before[1][0] == 0.0
     for a, b in ((1, 2), (2, 1), (1, 7), (7, 1)):
         with pytest.raises(ValueError, match="not a live node"):
             sim.add_edge(a, b)
@@ -544,7 +550,7 @@ class EventSetCheck:
 
     def _sent(self, row: int) -> None:
         _, seq, _, frm, to, *_ = self.sim.observer.trace[row]
-        at = self.sim._last_delivery[frm][to]
+        at = self.sim._adjacency[frm][to]
         heapq.heappush(self.reference, (at, seq, None))
 
     def pop(self) -> tuple[float, int, object]:
@@ -682,7 +688,7 @@ def fan_sim(seed, jitter, edges, departed, before, until):
 
 def kernel_state(sim: Simulator) -> tuple:
     observer = sim.observer
-    return (sim.now, sim._seq, sim.rng.getstate(), list(sim._last_delivery.items()),
+    return (sim.now, sim._seq, sim.rng.getstate(), list(sim._adjacency.items()),
             list(observer.msg_counts.items()), list(observer.bytes_by_variant.items()),
             observer.bytes_total, list(observer.trace), list(observer.drops),
             sim.peek())
@@ -711,3 +717,78 @@ def test_fan_out_leaves_the_state_of_a_send_loop(seed, jitter, edges, departed,
     assert kernel_state(fanned) == kernel_state(looped)
     assert {v: r.got for v, r in fanned_got.items()} == \
         {v: r.got for v, r in looped_got.items()}
+
+
+# -- one table per link: edges and FIFO times ------------------------------------------
+
+link_op = st.one_of(
+    st.tuples(st.just("send"), fan_node, fan_node, st.integers(0, 2)),
+    st.tuples(st.just("fan_out"), fan_node, st.lists(fan_node, max_size=6),
+              st.integers(0, 2)),
+    # often on a live edge: adding it again must keep its time
+    st.tuples(st.just("edge"), fan_node, fan_node, st.none()),
+    st.tuples(st.just("dial"), fan_node, fan_node, st.none()),
+    st.tuples(st.just("depart"), fan_node, st.sampled_from((0.0, 2.0)), st.none()),
+    st.tuples(st.just("run"), st.floats(0.0, 4.0), st.none(), st.none()),
+)
+
+
+def assert_links_hold(sim: Simulator, queued: dict) -> None:
+    """The table is symmetric, a departed node has no links and is in no
+    one's, and each link holds the latest arrival queued on it, or 0.0."""
+    table = sim._adjacency
+    for a, links in table.items():
+        assert sim.is_alive(a) or not links
+        for b, at in links.items():
+            assert a in table[b] and sim.is_alive(b)
+            assert at == queued.get((a, b), 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32),
+       edges=st.lists(st.tuples(fan_node, fan_node), max_size=10),
+       ops=st.lists(link_op, max_size=30))
+@example(seed=0, edges=[(0, 1)],
+         ops=[("send", 0, 1, 1), ("edge", 0, 1, None), ("send", 0, 1, 0)])
+def test_one_table_per_link_keeps_edges_and_fifo_times(seed, edges, ops):
+    """Random sends, fan-outs, `add_edge`s (on live edges too), dials and
+    departures, run in stages: after each step the one table of links is
+    symmetric, a departed node is in no one's links, and each link's time
+    is the latest arrival queued on it, or 0.0 if nothing was sent on it.
+    On each directed link, deliveries come in send order at nondecreasing
+    times."""
+    sim = Simulator(EVENT_SET_LINK, Random(seed), Observer(keep_trace=True))
+    for v in range(FAN_NODES):
+        sim.add_node(v)
+        sim.attach(v, Recorder())
+    for a, b in edges:
+        if a != b:
+            sim.add_edge(a, b)
+    queued: dict[tuple, float] = {}
+    for kind, a, b, m in ops:
+        seq = sim._seq
+        if kind == "send":
+            sim.send(a, b, FAN_MESSAGES[m])
+        elif kind == "fan_out":
+            sim.fan_out(a, b, FAN_MESSAGES[m])
+        elif kind == "edge" and a != b and sim.is_alive(a) and sim.is_alive(b):
+            sim.add_edge(a, b)
+        elif kind == "dial" and a != b:
+            sim.dial(a, b, lambda ok: None)
+        elif kind == "depart" and sim.is_alive(a):
+            sim.schedule_departure(a, sim.now + b)
+        elif kind == "run":
+            sim.run(until=sim.now + a)
+        # the deliveries this step queued, in send order
+        for event in sorted((e for e in sim._heap if e[1] > seq and len(e) == 6),
+                            key=lambda e: e[1]):
+            queued[event[2], event[3]] = event[0]
+        assert_links_hold(sim, queued)
+    sim.run()
+    assert_links_hold(sim, queued)
+    last: dict[tuple, tuple] = {}
+    for time, seq, kind, frm, to, *_ in sim.observer.trace:
+        if kind == "deliver":
+            before, before_seq = last.get((frm, to), (0.0, 0))
+            assert before <= time and before_seq < seq
+            last[frm, to] = (time, seq)

@@ -109,6 +109,9 @@ BAD_OVERRIDES = [
     {"stagger_ms": 1e300}, {"give_up_ms": 1e300}, {"churn": ((2, 1e300),)},
     {"dht_base_delay_ms": 1e300}, {"dial_rtt_multiplier": 1e300},
     {"rawa": {"u_ms": 1e300}}, {"rawa": {"forward_have_aggregation_ms": 1e300}},
+    # refused, but under block_size, though its largest message is the
+    # FORWARD-HAVE that names every peer
+    {"n_peers": 10**23},
     # these loaded, then failed mid-run: a link, walk config or seed of the
     # wrong type, a string time, and a re-transmit period of 1 µs or less
     # (the livelock guard); a t1 under 1 ms goes with it, as the index
@@ -765,6 +768,17 @@ def test_cli_flag_overrides(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     config_path = write_config(tmp_path, protocol="smoke-signal")
     assert main(["run", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", "null"])
+def test_cli_refuses_a_config_file_that_is_not_a_json_object(tmp_path, capsys, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(config_path) in err and "must hold a JSON object" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
