@@ -13,7 +13,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from .runner import (ExperimentConfig, overlay, refuse_existing, result_paths,
-                     run_experiment, sweep, write_results)
+                     run_experiment, sweep, sweep_cells, write_results)
 from .topology import WIRING
 
 
@@ -83,6 +83,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _config(args)
     grid = json.loads(Path(args.grid).read_text())
+    if not isinstance(grid, dict):
+        raise ValueError(f"{args.grid}: a sweep grid must be a JSON object "
+                         f"of axis lists, not {type(grid).__name__}")
+    sweep_cells(config, grid)  # every cell checked before --out is made
     _check_writable(Path(args.out))
     report = sweep(config, grid, args.out, force=args.force, workers=args.workers)
     for combo in report["combinations"]:

@@ -1,6 +1,6 @@
 """Deterministic discrete-event network simulator.
 
-One `Simulator` owns a run: virtual clock, event heap ordered by
+One `Simulator` owns a run: virtual clock, event set ordered by
 ``(time, seq)`` with a monotone scheduling sequence number as tie-break,
 the overlay adjacency, node liveness, and message delivery with a
 latency + jitter + serialization delay model.
@@ -36,42 +36,55 @@ absent key as 0 without inserting it and keep the order of each variant's
 first send, with the C-level item assignment that `collections.Counter`
 gives up.
 
-The event set is one binary heap (`heapq`) of flat tuples of two shapes:
-a message delivery ``(at, seq, frm, to, msg, tag)`` and a timer of a node
-(or of no node, -1) ``(at, seq, node, fn, label)`` from `call_at`, whose
-``fn`` is the `Timer` for a `schedule` handle. A label is a ``(kind,
-subject)`` pair whose text is built only for a trace row. ``seq`` is
-unique, so entries never compare beyond it and events run in exact
-``(at, seq)`` order; an event at infinity runs after every finite one. A
-dial and a departure are kernel timers of the node that dials or departs,
-so a dial dies with its dialler, as engine timers do. The link model is
-read once, at construction: `send`, `fan_out` and `dial` keep its numbers
-and draw jitter with the same float operations as ``random.uniform``. The
-FIFO clamp's time lives on the edge: the value of ``_adjacency[frm][to]``
-is the latest delivery queued on the link, 0.0 on a new one. Adding a
-live edge again keeps it, and it goes when either endpoint departs. A
-send or fan-out fetches its sender's links once, for the edge test and
-the clamp alike.
+The event set holds flat tuples of two shapes: a message delivery
+``(at, seq, frm, to, msg, tag)`` and a timer of a node (or of no node, -1)
+``(at, seq, node, fn, label)`` from `call_at`, whose ``fn`` is the `Timer`
+for a `schedule` handle. A label is a ``(kind, subject)`` pair whose text
+is built only for a trace row. ``seq`` is unique, so entries never compare
+beyond it and events run in exact ``(at, seq)`` order; an event at
+infinity runs after every finite one. The set is a sorted ready run,
+``_ready``, consumed from the index ``_next``, and an unsorted list of
+later entries, ``_later``, each of which comes after every ready one.
+``_bound`` is the time of the latest entry moved into the run: a push
+before it is inserted into the run by bisection, any other is appended to
+``_later``. When the run is spent, `run` sorts ``_later`` (its sorted
+remainder is one run for `list.sort` to merge) and moves over the entries
+within one window of the earliest, and at least an eighth of them. The
+window is the link's least delay, ``latency - jitter``, so a send never
+lands in the run it was sent from unless the eighth rule moved more than
+the window; the eighth bounds the refills when the window is tiny. The
+loop takes each entry by index, with no compare, and clears its slot, so
+an entry is released when its event runs.
+
+A dial and a departure are kernel timers of the node that dials or
+departs, so a dial dies with its dialler, as engine timers do. The link
+model is read once, at construction: `send`, `fan_out` and `dial` keep its
+numbers and draw jitter with the same float operations as
+``random.uniform``. The FIFO clamp's time lives on the edge: the value
+of ``_adjacency[frm][to]`` is the latest delivery queued on the link, 0.0
+on a new one. Adding a live edge again keeps it, and it goes when either
+endpoint departs. A send or fan-out fetches its sender's links once, for
+the edge test and the clamp alike.
 
 Lifetime contract: a run holds no reference cycle. The simulator holds its
 engines (`attach`) and, through the event set, its pending timers and
 messages; engines, the provider index and the kernel's own dial and
 departure timers hold the simulator through a weak reference. A timer of
-the package is a heap entry with no handle: nothing keeps or cancels one,
-and a session's timers read its state when they fire, so those of a closed
-session fire as no-ops. A finished run is therefore freed by reference
-counting as soon as its last handle goes, without the cycle collector, and
-`run` switches the collector off while its loop runs (and restores its
-previous state afterwards): a collection there could only walk the run's
-live event set.
+the package is an event-set entry with no handle: nothing keeps or cancels
+one, and a session's timers read its state when they fire, so those of a
+closed session fire as no-ops. A finished run is therefore freed by
+reference counting as soon as its last handle goes, without the cycle
+collector, and `run` switches the collector off while its loop runs (and
+restores its previous state afterwards): a collection there could only
+walk the run's live event set.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import random
 import weakref
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -281,7 +294,13 @@ class Simulator:
         self.observer = observer if observer is not None else Observer()
         self.dial_rtt_multiplier = dial_rtt_multiplier
         self.now = 0.0
-        self._heap: list[tuple] = []
+        # the event set (see the module doc); _window is the least delay
+        # of a message
+        self._ready: list = []
+        self._next = 0
+        self._later: list[tuple] = []
+        self._bound = float("-inf")
+        self._window = link.latency_ms - link.jitter_ms
         self._seq = 0
         # sender -> receiver -> the link's FIFO time (see the module doc)
         self._adjacency: dict[PeerId, dict[PeerId, float]] = {}
@@ -359,13 +378,19 @@ class Simulator:
         if not at >= self.now:
             raise ValueError(f"event at {at} scheduled before now={self.now}")
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (at, seq, node, fn, label))
+        if at < self._bound:
+            insort(self._ready, (at, seq, node, fn, label), self._next)
+        else:
+            self._later.append((at, seq, node, fn, label))
 
     def peek(self) -> tuple[float, int] | None:
-        """``(at, seq)`` of the head of the heap, the next pending event
-        (a cancelled `Timer` included), or None when nothing is pending.
-        Changes nothing."""
-        return self._heap[0][:2] if self._heap else None
+        """``(at, seq)`` of the next pending event (a cancelled `Timer`
+        included), or None when nothing is pending: the head of the ready
+        run, or the least later entry once the run is spent. Changes
+        nothing, and never refills, so it is safe inside a running event."""
+        if self._next < len(self._ready):
+            return self._ready[self._next][:2]
+        return min(self._later)[:2] if self._later else None
 
     def _one_way_ms(self) -> float:
         """Base latency plus one jitter draw: one leg of a dial."""
@@ -404,7 +429,10 @@ class Simulator:
         adjacent[to] = at
         seq = self._seq = self._seq + 1
         self.observer.record_send(now, seq, frm, to, msg, tag)
-        heapq.heappush(self._heap, (at, seq, frm, to, msg, tag))
+        if at < self._bound:
+            insort(self._ready, (at, seq, frm, to, msg, tag), self._next)
+        else:
+            self._later.append((at, seq, frm, to, msg, tag))
         return True
 
     def fan_out(self, frm: PeerId, peers: Iterable[PeerId], msg: Message) -> None:
@@ -420,8 +448,8 @@ class Simulator:
         span = self._jitter_span
         rand = self._random
         tx_ms = msg.size / self._bandwidth * 1000.0
-        heap = self._heap
-        push = heapq.heappush
+        bound = self._bound
+        later = self._later.append
         first = seq = self._seq + 1
         recipients = []
         for to in peers:
@@ -431,7 +459,10 @@ class Simulator:
             if at < adjacent[to]:
                 at = adjacent[to]
             adjacent[to] = at
-            push(heap, (at, seq, frm, to, msg, None))
+            if at < bound:
+                insort(self._ready, (at, seq, frm, to, msg, None), self._next)
+            else:
+                later((at, seq, frm, to, msg, None))
             recipients.append(to)
             seq += 1
         self._seq = seq - 1
@@ -467,9 +498,12 @@ class Simulator:
     def run(self, until: float | None = None) -> int:
         """Execute events in ``(time, seq)`` order until none is pending or
         the next one lies after `until`, which stays pending; returns the
-        number executed. The cycle collector is off while the loop runs
-        and gets its previous state back however the loop ends."""
-        heap = self._heap
+        number executed. The ready run is taken by index; once it is spent
+        `_refill` makes the next one from the later entries. The cycle
+        collector is off while the loop runs and gets its previous state
+        back however the loop ends."""
+        ready = self._ready
+        i = self._next
         alive = self._alive
         adjacency = self._adjacency
         engines = self._engines
@@ -477,16 +511,25 @@ class Simulator:
         keep_trace = observer.keep_trace
         cap = self.livelock_cap
         limit = float("inf") if until is None else until
-        pop = heapq.heappop
         executed = 0
         enabled = gc.isenabled()
         gc.disable()
         try:
-            while heap:
-                time = heap[0][0]
+            while True:
+                if i == len(ready):
+                    if not self._later:
+                        break
+                    self._refill()
+                    ready = self._ready
+                    i = 0
+                event = ready[i]
+                time = event[0]
                 if time > limit:
                     break
-                event = pop(heap)
+                # the entry is freed with its event, not at the next refill
+                ready[i] = None
+                i += 1
+                self._next = i
                 self.now = time
                 executed += 1
                 if executed > cap:
@@ -516,6 +559,19 @@ class Simulator:
             if enabled:
                 gc.enable()
         return executed
+
+    def _refill(self) -> None:
+        """Sort the later entries and move over, as the new ready run,
+        those within one window of the earliest, and at least an eighth of
+        them; `_bound` becomes the time of the last one moved."""
+        later = self._later
+        later.sort()
+        cut = max(bisect_left(later, (later[0][0] + self._window,)),
+                  (len(later) + 7) // 8)
+        ready = self._ready = later[:cut]
+        del later[:cut]
+        self._next = 0
+        self._bound = ready[-1][0]
 
     def _depart(self, node: PeerId) -> None:
         self._alive.discard(node)

@@ -456,6 +456,9 @@ def sweep_cells(base: ExperimentConfig, grid: dict) -> list[SweepCell]:
         raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
     combos: list[dict] = [{}]
     for axis in sorted(grid):
+        if not isinstance(grid[axis], list):
+            raise ValueError(f"grid axis {axis!r} must be a list of values, "
+                             f"not {type(grid[axis]).__name__}")
         if not grid[axis]:
             raise ValueError(f"empty grid axis {axis!r}")
         combos = [dict(c, **{axis: v}) for c in combos for v in grid[axis]]

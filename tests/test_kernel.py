@@ -9,8 +9,8 @@ walk-step draw against indexing the filtered successors, the fan-out
 against a `reachable`-guarded send loop, the per-run shared messages
 against fresh ones, the inlined send delay against `link_delay`, and the
 event set's order, staged runs, `peek` and cancelled timers against a
-plain heap of ``(at, seq)``, with no timer label built by an untraced
-run."""
+plain heap of ``(at, seq)`` on three windows, each refill of the event set
+against its rules, with no timer label built by an untraced run."""
 
 from __future__ import annotations
 
@@ -471,13 +471,22 @@ def test_send_delay_is_link_delay_with_the_same_draw(seed, jitter, payload):
 # 1.5 ms latency and 0.25 ms of jitter: a CANCEL (44 B) arrives about
 # 1.94 ms after it leaves and a BLOCK (1,244 B) about 13.94 ms, so a small
 # message behind a big one on a link is clamped to its time, and
-# deliveries interleave with timers at whole and fractional milliseconds
+# deliveries interleave with timers at whole and fractional milliseconds.
+# Its window, the least delay of a message, is 1.25 ms.
 EVENT_SET_LINK = LinkSpec(1.5, 0.25, 100_000.0)
+# the three windows the event set is checked on: the one above, a tiny one
+# (1 µs, so the eighth rule sets each refill and sends land in the ready
+# run), and one wider than every timer delay `timer_delay` draws (each
+# refill moves every pending timer, and timers pushed by events go in by
+# insertion)
+EVENT_SET_LINKS = [EVENT_SET_LINK, LinkSpec(1.0, 0.999, 100_000.0),
+                   LinkSpec(2.5e6, 0.5e6, 100_000.0)]
 BIG = Message(MessageType.BLOCK, CID, payload=make_block(1200))
 SMALL = Message(MessageType.CANCEL, CID)
 TRIO = (0, 1, 2)
 
-WHERE = st.sampled_from(["now", "inside", "boundary", "below", "far"])
+WHERE = st.sampled_from(["now", "inside", "boundary", "below", "far",
+                         "bound", "below-bound", "window", "below-window"])
 push_op = st.one_of(
     st.tuples(WHERE, st.integers(1, 7)),
     # a handle-free timer of a node, from `Simulator.call_at`
@@ -490,11 +499,23 @@ push_op = st.one_of(
 stop = st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0))
 
 
-def timer_delay(now: float, where: str, j: int) -> float:
+def timer_delay(sim: Simulator, where: str, j: int) -> float:
     """A delay that lands at `now`, before the next whole millisecond, on a
-    later whole millisecond, just below one, or far in the future."""
+    later whole millisecond, just below one, far in the future, at the time
+    of the latest entry moved into the ready run (`_bound`) or just below
+    it (at `now` if that is past), or one window (the link's least message
+    delay) ahead or just below that."""
+    now = sim.now
     if where == "now":
         return 0.0
+    if where == "bound":
+        return max(0.0, sim._bound - now)
+    if where == "below-bound":
+        return max(0.0, math.nextafter(sim._bound, -math.inf) - now)
+    if where == "window":
+        return sim._window
+    if where == "below-window":
+        return math.nextafter(now + sim._window, 0.0) - now
     if where == "inside":
         return (math.floor(now) + 1 - now) * j / 8
     if where == "boundary":
@@ -504,14 +525,39 @@ def timer_delay(now: float, where: str, j: int) -> float:
     return 1e6 + j
 
 
-class EventSetCheck:
-    """Drives a simulator with `script` and checks each event it runs
-    against a plain `heapq` of the ``(at, seq)`` of every push, which skips
-    cancelled timers as the kernel does. `schedule` and `call_at` timers,
-    sends and fan-outs share the one event set."""
+def checked_refills(sim: Simulator) -> list[tuple[int, int]]:
+    """Wrap `sim._refill` to check each refill as it happens: of the L later
+    entries it moves at least max(1, ceil(L / 8)), sorted, into a new ready
+    run read from its start; `_bound` is the time of the last one moved; and
+    every ready entry comes before every later one. Returns the list of
+    ``(L, moved)`` it fills."""
+    refills = []
+    refill = sim._refill
 
-    def __init__(self, seed: int, script):
-        self.sim = Simulator(EVENT_SET_LINK, Random(seed), Observer(keep_trace=True))
+    def checked() -> None:
+        pending = len(sim._later)
+        refill()
+        ready, later = sim._ready, sim._later
+        moved = len(ready)
+        assert moved >= max(1, math.ceil(pending / 8))
+        assert moved + len(later) == pending and sim._next == 0
+        assert sim._bound == ready[-1][0]
+        assert ready == sorted(ready) and (not later or ready[-1] < min(later))
+        refills.append((pending, moved))
+    sim._refill = checked
+    return refills
+
+
+class EventSetCheck:
+    """Drives a simulator with `script` and checks each event it runs, and
+    `peek` as it runs, against a plain `heapq` of the ``(at, seq)`` of every
+    push, which skips cancelled timers as the kernel does. `schedule` and
+    `call_at` timers, sends and fan-outs share the one event set, and each
+    refill is checked by `checked_refills`."""
+
+    def __init__(self, seed: int, script, link: LinkSpec = EVENT_SET_LINK):
+        self.sim = Simulator(link, Random(seed), Observer(keep_trace=True))
+        checked_refills(self.sim)
         for v in TRIO:
             self.sim.add_node(v)
             self.sim.attach(v, self)
@@ -539,11 +585,11 @@ class EventSetCheck:
                 if self.timers:
                     self.timers[op[1] % len(self.timers)].cancel()
             elif kind == "call_at":
-                at = sim.now + timer_delay(sim.now, op[1], op[2])
+                at = sim.now + timer_delay(sim, op[1], op[2])
                 sim.call_at(at, op[3], self.ran, ("call_at", CID))
                 heapq.heappush(self.reference, (at, sim._seq, None))
             else:
-                delay = timer_delay(sim.now, *op)
+                delay = timer_delay(sim, *op)
                 timer = sim.schedule(delay, kind, self.ran)
                 self.timers.append(timer)
                 heapq.heappush(self.reference, (sim.now + delay, sim._seq, timer))
@@ -558,13 +604,17 @@ class EventSetCheck:
         return heapq.heappop(self.reference)
 
     def ran(self) -> None:
-        """The event the kernel is running is the reference's next live one."""
+        """The event the kernel is running is the reference's next live one,
+        and `peek` reads the reference's next head, before and after the
+        event's pushes."""
         at, seq, timer = self.pop()
         while timer is not None and timer.cancelled:
             at, seq, timer = self.pop()
         row = self.sim.observer.trace[-1]
         assert (self.sim.now, row[1]) == (at, seq)
+        self.assert_head()
         self.push(next(self.script, ()))
+        self.assert_head()
 
     def handle_message(self, frm, msg, tag=None):
         self.ran()
@@ -590,19 +640,37 @@ class EventSetCheck:
        stops=st.lists(st.tuples(stop, st.lists(push_op, max_size=3)), max_size=6))
 def test_events_run_in_the_order_of_a_plain_heap(seed, first, script, stops):
     """Random interleavings of pushes at `now`, before the next whole
-    millisecond, on and just below a later one, far ahead, FIFO-clamped
-    equal times, handle-free timers and cancelled ones, run in stages by
-    ``run(until=...)`` with pushes between the stages, pop in the order a
-    plain heap gives."""
-    check = EventSetCheck(seed, script)
-    check.push(first)
-    check.assert_head()
-    for until, between in sorted(stops, key=lambda s: s[0]):
-        check.run(until)
-        check.push(between)
+    millisecond, on and just below a later one, far ahead, at and just
+    below the ready run's bound, one window ahead and just below it,
+    FIFO-clamped equal times, handle-free timers and cancelled ones, run in
+    stages by ``run(until=...)`` with pushes between the stages, pop in the
+    order a plain heap gives, on each of three windows."""
+    for link in EVENT_SET_LINKS:
+        check = EventSetCheck(seed, script, link)
+        check.push(first)
         check.assert_head()
-    check.run(None)
-    assert check.sim.peek() is None
+        for until, between in sorted(stops, key=lambda s: s[0]):
+            check.run(until)
+            check.push(between)
+            check.assert_head()
+        check.run(None)
+        assert check.sim.peek() is None
+
+
+@pytest.mark.parametrize("link", [LinkSpec(), LinkSpec(10.0, 9.99),
+                                  LinkSpec(1.0, 0.999)],
+                         ids=["default", "window-10us", "window-1us"])
+@pytest.mark.parametrize("protocol, adversary", [("rawa", "fse"), ("vanilla", "wfe")])
+def test_each_refill_moves_an_eighth_and_keeps_the_ready_run_first(
+        link, protocol, adversary):
+    """Over whole runs, on the default link and on tiny windows where the
+    eighth rule sets most cuts, every refill passes `checked_refills`."""
+    config = ExperimentConfig(protocol=protocol, adversary=adversary,
+                              n_peers=40, runs=1, base_seed=5, link=link)
+    handles = build_run(config, 0)
+    refills = checked_refills(handles.sim)
+    executed = handles.sim.run()
+    assert refills and sum(moved for _, moved in refills) <= executed
 
 
 @pytest.mark.parametrize("protocol, adversary", [("rawa", "fse"), ("vanilla", "wfe")])
@@ -780,7 +848,8 @@ def test_one_table_per_link_keeps_edges_and_fifo_times(seed, edges, ops):
         elif kind == "run":
             sim.run(until=sim.now + a)
         # the deliveries this step queued, in send order
-        for event in sorted((e for e in sim._heap if e[1] > seq and len(e) == 6),
+        for event in sorted((e for e in sim._ready[sim._next:] + sim._later
+                             if e[1] > seq and len(e) == 6),
                             key=lambda e: e[1]):
             queued[event[2], event[3]] = event[0]
         assert_links_hold(sim, queued)

@@ -75,7 +75,7 @@ class Probe:
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_turns_the_collector_off_and_restores_it(enabled, ending):
     """Timers and handlers run with the collector off, and `run` gives it
-    back its previous state whether the heap drains, the run stops at
+    back its previous state whether the event set drains, the run stops at
     `until` or a handler raises."""
     sim = Simulator(LinkSpec(), Random(1))
     for v in (0, 1):

@@ -1,12 +1,15 @@
-"""Run memory: what a search keeps of the peers it asked, and what an import
-loads.
+"""Run memory: what a search keeps of the peers it asked, what the event set
+keeps of the events it ran, and what an import loads.
 
 A broadcast keeps the simulator's own neighbour tuple as the search's
 `queried` peers, not a copy. The simulator never changes a tuple it has
 handed out, so the search holds the snapshot it broadcast to, and the fse
 spy, linked to every peer, holds one tuple for all its proxy searches
 instead of n entries each. A rawa requester under ``verify_provider`` never
-broadcasts; its `queried` peers are its verify targets. Importing the
+broadcasts; its `queried` peers are its verify targets. The event set
+clears an entry's slot as its event runs, so a timer's function is freed
+before the next event, not at the next refill, and a drained run keeps
+nothing but cleared slots. Importing the
 package leaves out `multiprocessing`, which only a worker pool needs, and
 numpy, which the package does not use: it has no runtime dependency.
 """
@@ -16,12 +19,15 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
+from random import Random
 from unittest.mock import patch
 
 import rawasim
 from rawasim.engine import DONE
+from rawasim.netsim import LinkSpec, Observer, Simulator
 from rawasim.rawa import RaWaConfig
 from rawasim.runner import ExperimentConfig, build_run
 from rawasim.vanilla import VanillaEngine
@@ -93,6 +99,36 @@ def test_verify_targets_are_queried_ascending_and_cancelled_once():
     # the exploiters' ids follow the honest ones, so a fake provider
     # verified first is queried last
     assert out_of_order
+
+
+class Callback:
+    def __call__(self) -> None:
+        pass
+
+
+def test_a_timer_function_is_freed_before_the_next_event_runs():
+    """Both timers sit in one ready run (the window is 90 ms), so an entry
+    kept until the next refill would keep the first one's function alive."""
+    sim = Simulator(LinkSpec(), Random(1), Observer())
+    callback = Callback()
+    ref = weakref.ref(callback)
+    sim.call_at(1.0, -1, callback, ("first", None))
+    del callback
+    alive_then = []
+    sim.call_at(2.0, -1, lambda: alive_then.append(ref() is not None),
+                ("second", None))
+    sim.call_at(3.0, -1, Callback(), ("third", None))
+    assert sim.run(until=2.5) == 2 and len(sim._ready) == 3
+    assert alive_then == [False]
+
+
+def test_a_drained_run_keeps_only_cleared_slots():
+    handles = build_run(ExperimentConfig(protocol="rawa", adversary="fse",
+                                         n_peers=30, runs=1, base_seed=1), 0)
+    sim = handles.sim
+    assert sim.run() > 0
+    assert sim._later == [] and sim._ready
+    assert all(slot is None for slot in sim._ready)
 
 
 def test_importing_the_package_leaves_multiprocessing_and_numpy_out():

@@ -211,7 +211,7 @@ def test_every_message_event_and_byte_is_accounted_for(config, bound):
     rows = Counter(row[2] for row in observer.trace)
     drops = Counter(drop[5] for drop in observer.drops)
     lost = drops["in-flight-loss"] + drops["no-engine"]
-    pending = sum(len(event) == 6 for event in sim._heap)
+    pending = sum(len(event) == 6 for event in sim._ready[sim._next:] + sim._later)
     assert rows["send"] == sum(observer.msg_counts.values()) \
         == rows["deliver"] + lost + pending
     departed_timers = executed - rows["deliver"] - rows["timer"] - lost

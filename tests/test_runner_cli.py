@@ -873,6 +873,20 @@ def test_cli_sweep_rejects_a_bad_grid_before_any_run(tmp_path, monkeypatch, grid
     assert calls == [] and not list((tmp_path / "sweep").glob("*"))
 
 
+@pytest.mark.parametrize("grid, named", [
+    ([1], "grid.json"), (None, "grid.json"),
+    ({"p": 0.2}, "'p'"), ({"adversary": "fse"}, "'adversary'"),
+])
+def test_cli_sweep_refuses_a_grid_of_the_wrong_shape(tmp_path, monkeypatch,
+                                                      capsys, grid, named):
+    """A grid that is not an object, or an axis that is not a list, exits 1
+    naming the file or the axis, before any run and before --out is made."""
+    calls = counted_runs(monkeypatch)
+    assert main(sweep_args(tmp_path, grid)) == 1
+    assert named in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "sweep").exists()
+
+
 def test_cli_sweep_refuses_existing_outputs_before_any_run(tmp_path, monkeypatch):
     calls = counted_runs(monkeypatch)
     args = sweep_args(tmp_path, {"adversary": ["none", "fse"]})
